@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import optim as _optim
 from .arch import (
@@ -140,7 +141,7 @@ class MemoryReport:
 
 @dataclass(frozen=True)
 class PlanEvaluation:
-    cost: CostReport
+    cost: CostReport | None   # None when memory exceeded the evaluation's limit
     memory: MemoryReport
 
 
@@ -162,7 +163,7 @@ def _module_time(shape, db: ProfileDB, opts: OptimizationSet,
     if shape.flops_fwd == 0:
         return 0.0
     entry = db.compute.lookup(shape.name)
-    throughput = db.compute.throughput(shape.name, backward=backward)
+    throughput = entry.throughput(backward)
     work = shape.flops_fwd * (entry.bwd_flops_ratio if backward else 1.0)
     scale = (db.compute_scaling.get(shape.name, db.compute_scaling.get("*", 1.0))
              * opts.compute_lambda(shape.name))
@@ -189,10 +190,6 @@ class LayerCost:
     bwd: TimeParts
     t_qkv_fwd: float
     t_attention_fwd: float
-    act_bytes: float
-    attention_act_bytes: float
-    input_act_bytes: float
-    params: float
 
 
 def _assemble_direction(comp: dict[int, float], names: list[str],
@@ -245,7 +242,7 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                opts: OptimizationSet | None = None, dtypes: Dtypes = Dtypes(),
                decomp: Decomposition | None = None) -> LayerCost:
     """Per-layer forward/backward latency with exposure channels, plus the
-    per-layer quantities downstream strategies need."""
+    forward times the recomputation strategies replay."""
     opts = opts or OptimizationSet()
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
@@ -271,20 +268,12 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
     fwd = _assemble_direction(comp_fwd, names, tp_times, cp_total, ep_total, plan, opts)
     bwd = _assemble_direction(comp_bwd, names, tp_times, cp_total, ep_total, plan, opts)
-
-    att_act = sum(m.act_bytes for m in decomp.layer
-                  if m.name in ATTENTION_CORE_MODULES)
-    input_act = decomp.layer[0].act_bytes  # first norm retains the layer input
     return LayerCost(
         fwd=fwd,
         bwd=bwd,
         t_qkv_fwd=sum(t for i, t in comp_fwd.items() if names[i] == "qkv"),
         t_attention_fwd=sum(t for i, t in comp_fwd.items()
                             if names[i] in ATTENTION_CORE_MODULES),
-        act_bytes=decomp.layer_act_bytes,
-        attention_act_bytes=att_act,
-        input_act_bytes=input_act,
-        params=decomp.layer_params,
     )
 
 
@@ -367,6 +356,9 @@ def step_time(t_pipeline: float, t_opt: float) -> float:
     return total
 
 
+TFLOPS_MODES = ("fwd-bwd-per-device", "raw")
+
+
 def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
            mode: str = "fwd-bwd-per-device") -> float:
     """Achieved teraFLOPS from forward model FLOPs per global batch.
@@ -419,14 +411,58 @@ def peak_memory(m_static: float, m_activation: float) -> float:
 def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                   opts: OptimizationSet | None = None,
                   dtypes: Dtypes = Dtypes(), r_pp: int = 0,
-                  tflops_mode: str = "fwd-bwd-per-device") -> PlanEvaluation:
-    """Evaluate one plan end to end: layer times with feature overlays,
-    pipeline phases, optimizer, memory, step time and TFLOPS."""
-    opts = opts or OptimizationSet()
-    plan.validate()
-    notes: list[str] = []
+                  tflops_mode: str = "fwd-bwd-per-device",
+                  memory_limit: float | None = None,
+                  decomp: Decomposition | None = None) -> PlanEvaluation:
+    """Evaluate one plan end to end: memory, then layer times with feature
+    overlays, pipeline phases, optimizer, step time and TFLOPS.
 
-    decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+    Memory depends on the decomposition, the plan and the strategies, never
+    on latency. When its peak exceeds memory_limit, cost is None. The latency
+    terms are then skipped if the profile is complete; otherwise they still
+    run, so a missing profile entry raises as it would without the limit.
+    decomp, when given, must be decompose(arch, plan, dtypes.act_bytes) of
+    this plan, already validated."""
+    opts = opts or OptimizationSet()
+    if decomp is None:
+        plan.validate()
+        decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+
+    # Memory. The strategy ops return the same bytes for any times, so they
+    # run here with zero times and again below with the layer times.
+    params = decomp.layer_params
+    params_held = plan.chunks * plan.layers_per_stage * params
+    activation = partial(
+        _optim.apply_activation_strategy, opts.activation_strategy, plan,
+        act_bytes_per_layer=decomp.layer_act_bytes,
+        attention_act_bytes=sum(m.act_bytes for m in decomp.layer
+                                if m.name in ATTENTION_CORE_MODULES),
+        input_act_bytes=decomp.layer[0].act_bytes,  # first norm retains the layer input
+        hw=db.hardware, coeffs=opts.offload_coeffs, r_pp=r_pp,
+    )
+    optimizer = partial(
+        _optim.apply_optimizer_strategy, opts.optimizer_strategy, plan,
+        4 * dtypes.opt_bytes * params_held,
+        params_total=params,
+        grad_bytes_total=dtypes.grad_bytes * params_held,
+        param_bytes_total=dtypes.param_bytes * params_held,
+        hw=db.hardware,
+    )
+    m_act = activation(t_fwd=0.0, t_bwd=0.0)[0]
+    opt_bytes = optimizer(0.0)[0]
+    m_static = (dtypes.param_bytes + dtypes.grad_bytes) * params_held + opt_bytes
+    memory = MemoryReport(
+        m_static=m_static, m_activation=m_act,
+        m_peak=peak_memory(m_static, m_act),
+        param_bytes=dtypes.param_bytes * params_held,
+        grad_bytes=dtypes.grad_bytes * params_held,
+        optimizer_bytes=opt_bytes, dtypes=dtypes,
+    )
+    over_limit = memory_limit is not None and memory.m_peak > memory_limit
+    if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:
+        return PlanEvaluation(cost=None, memory=memory)  # no lookup below can fail
+
+    notes: list[str] = []
     lc = layer_cost(arch, plan, db, opts, dtypes, decomp=decomp)
 
     t_embed = _module_time(decomp.embedding, db, opts, False)
@@ -436,14 +472,9 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
     # Activation strategy: scalar result from the strategy op, then the delta
     # mirrored onto the channel split so totals stay consistent.
-    m_act, fwd_total, bwd_total = _optim.apply_activation_strategy(
-        opts.activation_strategy, plan,
-        act_bytes_per_layer=lc.act_bytes,
-        attention_act_bytes=lc.attention_act_bytes,
-        input_act_bytes=lc.input_act_bytes,
+    _, fwd_total, bwd_total = activation(
         t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
         t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd,
-        hw=db.hardware, coeffs=opts.offload_coeffs, r_pp=r_pp,
     )
     fwd_parts, bwd_parts = lc.fwd, lc.bwd
     if opts.activation_strategy == "full-recompute":
@@ -471,18 +502,10 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     notes.extend(phases["warnings"])
 
     # Optimizer: base, then strategy, then overlap.
-    t_dp, t_update, _ = optimizer_time(plan, lc.params, db, dtypes, opts)
-    params_held = plan.chunks * plan.layers_per_stage * lc.params
-    opt_bytes = 4 * dtypes.opt_bytes * params_held
-    opt_bytes, t_update = _optim.apply_optimizer_strategy(
-        opts.optimizer_strategy, plan, opt_bytes, t_update,
-        params_total=lc.params,
-        grad_bytes_total=dtypes.grad_bytes * params_held,
-        param_bytes_total=dtypes.param_bytes * params_held,
-        hw=db.hardware,
-    )
+    t_dp, t_update, _ = optimizer_time(plan, params, db, dtypes, opts)
+    t_update = optimizer(t_update)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
-        per_chunk_params = plan.layers_per_stage * lc.params
+        per_chunk_params = plan.layers_per_stage * params
         rs = [_collective_time(db, opts, "reduce-scatter", plan.dp,
                                dtypes.grad_bytes * per_chunk_params)] * plan.chunks
         ag = [_collective_time(db, opts, "all-gather", plan.dp,
@@ -495,7 +518,6 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     flops = model_flops_total(arch, plan)
     achieved = tflops(flops, plan, t_step, mode=tflops_mode)
 
-    m_static = (dtypes.param_bytes + dtypes.grad_bytes) * params_held + opt_bytes
     cost = CostReport(
         t_fwd=fwd_parts.total, t_bwd=bwd_parts.total,
         t_warmup=phases["warmup"], t_steady=phases["steady"],
@@ -506,14 +528,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         t_ep=phases["ep"], t_cp=phases["cp"],
         warnings=tuple(notes),
     )
-    memory = MemoryReport(
-        m_static=m_static, m_activation=m_act,
-        m_peak=peak_memory(m_static, m_act),
-        param_bytes=dtypes.param_bytes * params_held,
-        grad_bytes=dtypes.grad_bytes * params_held,
-        optimizer_bytes=opt_bytes, dtypes=dtypes,
-    )
-    return PlanEvaluation(cost=cost, memory=memory)
+    return PlanEvaluation(cost=None if over_limit else cost, memory=memory)
 
 
 def _pipeline_channels(fwd: TimeParts, bwd: TimeParts, plan: ParallelPlan,

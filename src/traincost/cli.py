@@ -19,6 +19,9 @@ from .report import render_report
 from .tuner import sweep, tune_e2e, tune_step
 from .verification import run_all
 
+# Kept so that existing command lines still parse.
+_WORKERS_HELP = "ignored: candidates are evaluated serially"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "space section")
     p_tune.add_argument("--top-k", type=int, default=4)
     p_tune.add_argument("--workers", type=int, default=None,
-                        help="evaluation parallelism (default: all cores)")
+                        help=_WORKERS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="re-tune or re-evaluate over one parameter")
     add_common(p_sweep)
@@ -55,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values, e.g. 1,2,4,8")
     p_sweep.add_argument("--t-step", type=float, default=None,
                          help="step time for fault-parameter sweeps")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help=_WORKERS_HELP)
 
     p_ettr = sub.add_parser("ettr", help="effective-training-time ratio for a plan")
     add_common(p_ettr)
@@ -147,12 +151,12 @@ def _dispatch(args) -> int:
             raise ConfigError("tune needs a space section (in the config "
                               "or via --space)")
         if args.mode == "step":
-            result = tune_step(cfg.space, top_k=args.top_k, workers=args.workers)
+            result = tune_step(cfg.space, top_k=args.top_k)
         else:
             fault = _require_fault(cfg)
             steps = fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
             result = tune_e2e(cfg.space, fault.model, fault.save_s, steps,
-                              top_k=args.top_k, workers=args.workers)
+                              top_k=args.top_k)
         _emit(render_report(result, fmt), args.out)
         return 0 if result.candidates else 2
 
@@ -172,7 +176,7 @@ def _dispatch(args) -> int:
         space = cfg.space
         if space is None:
             raise ConfigError("sweep needs a space section")
-        result = sweep(space, args.parameter, values, workers=args.workers, **kwargs)
+        result = sweep(space, args.parameter, values, **kwargs)
         _emit(render_report(result, fmt), args.out)
         return 0
 

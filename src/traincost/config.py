@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .arch import ModelArchitecture
 from .basecost import Dtypes
 from .errors import ConfigError, InputError, ShapeError
-from .fault import CheckpointPolicy, FaultModel, steps_from_tokens
+from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
 from .plan import ParallelPlan
 from .profile import HardwareSpec, ProfileDB
@@ -95,7 +95,7 @@ class RunConfig:
             out["fault"] = {
                 "N_nodes": f.nodes,
                 "r_f_per_node_day": f.failures_per_node_day,
-                "r_f_per_node_second": f.failures_per_node_day / 86400.0,
+                "r_f_per_node_second": f.failures_per_node_day / DAY_SECONDS,
                 "u0": f.init_s,
                 "mix": list(f.mix),
                 "T_save": self.fault.save_s,

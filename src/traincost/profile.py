@@ -23,7 +23,6 @@ from .plan import ParallelPlan
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
 
 GB = 1e9
-DAY_SECONDS = 86400.0
 
 
 @dataclass(frozen=True)
@@ -88,34 +87,42 @@ class ComputeEntry:
         if self.bwd_flops_per_s is not None and self.bwd_flops_per_s <= 0:
             raise InputError(f"backward throughput for {self.module} must be positive")
 
+    def throughput(self, backward: bool = False) -> float:
+        if backward and self.bwd_flops_per_s is not None:
+            return self.bwd_flops_per_s
+        return self.fwd_flops_per_s
+
 
 @dataclass(frozen=True)
 class ComputeProfile:
     entries: tuple[ComputeEntry, ...]
+    # (module, shape) -> first entry with that key; (module, None) is the
+    # module's shape-free entry and ("*", None) the wildcard.
+    _by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_key: dict = {}
+        for entry in self.entries:
+            by_key.setdefault((entry.module, entry.shape), entry)
+        object.__setattr__(self, "_by_key", by_key)
 
     def lookup(self, module: str, shape: str | None = None) -> ComputeEntry:
         """Exact (module, shape) match first, then the module's shape-free
         entry, then a '*' wildcard."""
-        best = None
-        for entry in self.entries:
-            if entry.module == module:
-                if shape is not None and entry.shape == shape:
-                    return entry
-                if entry.shape is None and best is None:
-                    best = entry
-        if best is not None:
-            return best
-        for entry in self.entries:
-            if entry.module == "*" and entry.shape is None:
+        for key in ((module, shape), (module, None), ("*", None)):
+            entry = self._by_key.get(key)
+            if entry is not None:
                 return entry
         raise ProfileLookupError(f"no compute profile entry for module={module!r} shape={shape!r}")
 
+    @property
+    def has_wildcard(self) -> bool:
+        """True when lookup cannot fail: a shape-free '*' entry exists."""
+        return ("*", None) in self._by_key
+
     def throughput(self, module: str, backward: bool = False,
                    shape: str | None = None) -> float:
-        entry = self.lookup(module, shape)
-        if backward and entry.bwd_flops_per_s is not None:
-            return entry.bwd_flops_per_s
-        return entry.fwd_flops_per_s
+        return self.lookup(module, shape).throughput(backward)
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,8 @@ class CommBucket:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not self.message_bytes > 0:
+            raise InputError(f"bucket size must be positive, got {self.message_bytes}")
         if self.bandwidth <= 0:
             raise InputError("bandwidth must be positive")
         if not (0.0 < self.beta <= 1.0):
@@ -133,6 +142,8 @@ class CommBucket:
 
 @dataclass(frozen=True)
 class CommEntry:
+    """One collective kind at one group size; buckets are stored sorted by
+    message size."""
     kind: str
     group_size: int
     buckets: tuple[CommBucket, ...]
@@ -140,27 +151,52 @@ class CommEntry:
     def __post_init__(self):
         if self.kind not in COLLECTIVE_KINDS:
             raise InputError(f"unknown collective kind {self.kind!r}")
+        if self.group_size < 1:
+            raise InputError(f"collective {self.kind} group_size must be >= 1, "
+                             f"got {self.group_size}")
         if not self.buckets:
             raise InputError(f"collective {self.kind} needs at least one bucket")
+        buckets = tuple(sorted(self.buckets, key=lambda b: b.message_bytes))
+        for lo, hi in zip(buckets, buckets[1:]):
+            if lo.message_bytes == hi.message_bytes:
+                raise InputError(f"collective {self.kind} group_size {self.group_size} "
+                                 f"has duplicate bucket size {lo.message_bytes}")
+        object.__setattr__(self, "buckets", buckets)
 
 
 @dataclass(frozen=True)
 class CommProfile:
     entries: tuple[CommEntry, ...]
+    _by_kind: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_kind: dict = {}
+        for entry in self.entries:
+            by_kind[entry.kind] = by_kind.get(entry.kind, ()) + (entry,)
+        object.__setattr__(self, "_by_kind", by_kind)
+
+    @property
+    def has_every_kind(self) -> bool:
+        """True when entries_of cannot fail."""
+        return len(self._by_kind) == len(COLLECTIVE_KINDS)
+
+    def entries_of(self, kind: str) -> tuple[CommEntry, ...]:
+        """The profiled entries of one collective kind, in file order."""
+        entries = self._by_kind.get(kind)
+        if not entries:
+            raise ProfileLookupError(f"no bandwidth entry for collective kind={kind!r}")
+        return entries
 
     def effective_bandwidth(self, kind: str, group_size: int,
                             message_bytes: float) -> tuple[float, float]:
         """Return (bandwidth, beta) for a collective; group size picks the
         nearest profiled group (log distance), message size interpolates."""
-        candidates = [e for e in self.entries if e.kind == kind]
-        if not candidates:
-            raise ProfileLookupError(f"no bandwidth entry for collective kind={kind!r}")
         entry = min(
-            candidates,
+            self.entries_of(kind),
             key=lambda e: (abs(math.log(e.group_size) - math.log(max(group_size, 1))),
                            e.group_size),
         )
-        buckets = sorted(entry.buckets, key=lambda b: b.message_bytes)
+        buckets = entry.buckets
         if message_bytes <= buckets[0].message_bytes:
             b = buckets[0]
             return b.bandwidth, b.beta
@@ -185,6 +221,11 @@ class ProfileDB:
     comm: CommProfile
     compute_scaling: dict[str, float] = field(default_factory=dict)
     comm_scaling: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for value in (*self.compute_scaling.values(), *self.comm_scaling.values()):
+            if not value > 0:
+                raise InputError(f"profile scaling factors must be positive, got {value}")
 
     @classmethod
     def from_json_dict(cls, data: dict, hardware: HardwareSpec) -> "ProfileDB":

@@ -6,17 +6,19 @@ Pruning is sound with respect to full-candidate filtering: every rule checked
 on a partial assignment is implied by the complete rule set, so the pruned
 enumeration returns exactly the feasible set an exhaustive scan would.
 Ranking is a total order (step time, then the plan tuple) so results are
-bit-stable across runs and worker counts.
+bit-stable across runs.
+
+Candidates are evaluated serially, memory first: a plan over the device
+memory is rejected before its latency is computed. The decomposition is
+shared by every candidate with the same (tp, cp, ep, micro_batch).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .arch import ModelArchitecture
-from .basecost import Dtypes, PlanEvaluation, evaluate_plan
+from .arch import Decomposition, ModelArchitecture, decompose
+from .basecost import TFLOPS_MODES, Dtypes, evaluate_plan
 from .errors import InfeasibleError, InputError, ShapeError
 from .fault import (
     CheckpointPolicy,
@@ -28,8 +30,6 @@ from .fault import (
 from .optim import OptimizationSet, default_feature_combos
 from .plan import ParallelPlan
 from .profile import ProfileDB
-
-_POOL_THRESHOLD = 256  # candidates below this evaluate serially
 
 
 def _powers_of_two(limit: int) -> tuple[int, ...]:
@@ -61,6 +61,8 @@ class SearchSpace:
     def __post_init__(self):
         if self.total_gpus < 1:
             raise InputError("total_gpus must be >= 1")
+        if self.tflops_mode not in TFLOPS_MODES:
+            raise InputError(f"unknown tflops mode {self.tflops_mode!r}")
 
     def resolved(self) -> "SearchSpace":
         """Fill empty candidate sets with the power-of-two defaults bounded
@@ -96,7 +98,7 @@ class Candidate:
     feasible: bool
     reason: str | None = None
     cost: object | None = None      # CostReport when feasible
-    memory: object | None = None    # MemoryReport when feasible
+    memory: object | None = None    # MemoryReport unless rejected before memory
     interval: int | None = None
     ettr: float | None = None
     t_e2e: float | None = None
@@ -207,28 +209,46 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]):
     yield from descend(0, {})
 
 
-def _evaluate_candidate(args) -> Candidate:
-    space, plan, opts, opts_index = args
+def _decompose(space: SearchSpace, plan: ParallelPlan) -> Decomposition | str:
+    """The plan's decomposition, or the ShapeError message rejecting it."""
     try:
-        result: PlanEvaluation = evaluate_plan(
-            space.arch, plan, space.db, opts, space.dtypes,
-            tflops_mode=space.tflops_mode,
-        )
+        return decompose(space.arch, plan, act_dtype_bytes=space.dtypes.act_bytes)
+    except ShapeError as exc:
+        return str(exc)
+
+
+def _evaluate_candidate(space: SearchSpace, plan: ParallelPlan,
+                        opts: OptimizationSet, opts_index: int,
+                        shapes: dict[tuple, Decomposition | str]) -> Candidate:
+    """Evaluate one candidate against the device memory. `shapes` memoises
+    _decompose per (tp, cp, ep, micro_batch), the only plan fields the
+    decomposition reads, for the duration of one tune."""
+    limit = space.db.hardware.gpu_memory
+    try:
+        plan.validate()
+        key = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
+        if key not in shapes:
+            shapes[key] = _decompose(space, plan)
+        decomp = shapes[key]
+        if isinstance(decomp, str):
+            raise ShapeError(decomp)
+        result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
+                               tflops_mode=space.tflops_mode,
+                               memory_limit=limit, decomp=decomp)
     except (ShapeError, InputError) as exc:
         return Candidate(plan, opts, opts_index, feasible=False, reason=str(exc))
-    if result.memory.m_peak > space.db.hardware.gpu_memory:
+    if result.cost is None:
         return Candidate(
             plan, opts, opts_index, feasible=False,
             reason=(f"memory: peak {result.memory.m_peak / 1e9:.2f} GB exceeds "
-                    f"{space.db.hardware.gpu_memory / 1e9:.2f} GB"),
-            cost=result.cost, memory=result.memory,
+                    f"{limit / 1e9:.2f} GB"),
+            memory=result.memory,
         )
     return Candidate(plan, opts, opts_index, feasible=True,
                      cost=result.cost, memory=result.memory)
 
 
-def tune_step(space: SearchSpace, top_k: int | None = 4,
-              workers: int | None = None) -> TuneResult:
+def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     """Search the space for the plans with the smallest step time.
 
     Returns the top_k feasible candidates (all of them when top_k is None)
@@ -236,18 +256,12 @@ def tune_step(space: SearchSpace, top_k: int | None = 4,
     tie-break, plus rejection statistics."""
     space = space.resolved()
     rejections: dict[str, int] = {}
-    jobs = [
-        (space, plan, opts, idx)
+    shapes: dict[tuple, Decomposition | str] = {}
+    evaluated = [
+        _evaluate_candidate(space, plan, opts, idx, shapes)
         for plan in _enumerate_plans(space, rejections)
         for idx, opts in enumerate(space.opt_combos)
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(jobs) >= _POOL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(_evaluate_candidate, jobs, chunksize=32))
-    else:
-        evaluated = [_evaluate_candidate(job) for job in jobs]
 
     feasible = []
     for cand in evaluated:
@@ -264,15 +278,14 @@ def tune_step(space: SearchSpace, top_k: int | None = 4,
 
 
 def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
-             total_steps: int, top_k: int = 4,
-             workers: int | None = None) -> TuneResult:
+             total_steps: int, top_k: int = 4) -> TuneResult:
     """Two-phase end-to-end tuning: rank plans by step time, then give each
     its own optimal checkpoint interval and rank by total expected duration.
 
     The interval optimum depends on the plan only through its step time, so
     the phase split loses nothing; candidates whose fault regime is
     infeasible are annotated and ranked last rather than dropped."""
-    step_result = tune_step(space, top_k=None, workers=workers)
+    step_result = tune_step(space, top_k=None)
     annotated = []
     for cand in step_result.candidates:
         t_step = cand.cost.t_step
@@ -331,7 +344,6 @@ def sweep(
     save_s: float | None = None,
     total_steps: int | None = None,
     step_s: float | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
     """Re-tune (or re-evaluate) per parameter value and emit plottable rows.
 
@@ -349,7 +361,7 @@ def sweep(
     reference = None  # (gpus, t_step) of the first feasible swept cluster
     for value in values:
         sub = _pin_parameter(space, parameter, value)
-        result = tune_step(sub, top_k=1, workers=workers)
+        result = tune_step(sub, top_k=1)
         if not result.candidates:
             rows.append((value,) + ("",) * (len(columns) - 1))
             continue

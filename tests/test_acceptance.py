@@ -228,7 +228,7 @@ def test_c08_tuner_soundness():
                * len(space.dp_candidates) * len(space.micro_batch_candidates)
                * len(space.chunk_candidates) * len(combos))
         assert raw <= 256
-        mine = tune_step(space, top_k=10, workers=1).candidates
+        mine = tune_step(space, top_k=10).candidates
         reference = exhaustive_tune_reference(space, top_k=10)
         assert json.dumps([c.to_json_dict() for c in mine]) \
             == json.dumps([c.to_json_dict() for c in reference])

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import make_db, make_hardware, tiny_dense
+from helpers import make_db, make_hardware, tiny_dense, tiny_moe
 from traincost.arch import decompose
 from traincost.basecost import (
     Dtypes,
@@ -16,10 +18,16 @@ from traincost.basecost import (
     step_time,
     tflops,
 )
-from traincost.errors import InputError, ProfileLookupError
-from traincost.optim import OptimizationSet
+from traincost.errors import InputError, ProfileLookupError, ShapeError
+from traincost.optim import OptimizationSet, default_feature_combos
 from traincost.plan import ParallelPlan
-from traincost.profile import ComputeProfile, ComputeEntry, comm_volume
+from traincost.profile import (
+    CommProfile,
+    ComputeEntry,
+    ComputeProfile,
+    ProfileDB,
+    comm_volume,
+)
 
 
 def simple_plan(**kwargs):
@@ -258,3 +266,93 @@ class TestEvaluatePlan:
                 dense_arch, plan, flat_db,
                 OptimizationSet(activation_strategy=strategy)).memory.m_peak
             assert got <= base
+
+
+def _small_plans(arch):
+    """Every plan of a small (t, c, p, e, d, m_bs, v) space that decomposes."""
+    experts = (1, 2) if arch.is_moe else (1,)
+    for t, c, p, e, d, m_bs, v in itertools.product(
+            (1, 2), (1, 2), (1, 2), experts, (1, 2), (1, 2), (1, 2)):
+        plan = ParallelPlan(tp=t, cp=c, pp=p, ep=e, dp=d, micro_batch=m_bs,
+                            global_batch=4, chunks=v, num_layers=arch.num_layers)
+        try:
+            plan.validate()
+            decompose(arch, plan)
+        except ShapeError:
+            continue
+        yield plan
+
+
+SMALL_ARCHS = [tiny_dense(l=4, s=8, h=8, a=2), tiny_moe(l=4, s=8, h=8, a=2)]
+
+
+class TestMemoryFirst:
+    """evaluate_plan computes memory before latency; with a memory_limit it
+    skips the latency terms of plans over the limit. These tests pin the
+    equivalence that speed-up rests on."""
+
+    @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=["dense", "moe"])
+    def test_limit_changes_only_whether_cost_is_computed(self, arch):
+        # 1-byte host memory: the cpu optimizer's on-device overflow is nonzero
+        db = make_db(make_hardware(cpu_memory=1.0))
+        runs = [(plan, opts, evaluate_plan(arch, plan, db, opts))
+                for plan in _small_plans(arch)
+                for opts in default_feature_combos()]
+        peaks = sorted(full.memory.m_peak for _, _, full in runs)
+        limit = peaks[len(peaks) // 2]
+        assert peaks[0] <= limit < peaks[-1]
+        for plan, opts, full in runs:
+            limited = evaluate_plan(arch, plan, db, opts, memory_limit=limit)
+            assert limited.memory == full.memory
+            assert (limited.cost is None) == (full.memory.m_peak > limit)
+            if limited.cost is not None:
+                assert limited.cost == full.cost
+
+    @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=["dense", "moe"])
+    def test_supplied_decomposition_is_identical(self, arch, flat_db):
+        dtypes = Dtypes(act_bytes=1.0)
+        for plan in _small_plans(arch):
+            decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+            for opts in default_feature_combos():
+                assert evaluate_plan(arch, plan, flat_db, opts, dtypes,
+                                     decomp=decomp) \
+                    == evaluate_plan(arch, plan, flat_db, opts, dtypes)
+
+    @pytest.mark.parametrize("side,name", [
+        ("compute", "norm"), ("compute", "head"), ("comm", "all-gather"),
+        ("comm", "reduce-scatter"), ("comm", "all-reduce"), ("comm", "p2p"),
+        ("comm", "all-to-all"),
+    ])
+    def test_incomplete_profile_raises_over_the_limit_too(self, side, name):
+        # a plan rejected for memory raises the error its latency would;
+        # only the dp overlap changes which entries are read, so two combos
+        # (every overlap on, none) cover the feature set
+        full = make_db()
+        if side == "compute":
+            compute = ComputeProfile(tuple(
+                ComputeEntry(m, 1e12) for m in
+                ("norm", "qkv", "attention-map", "attention-on-value",
+                 "o-projection", "mlp-linear-1", "swiglu", "mlp-linear-2",
+                 "embedding", "head") if m != name))
+            db = ProfileDB(full.hardware, compute, full.comm)
+        else:
+            db = ProfileDB(full.hardware, full.compute, CommProfile(tuple(
+                e for e in full.comm.entries if e.kind != name)))
+
+        def outcome(arch, plan, opts, limit):
+            try:
+                return evaluate_plan(arch, plan, db, opts, memory_limit=limit).cost
+            except ProfileLookupError as exc:
+                return str(exc)
+
+        raised = 0
+        for arch in SMALL_ARCHS:
+            for plan in _small_plans(arch):
+                for opts in (default_feature_combos()[0], OptimizationSet()):
+                    unlimited = outcome(arch, plan, opts, None)
+                    if isinstance(unlimited, str):
+                        raised += 1
+                        assert outcome(arch, plan, opts, 0.0) == unlimited
+                    else:
+                        assert outcome(arch, plan, opts, 0.0) is None
+        assert raised

@@ -129,6 +129,73 @@ class TestTune:
         assert all(c["plan"]["t"] == 1 for c in payload["candidates"])
 
 
+class TestProfileInput:
+    # a space where no plan fits in memory: every candidate is rejected
+    # before its latency is computed
+    NOTHING_FITS = dict(
+        hardware={**HARDWARE, "M_GPU": 1e-6},
+        space={"g_n": 8, "g_bs": 8, "t": [1, 2], "c": [1], "p": [1, 2],
+               "e": [1], "d": [1, 2], "m_bs": [1], "v": [1]},
+    )
+
+    def test_missing_compute_entry_exits_1_when_nothing_fits(self, tmp_path, capsys):
+        profile = {**PROFILE, "operators": [{"module": "qkv", "fwd_TFLOPS": 100}]}
+        cfg = write_run_config(tmp_path, profile=profile, **self.NOTHING_FITS)
+        code, captured = run(capsys, "tune", "step", "--config", cfg)
+        assert code == 1
+        assert "error: no compute profile entry for module='norm'" in captured.err
+
+    def test_missing_collective_kind_exits_1_when_nothing_fits(self, tmp_path, capsys):
+        profile = {**PROFILE, "collectives": [
+            c for c in PROFILE["collectives"] if c["kind"] != "all-reduce"]}
+        cfg = write_run_config(tmp_path, profile=profile, **self.NOTHING_FITS)
+        code, captured = run(capsys, "tune", "step", "--config", cfg)
+        assert code == 1
+        assert "error: no bandwidth entry for collective kind='all-reduce'" \
+            in captured.err
+
+    def test_zero_volume_collective_needs_no_entry(self, tmp_path, capsys):
+        # no gradient bytes: the dp all-reduce has zero volume and is never
+        # looked up, so the tune finds no candidate rather than failing
+        profile = {**PROFILE, "collectives": [
+            c for c in PROFILE["collectives"] if c["kind"] != "all-reduce"]}
+        cfg = write_run_config(tmp_path, profile=profile, dtypes={"D_grad": 0},
+                               **self.NOTHING_FITS)
+        code, captured = run(capsys, "tune", "step", "--config", cfg)
+        assert code == 2
+        payload = json.loads(captured.out)
+        assert payload["candidates"] == []
+        assert payload["rejections"] == {"memory": payload["evaluated"]}
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"tflops_mode": "bogus"}, "unknown tflops mode 'bogus'"),
+        ({"profile": {**PROFILE, "comm_scaling": {"p2p": 0}}},
+         "scaling factors must be positive"),
+    ], ids=["tflops-mode", "profile-scaling"])
+    def test_invalid_latency_input_exits_1_when_nothing_fits(self, tmp_path, capsys,
+                                                             extra, message):
+        cfg = write_run_config(tmp_path, **extra, **self.NOTHING_FITS)
+        code, captured = run(capsys, "tune", "step", "--config", cfg)
+        assert code == 1
+        assert captured.err.startswith("error:") and message in captured.err
+
+    @pytest.mark.parametrize("collective,message", [
+        ({"group_size": 0, "bandwidth_GBps": 100}, "group_size"),
+        ({"group_size": 8, "buckets": [{"size_bytes": 0, "bandwidth_GBps": 100}]},
+         "bucket size"),
+        ({"group_size": 8, "buckets": [{"size_bytes": 5, "bandwidth_GBps": 100},
+                                       {"size_bytes": 5, "bandwidth_GBps": 200}]},
+         "duplicate bucket size"),
+    ], ids=["group-size-0", "bucket-size-0", "duplicate-bucket"])
+    def test_invalid_collective_exits_1(self, tmp_path, capsys, collective, message):
+        profile = {**PROFILE, "collectives": PROFILE["collectives"]
+                   + [{"kind": "all-reduce", **collective}]}
+        cfg = write_run_config(tmp_path, profile=profile)
+        code, captured = run(capsys, "eval", "--config", cfg)
+        assert code == 1
+        assert captured.err.startswith("error:") and message in captured.err
+
+
 class TestFaultCommands:
     def test_ettr_report(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path)

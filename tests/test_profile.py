@@ -10,6 +10,7 @@ from traincost.profile import (
     ComputeEntry,
     ComputeProfile,
     HardwareSpec,
+    ProfileDB,
     comm_time,
     comm_volume,
     op_time,
@@ -148,6 +149,58 @@ class TestProfiles:
     def test_bucket_rejects_bad_beta(self):
         with pytest.raises(InputError):
             CommBucket(1.0, 1e9, beta=1.5)
+
+    def test_compute_lookup_first_entry_wins(self):
+        profile = ComputeProfile((
+            ComputeEntry("qkv", 2e12, shape="big"),
+            ComputeEntry("qkv", 1e12),
+            ComputeEntry("qkv", 3e12),
+            ComputeEntry("qkv", 4e12, shape="big"),
+            ComputeEntry("*", 5e12),
+            ComputeEntry("*", 6e12),
+        ))
+        assert profile.throughput("qkv") == 1e12
+        assert profile.throughput("qkv", shape="big") == 2e12
+        assert profile.throughput("qkv", shape="small") == 1e12
+        assert profile.throughput("norm", shape="big") == 5e12
+
+    def test_completeness_flags(self):
+        assert ComputeProfile((ComputeEntry("*", 1e12, shape="big"),
+                               ComputeEntry("*", 1e12))).has_wildcard
+        assert not ComputeProfile((ComputeEntry("*", 1e12, shape="big"),)).has_wildcard
+        full = make_db().comm
+        assert full.has_every_kind
+        assert not CommProfile(full.entries[1:]).has_every_kind
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("nan")])
+    def test_bucket_rejects_non_positive_size(self, size):
+        with pytest.raises(InputError, match="bucket size"):
+            CommBucket(size, 1e9)
+
+    @pytest.mark.parametrize("group_size", [0, -8])
+    def test_entry_rejects_group_size_below_one(self, group_size):
+        with pytest.raises(InputError, match="group_size"):
+            CommEntry("all-reduce", group_size, (CommBucket(1.0, 1e9),))
+
+    def test_entry_rejects_duplicate_bucket_sizes(self):
+        with pytest.raises(InputError, match="duplicate bucket size 5"):
+            CommEntry("all-gather", 8, (
+                CommBucket(1.0, 10e9), CommBucket(5.0, 20e9),
+                CommBucket(5.0, 40e9),
+            ))
+
+    @pytest.mark.parametrize("table", ["compute_scaling", "comm_scaling"])
+    def test_db_rejects_non_positive_scaling(self, table):
+        base = make_db()
+        with pytest.raises(InputError, match="scaling factors must be positive"):
+            ProfileDB(base.hardware, base.compute, base.comm, **{table: {"*": 0.0}})
+
+    def test_buckets_sorted_at_construction(self):
+        low, high = CommBucket(1e6, 50e9, 1.0), CommBucket(1e8, 150e9, 0.9)
+        shuffled = CommEntry("all-gather", 8, (high, low))
+        assert shuffled.buckets == (low, high)
+        bw, beta = CommProfile((shuffled,)).effective_bandwidth("all-gather", 8, 1e7)
+        assert (bw, beta) == (pytest.approx(100e9), pytest.approx(0.95))
 
     def test_comm_lookup_missing_kind(self):
         comm = CommProfile((CommEntry("p2p", 2, (CommBucket(1.0, 1e9),)),))

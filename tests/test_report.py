@@ -18,7 +18,7 @@ def tune_result():
                         tp_candidates=(1, 2), pp_candidates=(1, 2),
                         ep_candidates=(1,), dp_candidates=(1,),
                         micro_batch_candidates=(1,), chunk_candidates=(1,))
-    return tune_step(space, top_k=3, workers=1)
+    return tune_step(space, top_k=3)
 
 
 class TestRendering:

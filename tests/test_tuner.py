@@ -1,7 +1,6 @@
 import pytest
 
 from helpers import exhaustive_tune_reference, make_db, make_hardware, tiny_dense
-from traincost import tuner
 from traincost.errors import InputError
 from traincost.fault import FaultModel
 from traincost.optim import OptimizationSet
@@ -65,9 +64,13 @@ class TestPrune:
 
 
 class TestTuneStep:
+    def test_space_rejects_unknown_tflops_mode(self):
+        with pytest.raises(InputError, match="unknown tflops mode 'bogus'"):
+            small_space(tflops_mode="bogus")
+
     def test_matches_exhaustive_enumeration(self):
         space = small_space()
-        mine = tune_step(space, top_k=5, workers=1)
+        mine = tune_step(space, top_k=5)
         reference = exhaustive_tune_reference(space, top_k=5)
         assert [c.to_json_dict() for c in mine.candidates] \
             == [c.to_json_dict() for c in reference]
@@ -76,14 +79,14 @@ class TestTuneStep:
         combos = (OptimizationSet(),
                   OptimizationSet(optimizer_strategy="distributed"))
         space = small_space(opt_combos=combos)
-        mine = tune_step(space, top_k=8, workers=1)
+        mine = tune_step(space, top_k=8)
         reference = exhaustive_tune_reference(space, top_k=8)
         assert [c.to_json_dict() for c in mine.candidates] \
             == [c.to_json_dict() for c in reference]
 
     def test_memory_exhausted_space_is_empty_with_reasons(self):
         space = small_space(db=make_db(make_hardware(gpu_memory=1e-9)))
-        result = tune_step(space, top_k=4, workers=1)
+        result = tune_step(space, top_k=4)
         assert result.candidates == ()
         assert result.rejections.get("memory", 0) > 0
 
@@ -91,23 +94,33 @@ class TestTuneStep:
         db = make_db(make_hardware(gpu_memory=1e12),
                      per_kind_gbps={"all-gather": 1e-9, "reduce-scatter": 1e-9})
         space = small_space(db=db)
-        best = tune_step(space, top_k=1, workers=1).candidates[0]
+        best = tune_step(space, top_k=1).candidates[0]
         assert best.plan.tp == 1
 
-    def test_deterministic_across_runs_and_workers(self, monkeypatch):
+    def test_deterministic_across_runs_and_workers(self):
         space = small_space()
-        first = tune_step(space, top_k=6, workers=1)
-        second = tune_step(space, top_k=6, workers=1)
+        first = tune_step(space, top_k=6)
+        second = tune_step(space, top_k=6)
         assert first.to_json_dict() == second.to_json_dict()
-        monkeypatch.setattr(tuner, "_POOL_THRESHOLD", 1)
-        pooled = tune_step(space, top_k=6, workers=2)
-        assert pooled.to_json_dict() == first.to_json_dict()
+        # an equal space built from fresh objects: nothing carries over
+        # between tunes or depends on object identity
+        rebuilt = tune_step(small_space(), top_k=6)
+        assert rebuilt.to_json_dict() == first.to_json_dict()
+
+    def test_shape_rejection_counted_for_every_candidate(self):
+        # the decomposition is memoised per shape, its ShapeError too
+        space = small_space(tp_candidates=(1, 3), pp_candidates=(1,),
+                            dp_candidates=(1,), chunk_candidates=(1,))
+        result = tune_step(space, top_k=None)
+        combos = len(space.resolved().opt_combos)
+        assert result.rejections["hidden_size=8 not divisible by tp=3"] == 2 * combos
+        assert len(result.candidates) == 2 * combos
 
     def test_growing_space_never_worsens_top1(self):
         narrow = small_space(micro_batch_candidates=(1,))
         wide = small_space(micro_batch_candidates=(1, 2, 4))
-        t_narrow = tune_step(narrow, top_k=1, workers=1).candidates[0].cost.t_step
-        t_wide = tune_step(wide, top_k=1, workers=1).candidates[0].cost.t_step
+        t_narrow = tune_step(narrow, top_k=1).candidates[0].cost.t_step
+        t_wide = tune_step(wide, top_k=1).candidates[0].cost.t_step
         assert t_wide <= t_narrow
 
     def test_default_candidates_resolved(self):
@@ -140,15 +153,14 @@ class TestTuneE2e:
     def test_zero_risk_matches_step_ranking(self):
         space = small_space()
         fault = FaultModel(nodes=4, failures_per_node_day=0.0)
-        step = tune_step(space, top_k=4, workers=1)
-        e2e = tune_e2e(space, fault, save_s=0.0, total_steps=1000, top_k=4,
-                       workers=1)
+        step = tune_step(space, top_k=4)
+        e2e = tune_e2e(space, fault, save_s=0.0, total_steps=1000, top_k=4)
         assert [c.plan for c in e2e.candidates] == [c.plan for c in step.candidates]
 
     def test_candidates_annotated(self):
         space = small_space()
         result = tune_e2e(space, self.fault(), save_s=2.0, total_steps=10000,
-                          top_k=3, workers=1)
+                          top_k=3)
         for cand in result.candidates:
             assert cand.interval is not None and cand.interval >= 1
             assert 0 < cand.ettr <= 1
@@ -157,7 +169,7 @@ class TestTuneE2e:
     def test_ranked_by_total_duration(self):
         space = small_space()
         result = tune_e2e(space, self.fault(), save_s=2.0, total_steps=10000,
-                          top_k=8, workers=1)
+                          top_k=8)
         totals = [c.t_e2e for c in result.candidates]
         assert totals == sorted(totals)
 
@@ -179,14 +191,14 @@ class TestTuneE2e:
 class TestSweep:
     def test_chunk_sweep_rows(self):
         space = small_space(chunk_candidates=(1, 2, 4))
-        result = sweep(space, "v", [1, 2, 4], workers=1)
+        result = sweep(space, "v", [1, 2, 4])
         assert result.columns[0] == "value"
         assert [row[0] for row in result.rows] == [1, 2, 4]
         assert all(row[8] > 0 for row in result.rows)  # T_step column
 
     def test_cluster_size_sweep_carries_linearity(self):
         space = small_space()
-        result = sweep(space, "g_n", [4, 8], workers=1)
+        result = sweep(space, "g_n", [4, 8])
         assert len(result.rows) == 2
         t_col = result.columns.index("T_step")
         lin_col = result.columns.index("linearity")
@@ -220,7 +232,7 @@ class TestSweep:
         # even when the space starts from the default allowlist, the swept
         # strategy must be pinned (with duplicates collapsed)
         space = small_space(opt_combos=())
-        result = sweep(space, "optimizer_strategy", ["none", "cpu"], workers=1)
+        result = sweep(space, "optimizer_strategy", ["none", "cpu"])
         assert [row[0] for row in result.rows] == ["none", "cpu"]
         from traincost.tuner import _pin_parameter
         pinned = _pin_parameter(space, "optimizer_strategy", "cpu")
@@ -234,7 +246,7 @@ class TestSweep:
         off = _pin_parameter(space, "dp_overlap", "off")
         assert all(c.dp_overlap is not None for c in on.opt_combos)
         assert all(c.dp_overlap is None for c in off.opt_combos)
-        result = sweep(space, "dp_overlap", ["off", "on"], workers=1)
+        result = sweep(space, "dp_overlap", ["off", "on"])
         # the toggle changes the data-parallel pattern (single gradient
         # exchange vs per-chunk rs+ag), so the step times must differ
         assert result.rows[0][8] != result.rows[1][8]
