@@ -247,11 +247,6 @@ def _apply_override(shape: ModuleShape, arch: ModelArchitecture,
     return ModuleShape(shape.name, flops, act, params, shape.is_expert)
 
 
-def layer_flops_total(arch: ModelArchitecture, plan: ParallelPlan) -> float:
-    """Per-device forward FLOPs of one transformer layer."""
-    return decompose(arch, plan).layer_flops
-
-
 def model_flops_total(arch: ModelArchitecture, plan: ParallelPlan) -> float:
     """Unsharded forward FLOPs for one global batch: embedding + head +
     num_layers * layer, scaled from micro-batch to global batch."""
@@ -260,10 +255,3 @@ def model_flops_total(arch: ModelArchitecture, plan: ParallelPlan) -> float:
     scale = plan.micro_batches * plan.dp
     return (d.embedding.flops_fwd + d.head.flops_fwd
             + arch.num_layers * d.layer_flops) * scale
-
-
-def activation_bytes_per_layer(
-    arch: ModelArchitecture, plan: ParallelPlan, dtype_bytes: float = 2.0
-) -> float:
-    """Per-device activation bytes retained by one layer for its backward pass."""
-    return decompose(arch, plan, act_dtype_bytes=dtype_bytes).layer_act_bytes

@@ -2,15 +2,15 @@
 time, memory, step time and achieved TFLOPS, plus the plan evaluator that
 overlays the optimization features.
 
-Latency is tracked per exposure channel (compute, tp, cp, ep) so step-level
-breakdowns stay exactly consistent with the phase totals: the pipeline phase
-formulas are linear in the per-layer times, so evaluating them channel-wise
-and summing reproduces the scalar result.
+Latency is tracked per exposure channel (compute, tp, cp, ep, pp) so
+step-level breakdowns stay consistent with the phase totals: the pipeline
+phase formulas are linear in their inputs, so each channel is the same
+pipeline_time formula evaluated on that channel's terms alone, and the
+channels sum to the scalar result up to rounding.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -60,9 +60,6 @@ class TimeParts:
     def __add__(self, other: "TimeParts") -> "TimeParts":
         return TimeParts(self.cal + other.cal, self.tp + other.tp,
                          self.cp + other.cp, self.ep + other.ep)
-
-    def scaled(self, k: float) -> "TimeParts":
-        return TimeParts(self.cal * k, self.tp * k, self.cp * k, self.ep * k)
 
 
 @dataclass(frozen=True)
@@ -277,20 +274,6 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     )
 
 
-def layer_fwd_time(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
-                   opts: OptimizationSet | None = None,
-                   dtypes: Dtypes = Dtypes()) -> float:
-    """Scalar forward latency of one layer: compute plus exposed comm."""
-    return layer_cost(arch, plan, db, opts, dtypes).fwd.total
-
-
-def layer_bwd_time(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
-                   opts: OptimizationSet | None = None,
-                   dtypes: Dtypes = Dtypes()) -> float:
-    """Scalar backward latency of one layer."""
-    return layer_cost(arch, plan, db, opts, dtypes).bwd.total
-
-
 # ---------------------------------------------------------------------------
 # Pipeline level
 
@@ -376,41 +359,12 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 
 
 # ---------------------------------------------------------------------------
-# Memory
-
-
-def static_memory(plan: ParallelPlan, params_per_layer: float,
-                  dtypes: Dtypes = Dtypes()) -> float:
-    """Weights + gradients + optimizer states held per device."""
-    held = plan.chunks * plan.layers_per_stage * params_per_layer
-    return (dtypes.param_bytes + dtypes.grad_bytes + 4 * dtypes.opt_bytes) * held
-
-
-def activation_memory(plan: ParallelPlan, act_bytes_per_layer: float,
-                      r_pp: int = 0) -> float:
-    """Peak retained activations at pipeline stage r_pp: warmup stacks
-    (chunks*pp + pp - 2*r_pp - 1) live micro-batch activations."""
-    if not (0 <= r_pp < plan.pp):
-        raise InputError(f"r_pp must be in [0, pp), got {r_pp}")
-    factor = plan.chunks * plan.pp + plan.pp - 2 * r_pp - 1
-    if factor < 0:
-        _warnings.warn("activation retention factor negative; clamped to 0",
-                       stacklevel=2)
-        factor = 0
-    return factor * act_bytes_per_layer
-
-
-def peak_memory(m_static: float, m_activation: float) -> float:
-    return m_static + m_activation
-
-
-# ---------------------------------------------------------------------------
 # Full evaluation
 
 
 def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                   opts: OptimizationSet | None = None,
-                  dtypes: Dtypes = Dtypes(), r_pp: int = 0,
+                  dtypes: Dtypes = Dtypes(),
                   tflops_mode: str = "fwd-bwd-per-device",
                   memory_limit: float | None = None,
                   decomp: Decomposition | None = None) -> PlanEvaluation:
@@ -438,7 +392,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         attention_act_bytes=sum(m.act_bytes for m in decomp.layer
                                 if m.name in ATTENTION_CORE_MODULES),
         input_act_bytes=decomp.layer[0].act_bytes,  # first norm retains the layer input
-        hw=db.hardware, coeffs=opts.offload_coeffs, r_pp=r_pp,
+        hw=db.hardware, coeffs=opts.offload_coeffs,
     )
     optimizer = partial(
         _optim.apply_optimizer_strategy, opts.optimizer_strategy, plan,
@@ -453,7 +407,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     m_static = (dtypes.param_bytes + dtypes.grad_bytes) * params_held + opt_bytes
     memory = MemoryReport(
         m_static=m_static, m_activation=m_act,
-        m_peak=peak_memory(m_static, m_act),
+        m_peak=m_static + m_act,
         param_bytes=dtypes.param_bytes * params_held,
         grad_bytes=dtypes.grad_bytes * params_held,
         optimizer_bytes=opt_bytes, dtypes=dtypes,
@@ -462,7 +416,6 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:
         return PlanEvaluation(cost=None, memory=memory)  # no lookup below can fail
 
-    notes: list[str] = []
     lc = layer_cost(arch, plan, db, opts, dtypes, decomp=decomp)
 
     t_embed = _module_time(decomp.embedding, db, opts, False)
@@ -496,10 +449,15 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         hide = plan.layers_per_stage * (fwd_parts.total + bwd_parts.total) / 2.0
         t_pp_steady = _optim.pp_overlap(t_pp_hop, hide, ov.alpha, ov.beta)
 
-    phases = _pipeline_channels(fwd_parts, bwd_parts, plan, t_pp_hop,
-                                t_embed, t_head, t_embed_bwd, t_head_bwd,
-                                t_pp_steady)
-    notes.extend(phases["warnings"])
+    phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp_hop,
+                           t_embed, t_head, t_embed_bwd, t_head_bwd, t_pp_steady)
+    # The phase formulas are linear in their inputs, so each exposure channel
+    # is pipeline_time on that channel's terms alone.
+    t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, 0.0, t_embed,
+                          t_head, t_embed_bwd, t_head_bwd).total
+    t_tp, t_cp, t_ep = (pipeline_time(getattr(fwd_parts, c), getattr(bwd_parts, c),
+                                      plan).total for c in ("tp", "cp", "ep"))
+    t_pp = pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
 
     # Optimizer: base, then strategy, then overlap.
     t_dp, t_update, _ = optimizer_time(plan, params, db, dtypes, opts)
@@ -514,48 +472,18 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                                  plan, opts.dp_overlap)
     t_opt = t_dp + t_update
 
-    t_step = step_time(phases["total"], t_opt)
+    t_step = step_time(phases.total, t_opt)
     flops = model_flops_total(arch, plan)
     achieved = tflops(flops, plan, t_step, mode=tflops_mode)
 
     cost = CostReport(
         t_fwd=fwd_parts.total, t_bwd=bwd_parts.total,
-        t_warmup=phases["warmup"], t_steady=phases["steady"],
-        t_cooldown=phases["cooldown"], t_pipeline=phases["total"],
+        t_warmup=phases.warmup, t_steady=phases.steady,
+        t_cooldown=phases.cooldown, t_pipeline=phases.total,
         t_dp=t_dp, t_update=t_update, t_opt=t_opt, t_step=t_step,
         tflops=achieved,
-        t_cal=phases["cal"], t_tp=phases["tp"], t_pp=phases["pp"],
-        t_ep=phases["ep"], t_cp=phases["cp"],
-        warnings=tuple(notes),
+        t_cal=t_cal, t_tp=t_tp, t_pp=t_pp, t_ep=t_ep, t_cp=t_cp,
+        warnings=phases.warnings,
     )
     return PlanEvaluation(cost=None if over_limit else cost, memory=memory)
 
-
-def _pipeline_channels(fwd: TimeParts, bwd: TimeParts, plan: ParallelPlan,
-                       t_pp: float, t_embed: float, t_head: float,
-                       t_embed_bwd: float, t_head_bwd: float,
-                       t_pp_steady: float) -> dict:
-    """Evaluate the phase formulas channel-wise. Each phase is linear in the
-    per-layer times, so every exposure channel sums independently; the scalar
-    phase values come from pipeline_time itself."""
-    p, v, l, m_b = plan.pp, plan.chunks, plan.layers_per_stage, plan.micro_batches
-
-    coef_f = (p + (v * p - p - 1)) * l          # warmup forwards
-    coef_f += (p + (m_b - p) * v) * l           # steady forwards
-    coef_b = (p + (m_b - p)) * l                # steady backwards
-    coef_b += (p + (v * p - p - 1)) * l         # cooldown backwards
-    pp_edges = (v * p - 1) * 2                  # warmup + cooldown hops
-    pp_steady_edges = 4 * m_b * v - 2 * m_b + 2 * p - 2
-    cal_extra = p * (t_embed + t_embed_bwd) + m_b * (t_head + t_head_bwd)
-
-    parts = fwd.scaled(coef_f) + bwd.scaled(coef_b)
-    scalar = pipeline_time(fwd.total, bwd.total, plan, t_pp, t_embed, t_head,
-                           t_embed_bwd, t_head_bwd, t_pp_steady)
-    return {
-        "warmup": scalar.warmup, "steady": scalar.steady,
-        "cooldown": scalar.cooldown, "total": scalar.total,
-        "cal": parts.cal + cal_extra, "tp": parts.tp, "cp": parts.cp,
-        "ep": parts.ep,
-        "pp": pp_edges * t_pp + pp_steady_edges * t_pp_steady,
-        "warnings": list(scalar.warnings),
-    }

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
@@ -103,6 +104,22 @@ class RunConfig:
         return out
 
 
+@contextmanager
+def _section(name: str):
+    """Report any malformed value inside the named section as one ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, InputError, ShapeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{name} section invalid: {detail}") from exc
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_section(value, base_dir: str) -> dict:
     """A section is either an inline object or a path to a JSON file."""
     if isinstance(value, dict):
@@ -111,7 +128,7 @@ def _load_section(value, base_dir: str) -> dict:
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         try:
             with open(path) as fh:
-                return json.load(fh)
+                return _object(json.load(fh), path)
         except FileNotFoundError as exc:
             raise ConfigError(f"referenced file not found: {path}") from exc
         except json.JSONDecodeError as exc:
@@ -120,10 +137,7 @@ def _load_section(value, base_dir: str) -> dict:
 
 
 def _parse_fault(section: dict) -> FaultSection:
-    try:
-        model = FaultModel.from_json_dict(section)
-    except (InputError, KeyError) as exc:
-        raise ConfigError(f"fault config invalid: {exc}") from exc
+    model = FaultModel.from_json_dict(section)
     interval = section.get("I_ckpt")
     return FaultSection(
         model=model,
@@ -139,28 +153,25 @@ def _parse_space(section: dict, arch: ModelArchitecture, db: ProfileDB,
                  tflops_mode: str) -> SearchSpace:
     def cand(key):
         return tuple(int(x) for x in section.get(key, ()))
-    try:
-        return SearchSpace(
-            arch=arch, db=db,
-            total_gpus=int(section["g_n"]),
-            global_batch=int(section["g_bs"]),
-            tp_candidates=cand("t"),
-            cp_candidates=cand("c") or (1,),
-            pp_candidates=cand("p"),
-            ep_candidates=cand("e"),
-            dp_candidates=cand("d"),
-            micro_batch_candidates=cand("m_bs"),
-            chunk_candidates=cand("v"),
-            opt_combos=combos, dtypes=dtypes, tflops_mode=tflops_mode,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"search space missing field {exc}") from exc
+    return SearchSpace(
+        arch=arch, db=db,
+        total_gpus=int(section["g_n"]),
+        global_batch=int(section["g_bs"]),
+        tp_candidates=cand("t"),
+        cp_candidates=cand("c") or (1,),
+        pp_candidates=cand("p"),
+        ep_candidates=cand("e"),
+        dp_candidates=cand("d"),
+        micro_batch_candidates=cand("m_bs"),
+        chunk_candidates=cand("v"),
+        opt_combos=combos, dtypes=dtypes, tflops_mode=tflops_mode,
+    )
 
 
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _object(json.load(fh), path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -186,52 +197,49 @@ def _build_config(raw: dict, base_dir: str) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    try:
+    for name in ("model", "hardware", "profile"):
+        if name not in raw:
+            raise ConfigError(f"config missing section {name!r}")
+    with _section("model"):
         arch = ModelArchitecture.from_json_dict(_load_section(raw["model"], base_dir))
-    except KeyError as exc:
-        raise ConfigError(f"config missing section {exc}") from exc
-    except (InputError, TypeError) as exc:
-        raise ConfigError(f"model section invalid: {exc}") from exc
-
-    try:
+    with _section("hardware"):
         hardware = HardwareSpec.from_json_dict(_load_section(raw["hardware"], base_dir))
+    with _section("profile"):
         db = ProfileDB.from_json_dict(_load_section(raw["profile"], base_dir), hardware)
-    except KeyError as exc:
-        raise ConfigError(f"config missing section {exc}") from exc
-    except InputError as exc:
-        raise ConfigError(f"profile section invalid: {exc}") from exc
-
-    dtypes = Dtypes.from_json_dict(raw.get("dtypes", {}))
+    with _section("dtypes"):
+        dtypes = Dtypes.from_json_dict(_object(raw.get("dtypes", {}), "dtypes"))
     tflops_mode = raw.get("tflops_mode", "fwd-bwd-per-device")
 
-    opt_raw = raw.get("optimization")
-    if opt_raw is None:
-        combos = (OptimizationSet(),)
-        declared_combos = ()   # a space without a declared allowlist gets
-        # the default one (all features) when it resolves
-    elif isinstance(opt_raw, list):
-        combos = tuple(OptimizationSet.from_json_dict(o) for o in opt_raw)
-        declared_combos = combos
-    else:
-        combos = (OptimizationSet.from_json_dict(opt_raw),)
-        declared_combos = combos
+    with _section("optimization"):
+        opt_raw = raw.get("optimization")
+        if opt_raw is None:
+            combos = (OptimizationSet(),)
+            declared_combos = ()   # a space without a declared allowlist gets
+            # the default one (all features) when it resolves
+        elif isinstance(opt_raw, list):
+            combos = tuple(OptimizationSet.from_json_dict(_object(o, "optimization entry"))
+                           for o in opt_raw)
+            declared_combos = combos
+        else:
+            combos = (OptimizationSet.from_json_dict(_object(opt_raw, "optimization")),)
+            declared_combos = combos
 
     plan = None
     if "plan" in raw:
-        try:
+        with _section("plan"):
             plan = ParallelPlan.from_json_dict(_load_section(raw["plan"], base_dir),
                                                num_layers=arch.num_layers)
-        except (ShapeError, InputError, TypeError) as exc:
-            raise ConfigError(f"plan section invalid: {exc}") from exc
 
     space = None
     if "space" in raw:
-        space = _parse_space(_load_section(raw["space"], base_dir), arch, db,
-                             declared_combos, dtypes, tflops_mode)
+        with _section("space"):
+            space = _parse_space(_load_section(raw["space"], base_dir), arch, db,
+                                 declared_combos, dtypes, tflops_mode)
 
     fault = None
     if "fault" in raw:
-        fault = _parse_fault(_load_section(raw["fault"], base_dir))
+        with _section("fault"):
+            fault = _parse_fault(_load_section(raw["fault"], base_dir))
 
     output_format = raw.get("output", "json")
     if output_format not in OUTPUT_FORMATS:

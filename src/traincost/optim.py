@@ -277,8 +277,12 @@ def apply_activation_strategy(
 
     Recomputation variants keep the pipeline-depth retention factor;
     offloading retains a single layer's activations and turns each direction
-    into a race between transfer and compute."""
-    factor = max(0.0, plan.chunks * plan.pp + plan.pp - 2 * r_pp - 1)
+    into a race between transfer and compute. r_pp is the pipeline stage
+    whose retention is returned: the warmup stacks (chunks*pp + pp - 2*r_pp - 1)
+    live micro-batch activations there, stage 0 holding the most."""
+    if not 0 <= r_pp < plan.pp:
+        raise InputError(f"r_pp must be in [0, pp), got {r_pp}")
+    factor = plan.chunks * plan.pp + plan.pp - 2 * r_pp - 1
     if strategy == "none":
         return factor * act_bytes_per_layer, t_fwd, t_bwd
     if strategy == "selective-recompute":

@@ -12,11 +12,10 @@ jumps between buckets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .arch import ModelArchitecture, decompose
+from .arch import ModelArchitecture
 from .errors import ConfigError, InputError, ProfileLookupError
 from .plan import ParallelPlan
 
@@ -260,13 +259,6 @@ class ProfileDB:
                    compute_scaling=dict(data.get("compute_scaling", {})),
                    comm_scaling=dict(data.get("comm_scaling", {})))
 
-    @classmethod
-    def from_files(cls, profile_path: str, hardware_path: str) -> "ProfileDB":
-        with open(hardware_path) as fh:
-            hw = HardwareSpec.from_json_dict(json.load(fh))
-        with open(profile_path) as fh:
-            return cls.from_json_dict(json.load(fh), hw)
-
 
 def op_time(work_flops: float, throughput: float) -> float:
     """Compute latency: work over profiled throughput."""
@@ -348,9 +340,7 @@ def comm_volume(
         if plan.dp == 1:
             return 0.0
         if params_per_layer is None:
-            if arch is None:
-                raise InputError("dp volume requires params_per_layer or the architecture")
-            params_per_layer = decompose(arch, plan).layer_params
+            raise InputError("dp volume requires params_per_layer")
         grad_bytes = grad_dtype_bytes if grad_dtype_bytes is not None else dtype_bytes
         return grad_bytes * plan.chunks * plan.layers_per_stage * params_per_layer
     raise InputError(f"unknown communication kind {kind!r}")

@@ -68,7 +68,7 @@ def check_pipeline_des(instances: int = 50, seed: int = 0) -> SuiteResult:
 
 
 def check_activation_ledger(instances: int = 20, seed: int = 1) -> SuiteResult:
-    """Stage-0 ledger peak vs the closed-form retention factor."""
+    """Stage-0 ledger peak vs the model's activation bytes (no strategy)."""
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         p = int(rng.integers(1, 9))
@@ -78,7 +78,9 @@ def check_activation_ledger(instances: int = 20, seed: int = 1) -> SuiteResult:
                             num_layers=p * v)
         unit = float(rng.uniform(0.5, 3.0))
         peak = simulate_activation_ledger(plan, unit)[0]
-        expected = (v * p + p - 1) * unit
+        expected = optim.apply_activation_strategy(
+            "none", plan, act_bytes_per_layer=unit, attention_act_bytes=0.0,
+            input_act_bytes=0.0, t_fwd=0.0, t_bwd=0.0)[0]
         if peak != expected:
             return SuiteResult(
                 "activation-ledger", False,

@@ -6,9 +6,7 @@ from helpers import tiny_dense, tiny_moe
 from traincost.arch import (
     ModelArchitecture,
     ModuleOverride,
-    activation_bytes_per_layer,
     decompose,
-    layer_flops_total,
     model_flops_total,
 )
 from traincost.errors import InputError, ShapeError
@@ -148,7 +146,7 @@ class TestAggregates:
     def test_layer_total_is_module_sum(self, moe_arch):
         plan = plan_for(moe_arch)
         d = decompose(moe_arch, plan)
-        assert layer_flops_total(moe_arch, plan) == sum(m.flops_fwd for m in d.layer)
+        assert d.layer_flops == sum(m.flops_fwd for m in d.layer)
 
     def test_model_flops_scaling(self, dense_arch):
         plan = plan_for(dense_arch, micro_batch=2, global_batch=16, dp=2)
@@ -185,12 +183,12 @@ class TestActivationBytes:
     def test_zero_sequence_degenerate(self):
         arch = tiny_dense()
         plan = plan_for(arch, micro_batch=0)
-        assert activation_bytes_per_layer(arch, plan) == 0
+        assert decompose(arch, plan).layer_act_bytes == 0
 
     def test_dtype_width_scales(self, dense_arch):
         plan = plan_for(dense_arch)
-        two = activation_bytes_per_layer(dense_arch, plan, dtype_bytes=2.0)
-        four = activation_bytes_per_layer(dense_arch, plan, dtype_bytes=4.0)
+        two = decompose(dense_arch, plan, act_dtype_bytes=2.0).layer_act_bytes
+        four = decompose(dense_arch, plan, act_dtype_bytes=4.0).layer_act_bytes
         assert four == pytest.approx(2 * two)
 
 

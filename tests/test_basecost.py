@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from helpers import make_db, make_hardware, tiny_dense, tiny_moe
-from traincost.arch import decompose
+from traincost.arch import ModuleOverride, decompose
 from traincost.basecost import (
     Dtypes,
-    activation_memory,
     evaluate_plan,
-    layer_bwd_time,
-    layer_fwd_time,
+    layer_cost,
     optimizer_time,
-    peak_memory,
     pipeline_time,
-    static_memory,
     step_time,
     tflops,
 )
 from traincost.errors import InputError, ProfileLookupError, ShapeError
-from traincost.optim import OptimizationSet, default_feature_combos
+from traincost.optim import (
+    OptimizationSet,
+    OverlapCoeffs,
+    apply_activation_strategy,
+    default_feature_combos,
+)
 from traincost.plan import ParallelPlan
 from traincost.profile import (
     CommProfile,
@@ -87,14 +88,14 @@ class TestLayerTimes:
         db = make_db(tflops=1e-9)  # 1000 FLOPs/s, times are visible numbers
         d = decompose(arch, plan)
         expected = sum(m.flops_fwd / 1000.0 for m in d.layer)
-        assert layer_fwd_time(arch, plan, db) == pytest.approx(expected)
+        assert layer_cost(arch, plan, db).fwd.total == pytest.approx(expected)
 
     def test_backward_doubles_compute_keeps_comm(self):
         arch = tiny_dense(h=8, a=2)
         plan = simple_plan(tp=2, num_layers=arch.num_layers)
         db = make_db(tflops=1e-9, bandwidth_gbps=1e-9)  # 1 B/s links
-        fwd = layer_fwd_time(arch, plan, db)
-        bwd = layer_bwd_time(arch, plan, db)
+        lc = layer_cost(arch, plan, db)
+        fwd, bwd = lc.fwd.total, lc.bwd.total
         d = decompose(arch, plan)
         comp_fwd = sum(m.flops_fwd / 1000.0 for m in d.layer)
         comm = fwd - comp_fwd
@@ -109,7 +110,7 @@ class TestLayerTimes:
         comm_expected = 4 * vol / 1.0  # 2 ag + 2 rs at 1 B/s
         d = decompose(arch, plan)
         comp = sum(m.flops_fwd / 1000.0 for m in d.layer)
-        assert layer_fwd_time(arch, plan, db) == pytest.approx(comp + comm_expected)
+        assert layer_cost(arch, plan, db).fwd.total == pytest.approx(comp + comm_expected)
 
     def test_missing_profile_entry_names_module(self):
         arch = tiny_dense()
@@ -118,7 +119,7 @@ class TestLayerTimes:
         object.__setattr__(db, "compute", ComputeProfile(
             (ComputeEntry("qkv", 1e12),)))
         with pytest.raises(ProfileLookupError, match="norm"):
-            layer_fwd_time(arch, plan, db)
+            layer_cost(arch, plan, db)
 
 
 class TestOptimizerTime:
@@ -161,49 +162,100 @@ class TestStepAndTflops:
         assert tflops(6e12, plan, 18.0) == pytest.approx(0.25)
 
 
+def retained(plan, act_bytes, r_pp=0):
+    """Activation bytes held at stage r_pp with no memory strategy."""
+    return apply_activation_strategy(
+        "none", plan, act_bytes_per_layer=act_bytes, attention_act_bytes=0.0,
+        input_act_bytes=0.0, t_fwd=0.0, t_bwd=0.0, r_pp=r_pp)[0]
+
+
 class TestMemory:
     def test_static_direct(self):
+        arch = tiny_dense(l=1)
         plan = simple_plan()
         dt = Dtypes(param_bytes=2, grad_bytes=2, opt_bytes=4)
-        assert static_memory(plan, 10.0, dt) == 200.0
+        params = decompose(arch, plan).layer_params
+        assert evaluate_plan(arch, plan, make_db(), dtypes=dt).memory.m_static \
+            == 20 * params
 
     def test_static_zero_params(self):
-        assert static_memory(simple_plan(), 0.0) == 0.0
+        arch = tiny_dense(l=1, module_overrides={
+            name: ModuleOverride(params=0.0)
+            for name in ("norm", "qkv", "o-projection", "mlp-linear-1",
+                         "mlp-linear-2")})
+        plan = simple_plan()
+        assert decompose(arch, plan).layer_params == 0
+        assert evaluate_plan(arch, plan, make_db()).memory.m_static == 0.0
 
     def test_static_linear_in_chunks_at_fixed_layers_per_stage(self):
-        one = simple_plan(chunks=1, num_layers=1)
-        two = simple_plan(chunks=2, num_layers=2)
-        assert static_memory(two, 10.0) == 2 * static_memory(one, 10.0)
+        one = evaluate_plan(tiny_dense(l=1), simple_plan(chunks=1, num_layers=1),
+                            make_db()).memory
+        two = evaluate_plan(tiny_dense(l=2), simple_plan(chunks=2, num_layers=2),
+                            make_db()).memory
+        assert two.m_static == 2 * one.m_static
 
     def test_activation_peak_stage(self):
         plan = simple_plan(pp=4, chunks=2, global_batch=8, num_layers=8)
-        assert activation_memory(plan, 1e9, r_pp=0) == 11e9
+        assert retained(plan, 1e9, r_pp=0) == 11e9
 
     def test_activation_no_pipelining(self):
-        assert activation_memory(simple_plan(), 123.0) == 123.0
+        assert retained(simple_plan(), 123.0) == 123.0
 
     def test_activation_stage_bounds(self):
-        with pytest.raises(InputError):
-            activation_memory(simple_plan(pp=2, global_batch=2), 1.0, r_pp=2)
+        for r_pp in (-1, 2):
+            with pytest.raises(InputError, match="r_pp"):
+                retained(simple_plan(pp=2, global_batch=2), 1.0, r_pp=r_pp)
 
     def test_peak_sum(self):
-        assert peak_memory(200.0, 300.0) == 500.0
-        assert peak_memory(0.0, 0.0) == 0.0
+        arch = tiny_dense(l=4)
+        plan = simple_plan(pp=2, chunks=2, global_batch=4, num_layers=4)
+        memory = evaluate_plan(arch, plan, make_db()).memory
+        assert memory.m_peak == memory.m_static + memory.m_activation
+        assert memory.m_activation == retained(
+            plan, decompose(arch, plan).layer_act_bytes)
 
     def test_activation_linear_in_bytes(self):
         plan = simple_plan(pp=2, chunks=2, global_batch=4, num_layers=4)
-        assert activation_memory(plan, 2e9) == 2 * activation_memory(plan, 1e9)
+        assert retained(plan, 2e9) == 2 * retained(plan, 1e9)
+
+
+def _invariant_cases():
+    """Every pipeline regime the tuner ranks: interleaving, hops with and
+    without steady-phase overlap, full recomputation, context and expert
+    parallelism."""
+    feature_sets = {
+        "plain": OptimizationSet(),
+        "pp-overlap": OptimizationSet(pp_overlap=OverlapCoeffs(alpha=1.5, beta=1.2)),
+        "full-recompute": OptimizationSet(activation_strategy="full-recompute"),
+    }
+    dense, moe = tiny_dense(l=16, h=8, a=2), tiny_moe(l=4, h=8, a=2)
+    cases = []
+    for name, opts in feature_sets.items():
+        for pp, v in itertools.product((1, 2, 4), (1, 2, 4)):
+            plan = ParallelPlan(tp=2, pp=pp, chunks=v, dp=2, micro_batch=1,
+                                global_batch=8, num_layers=dense.num_layers)
+            cases.append(pytest.param(dense, plan, opts, id=f"pp{pp}-v{v}-{name}"))
+        plan = ParallelPlan(tp=2, cp=2, pp=2, chunks=2, micro_batch=1,
+                            global_batch=4, num_layers=dense.num_layers)
+        cases.append(pytest.param(dense, plan, opts, id=f"cp2-{name}"))
+        plan = ParallelPlan(tp=2, pp=2, ep=2, micro_batch=1, global_batch=4,
+                            num_layers=moe.num_layers)
+        cases.append(pytest.param(moe, plan, opts, id=f"moe-ep2-{name}"))
+    return cases
 
 
 class TestEvaluatePlan:
-    def test_invariants(self, dense_arch, flat_db):
-        plan = ParallelPlan(tp=2, pp=2, micro_batch=1, global_batch=8, dp=2,
-                            num_layers=dense_arch.num_layers)
-        result = evaluate_plan(dense_arch, plan, flat_db)
+    @pytest.mark.parametrize("arch,plan,opts", _invariant_cases())
+    def test_invariants(self, arch, plan, opts, flat_db):
+        result = evaluate_plan(arch, plan, flat_db, opts)
         c = result.cost
         assert c.t_step == pytest.approx(c.t_pipeline + c.t_opt)
-        assert c.t_pipeline == pytest.approx(
-            c.t_cal + c.t_tp + c.t_cp + c.t_ep + c.t_pp)
+        channels = c.t_cal + c.t_tp + c.t_cp + c.t_ep + c.t_pp
+        assert channels == pytest.approx(c.t_pipeline, rel=1e-12, abs=0.0)
+        assert c.t_tp > 0
+        assert (c.t_pp > 0) == (plan.pp > 1)
+        assert (c.t_cp > 0) == (plan.cp > 1)
+        assert (c.t_ep > 0) == (plan.ep > 1)
         assert result.memory.m_peak == pytest.approx(
             result.memory.m_static + result.memory.m_activation)
 

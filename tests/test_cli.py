@@ -196,6 +196,34 @@ class TestProfileInput:
         assert captured.err.startswith("error:") and message in captured.err
 
 
+class TestConfigInput:
+    """Malformed config values end in exit 1 with one line on stderr."""
+
+    def check_one_line_error(self, capsys, cfg, message):
+        code, captured = run(capsys, "eval", "--config", cfg)
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and message in captured.err
+
+    def test_top_level_array(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([{"model": MODEL}]))
+        self.check_one_line_error(capsys, str(path), "must be a JSON object, got list")
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"hardware": {**HARDWARE, "M_GPU": "80"}}, "hardware section invalid"),
+        ({"optimization": {"pp_overlap": {"alpha": "x"}}},
+         "optimization section invalid"),
+        ({"optimization": [1]}, "optimization entry must be a JSON object"),
+        ({"dtypes": []}, "dtypes must be a JSON object"),
+    ], ids=["string-hardware-number", "string-overlap-alpha",
+            "non-object-optimization", "non-object-dtypes"])
+    def test_malformed_value(self, tmp_path, capsys, extra, message):
+        self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
+                                  message)
+
+
 class TestFaultCommands:
     def test_ettr_report(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path)

@@ -92,7 +92,7 @@ class TestActivationLedger:
         assert peaks == sorted(peaks, reverse=True)
 
     def test_matches_closed_form_factor(self):
-        from traincost.basecost import activation_memory
+        from traincost.optim import apply_activation_strategy
         rng = np.random.default_rng(3)
         for _ in range(10):
             p = int(rng.integers(1, 7))
@@ -101,7 +101,10 @@ class TestActivationLedger:
             unit = float(rng.uniform(0.5, 2.0))
             peaks = simulate_activation_ledger(plan, unit)
             for r in range(p):
-                assert peaks[r] == activation_memory(plan, unit, r_pp=r)
+                assert peaks[r] == apply_activation_strategy(
+                    "none", plan, act_bytes_per_layer=unit,
+                    attention_act_bytes=0.0, input_act_bytes=0.0,
+                    t_fwd=0.0, t_bwd=0.0, r_pp=r)[0]
 
 
 class TestFaultSim:

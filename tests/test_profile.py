@@ -98,6 +98,12 @@ class TestCommVolume:
         assert comm_volume("dp", plan, params_per_layer=10,
                            grad_dtype_bytes=2.0) == 20.0
 
+    def test_dp_requires_params(self, dense_arch):
+        plan = ParallelPlan(dp=2, micro_batch=1, global_batch=2,
+                            num_layers=dense_arch.num_layers)
+        with pytest.raises(InputError, match="params_per_layer"):
+            comm_volume("dp", plan, dense_arch, 2.0)
+
     def test_tp_volume_zero_when_unsharded(self, dense_arch):
         plan = ParallelPlan(num_layers=dense_arch.num_layers)
         assert comm_volume("tp", plan, dense_arch, 2.0) == 0.0
