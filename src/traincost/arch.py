@@ -57,7 +57,6 @@ class ModelArchitecture:
     expert_ffn_size: int | None = None
     top_k: int | None = None
     num_experts: int | None = None
-    latent_rank: int | None = None
     attention_kind: str = "MHA"
     structure_kind: str = "Dense"
     module_overrides: dict[str, ModuleOverride] = field(default_factory=dict)
@@ -91,12 +90,12 @@ class ModelArchitecture:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelArchitecture":
         """Accepts the short config keys (L, s, h, a, q, g_d, g_e, t_k,
-        n_experts, V, r, attention, structure)."""
+        n_experts, V, attention, structure)."""
         key_map = {
             "L": "num_layers", "s": "seq_len", "h": "hidden_size",
             "a": "num_heads", "q": "query_groups", "g_d": "dense_ffn_size",
             "g_e": "expert_ffn_size", "t_k": "top_k", "V": "vocab_size",
-            "r": "latent_rank", "n_experts": "num_experts",
+            "n_experts": "num_experts",
             "attention": "attention_kind", "structure": "structure_kind",
         }
         kwargs = {}

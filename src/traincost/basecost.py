@@ -11,6 +11,7 @@ channels sum to the scalar result up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -34,6 +35,13 @@ class Dtypes:
     grad_bytes: float = 2.0
     opt_bytes: float = 4.0
     act_bytes: float = 2.0
+
+    def __post_init__(self):
+        for name in ("param_bytes", "grad_bytes", "opt_bytes", "act_bytes"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dtypes":

@@ -5,6 +5,7 @@ converted, and default filled into the objects the commands consume."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,6 +31,13 @@ class FaultSection:
     interval_steps: int | None = None
     total_steps: int | None = None
     tokens: float | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.save_s) and self.save_s >= 0):
+            raise InputError("T_save must be finite and >= 0")
+        if self.tokens is not None and not (math.isfinite(self.tokens)
+                                            and self.tokens > 0):
+            raise InputError("tokens must be finite and > 0")
 
     def resolve_steps(self, global_batch: int, seq_len: int) -> int:
         if self.total_steps is not None:
@@ -109,7 +117,8 @@ def _section(name: str):
     """Report any malformed value inside the named section as one ConfigError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, InputError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError,
+            ShapeError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{name} section invalid: {detail}") from exc
 

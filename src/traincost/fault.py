@@ -36,12 +36,16 @@ class FaultModel:
     def __post_init__(self):
         if self.nodes < 1:
             raise InputError("nodes must be >= 1")
-        if self.failures_per_node_day < 0:
-            raise InputError("failure rate must be >= 0")
-        if min(self.recovery_process_s, self.recovery_pod_s,
-               self.recovery_job_s, self.init_s) < 0:
-            raise InputError("recovery times must be >= 0")
-        if abs(sum(self.mix) - 1.0) > 1e-9:
+        if not (math.isfinite(self.failures_per_node_day)
+                and self.failures_per_node_day >= 0):
+            raise InputError("failure rate must be finite and >= 0")
+        times = (self.recovery_process_s, self.recovery_pod_s,
+                 self.recovery_job_s, self.init_s)
+        if self.mean_repair_s is not None:
+            times += (self.mean_repair_s,)
+        if not all(math.isfinite(t) and t >= 0 for t in times):
+            raise InputError("recovery, repair and init times must be finite and >= 0")
+        if not abs(sum(self.mix) - 1.0) <= 1e-9:
             raise InputError(f"fault mix must sum to 1, got {sum(self.mix)}")
 
     @property

@@ -29,8 +29,6 @@ class HardwareSpec:
     """Node and device capabilities, in SI units (bytes, bytes/s, FLOPs/s)."""
     h2d_bw: float            # host to device bytes/s
     d2h_bw: float            # device to host bytes/s
-    disk_load_bw: float
-    disk_write_bw: float
     cpu_memory: float        # bytes
     cpu_flops: float         # operations/s
     gpu_peak_flops: float    # specification peak, FLOPs/s
@@ -40,9 +38,9 @@ class HardwareSpec:
     optimizer_throughput: float  # parameter updates/s
 
     def __post_init__(self):
-        for name in ("h2d_bw", "d2h_bw", "disk_load_bw", "disk_write_bw",
-                     "cpu_memory", "cpu_flops", "gpu_peak_flops", "gpu_memory",
-                     "hbm_bw", "optimizer_throughput"):
+        for name in ("h2d_bw", "d2h_bw", "cpu_memory", "cpu_flops",
+                     "gpu_peak_flops", "gpu_memory", "hbm_bw",
+                     "optimizer_throughput"):
             if getattr(self, name) <= 0:
                 raise InputError(f"hardware field {name} must be positive")
         if self.gpus_per_node < 1:
@@ -57,8 +55,6 @@ class HardwareSpec:
             return cls(
                 h2d_bw=data["B_H2D"] * GB,
                 d2h_bw=data["B_D2H"] * GB,
-                disk_load_bw=data.get("B_DL", 10.0) * GB,
-                disk_write_bw=data.get("B_DW", 10.0) * GB,
                 cpu_memory=data["M_CPU"] * GB,
                 cpu_flops=data["F_CPU"] * 1e9,
                 gpu_peak_flops=data["P_GPU"] * 1e12,

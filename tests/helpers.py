@@ -24,7 +24,7 @@ from traincost.tuner import Candidate
 
 def make_hardware(**overrides) -> HardwareSpec:
     values = dict(
-        h2d_bw=32e9, d2h_bw=32e9, disk_load_bw=10e9, disk_write_bw=5e9,
+        h2d_bw=32e9, d2h_bw=32e9,
         cpu_memory=2000e9, cpu_flops=3e9, gpu_peak_flops=512e12,
         gpu_memory=32e9, gpus_per_node=8, hbm_bw=1600e9,
         optimizer_throughput=2e9,

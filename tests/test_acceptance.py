@@ -10,7 +10,6 @@ import numpy as np
 
 from helpers import exhaustive_tune_reference, make_db, make_hardware, tiny_dense
 from traincost.basecost import pipeline_time
-from traincost.errors import InfeasibleError
 from traincost.fault import (
     CheckpointPolicy,
     FaultModel,
@@ -18,21 +17,16 @@ from traincost.fault import (
     ettr_closed_form,
     optimal_ckpt_interval,
 )
-from traincost.optim import (
-    apply_activation_strategy,
-    cp_overlap,
-    ep_overlap,
-    pp_overlap,
-    tp_overlap,
-)
-from traincost.oracle import (
-    grid_search_interval,
-    simulate_activation_ledger,
-    simulate_faults,
-    simulate_pipeline,
-)
+from traincost.oracle import grid_search_interval
 from traincost.plan import ParallelPlan
 from traincost.tuner import SearchSpace, tune_step
+from traincost.verification import (
+    check_activation_ledger,
+    check_fault_monte_carlo,
+    check_interval_grid,
+    check_overlap_bounds,
+    check_pipeline_des,
+)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -83,116 +77,40 @@ def test_c02_optimal_interval_figure():
            f"closed form {best} (ETTR {100 * ettr:.4f}%), grid {grid}")
 
 
-def test_c03_closed_form_vs_grid_oracle():
-    rng = np.random.default_rng(202)
+def run_check(check, **kwargs):
+    """One verification suite at the given size and seed, with its wall time."""
     start = time.monotonic()
-    checked = 0
-    worst = 0
-    while checked < 100:
-        fault = FaultModel(
-            nodes=int(rng.integers(4, 257)),
-            failures_per_node_day=float(rng.uniform(0.001, 0.05)),
-            mean_repair_s=float(rng.uniform(30, 600)),
-        )
-        save_s = float(rng.uniform(0.5, 60))
-        step_s = float(rng.uniform(1, 120))
-        try:
-            best, _ = optimal_ckpt_interval(fault, save_s, 10000, step_s)
-        except InfeasibleError:
-            continue
-        grid = grid_search_interval(fault, save_s, 10000, step_s,
-                                    range(1, 10 * best + 2))
-        worst = max(worst, abs(best - grid))
-        assert abs(best - grid) <= 1
-        checked += 1
-    elapsed = time.monotonic() - start
-    report("C3 closed form vs grid oracle", elapsed < 5.0,
-           f"100 configs, worst gap {worst} steps, {elapsed:.2f} s")
+    result = check(**kwargs)
+    return result, time.monotonic() - start
+
+
+def test_c03_closed_form_vs_grid_oracle():
+    result, elapsed = run_check(check_interval_grid, instances=100, seed=202)
+    report("C3 closed form vs grid oracle", result.passed and elapsed < 5.0,
+           f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c04_monte_carlo_validation():
-    start = time.monotonic()
-    worst = 0.0
-    for i in range(10):
-        rate = 0.001 + (0.02 - 0.001) * i / 9
-        fault = FaultModel(nodes=32, failures_per_node_day=rate)
-        policy = CheckpointPolicy(interval_steps=20, save_s=5.0,
-                                  total_steps=20000, step_s=20.0)
-        expected = ettr_closed_form(fault, policy)
-        mean, se = simulate_faults(fault, policy, trials=10000, seed=1234 + i)
-        deviation = abs(mean - expected) / se
-        worst = max(worst, deviation)
-        assert deviation <= 3.0, (
-            f"rate {rate:.4f}: mean {mean:.6f} vs {expected:.6f} "
-            f"is {deviation:.2f} standard errors")
-    elapsed = time.monotonic() - start
-    report("C4 Monte Carlo validation", elapsed < 60.0,
-           f"10 configs x 10000 trials, worst {worst:.2f} SE, {elapsed:.2f} s")
+    result, elapsed = run_check(check_fault_monte_carlo, configs=10,
+                                trials=10000, seed=1234)
+    report("C4 Monte Carlo validation", result.passed and elapsed < 60.0,
+           f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c05_pipeline_des_equivalence():
-    rng = np.random.default_rng(404)
-    start = time.monotonic()
-    worst = 0.0
-    for _ in range(50):
-        p = int(rng.integers(1, 9))
-        l = int(rng.integers(1, 4))
-        m_b = int(rng.integers(p, 4 * p + 1))
-        plan = ParallelPlan(pp=p, chunks=1, micro_batch=1, global_batch=m_b,
-                            num_layers=p * l)
-        t_f = float(rng.uniform(0.05, 5.0))
-        t_b = float(rng.uniform(0.05, 5.0))
-        analytic = pipeline_time(t_f, t_b, plan).total
-        makespan, _ = simulate_pipeline(t_f, t_b, plan)
-        gap = abs(analytic - makespan) / makespan
-        worst = max(worst, gap)
-        assert gap <= 1e-12
-    elapsed = time.monotonic() - start
-    report("C5 pipeline DES equivalence", elapsed < 5.0,
-           f"50 instances, worst relative gap {worst:.2e}, {elapsed:.2f} s")
+    result, elapsed = run_check(check_pipeline_des, instances=50, seed=404)
+    report("C5 pipeline DES equivalence", result.passed and elapsed < 5.0,
+           f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c06_activation_ledger():
-    rng = np.random.default_rng(606)
-    for _ in range(20):
-        p = int(rng.integers(1, 9))
-        v = int(rng.integers(1, 5))
-        m_b = p * int(rng.integers(v + 1, 2 * v + 3))  # >= vp + p
-        plan = ParallelPlan(pp=p, chunks=v, micro_batch=1, global_batch=m_b,
-                            num_layers=p * v)
-        unit = float(rng.uniform(0.25, 4.0))
-        peak = simulate_activation_ledger(plan, unit)[0]
-        assert peak == apply_activation_strategy(
-            "none", plan, act_bytes_per_layer=unit, attention_act_bytes=0.0,
-            input_act_bytes=0.0, t_fwd=0.0, t_bwd=0.0)[0]
-    report("C6 activation ledger", True,
-           "20 instances: stage-0 peak == (vp+p-1) x per-layer bytes exactly")
+    result = check_activation_ledger(instances=20, seed=606)
+    report("C6 activation ledger", result.passed, result.detail)
 
 
 def test_c07_overlap_properties():
-    rng = np.random.default_rng(707)
-    for _ in range(1000):
-        a = float(rng.uniform(0, 100))
-        b = float(rng.uniform(0, 100))
-        s_n = int(rng.integers(1, 9))
-        c = int(rng.integers(1, 9))
-        for value in (tp_overlap(a, b, s_n), cp_overlap(a, b, c),
-                      ep_overlap(a, b)):
-            assert max(a, b) - 1e-12 <= value <= a + b + 1e-12
-        exposed = pp_overlap(b, a)
-        assert 0.0 <= exposed <= b
-    plan = ParallelPlan(pp=1, chunks=3, micro_batch=1, global_batch=1,
-                        num_layers=3)
-    for _ in range(200):
-        t_f = float(rng.uniform(0, 50))
-        t_b = float(rng.uniform(0, 50))
-        _, fwd, bwd = apply_activation_strategy(
-            "full-recompute", plan, act_bytes_per_layer=1.0,
-            attention_act_bytes=0.0, input_act_bytes=0.5,
-            t_fwd=t_f, t_bwd=t_b)
-        assert bwd == t_b + t_f and fwd == t_f
-    report("C7 overlap properties", True,
-           "1000 bound samples and 200 recompute identities hold")
+    result = check_overlap_bounds(samples=1000, seed=707)
+    report("C7 overlap properties", result.passed, result.detail)
 
 
 def test_c08_tuner_soundness():

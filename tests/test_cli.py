@@ -217,8 +217,22 @@ class TestConfigInput:
          "optimization section invalid"),
         ({"optimization": [1]}, "optimization entry must be a JSON object"),
         ({"dtypes": []}, "dtypes must be a JSON object"),
+        ({"model": {**MODEL, "r": 1536}}, "model section invalid"),
+        *[({"dtypes": dtypes}, "dtypes section invalid") for dtypes in (
+            {"D_act": "2"}, {"D_para": None}, {"D_grad": True}, {"D_opt": -1},
+            {"D_act": float("nan")}, {"D_para": float("inf")})],
+        *[({"fault": {**FAULT, key: value}}, "fault section invalid")
+          for key, value in (
+            ("r_f_per_node_day", float("nan")), ("r_f_per_node_day", float("inf")),
+            ("u_b", -1.0), ("u_b", float("inf")), ("u0", float("nan")),
+            ("T_save", float("nan")), ("N_nodes", float("inf")),
+            ("mix", [float("nan"), 0.5, 0.5]))],
     ], ids=["string-hardware-number", "string-overlap-alpha",
-            "non-object-optimization", "non-object-dtypes"])
+            "non-object-optimization", "non-object-dtypes", "model-key-r",
+            "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
+            "dtype-nan", "dtype-inf", "fault-rate-nan", "fault-rate-inf",
+            "fault-repair-negative", "fault-repair-inf", "fault-init-nan",
+            "fault-save-nan", "fault-nodes-inf", "fault-mix-nan"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)
