@@ -12,7 +12,7 @@ channels sum to the scalar result up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import optim as _optim
@@ -129,7 +129,6 @@ class MemoryReport:
     param_bytes: float
     grad_bytes: float
     optimizer_bytes: float
-    dtypes: Dtypes = field(default_factory=Dtypes)
     warnings: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -163,20 +162,19 @@ _TP_PAIRS = (
 )
 
 
+BWD_FLOPS_RATIO = 2.0   # backward work relative to forward
+
+
 def _module_time(shape, db: ProfileDB, opts: OptimizationSet,
                  backward: bool) -> float:
     if shape.flops_fwd == 0:
         return 0.0
     entry = db.compute.lookup(shape.name)
-    throughput = entry.throughput(backward)
-    work = shape.flops_fwd * (entry.bwd_flops_ratio if backward else 1.0)
-    scale = (db.compute_scaling.get(shape.name, db.compute_scaling.get("*", 1.0))
-             * opts.compute_lambda(shape.name))
-    cap = None
-    if opts.roofline_cap:
-        cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
-               if entry.intensity is not None else db.hardware.gpu_peak_flops)
-    return op_time(work, _optim.apply_scaling(throughput, scale, cap))
+    work = shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0)
+    cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
+           if entry.intensity is not None else db.hardware.gpu_peak_flops)
+    return op_time(work, _optim.apply_scaling(
+        entry.throughput(backward), opts.compute_lambda(shape.name), cap))
 
 
 def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
@@ -184,9 +182,7 @@ def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
     if volume == 0:
         return 0.0
     bw, beta = db.comm.effective_bandwidth(kind, group, volume)
-    scale = (db.comm_scaling.get(kind, db.comm_scaling.get("*", 1.0))
-             * opts.comm_lambda(kind))
-    return comm_time(volume, _optim.apply_scaling(bw, scale), beta)
+    return comm_time(volume, _optim.apply_scaling(bw, opts.comm_lambda(kind)), beta)
 
 
 @dataclass(frozen=True)
@@ -418,7 +414,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         m_peak=m_static + m_act,
         param_bytes=dtypes.param_bytes * params_held,
         grad_bytes=dtypes.grad_bytes * params_held,
-        optimizer_bytes=opt_bytes, dtypes=dtypes,
+        optimizer_bytes=opt_bytes,
     )
     over_limit = memory_limit is not None and memory.m_peak > memory_limit
     if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:

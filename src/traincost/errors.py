@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check
+that config sections raise them through."""
 
 
 class TraincostError(Exception):
@@ -23,3 +24,10 @@ class InfeasibleError(TraincostError):
 
 class ConfigError(TraincostError):
     """A configuration file failed to parse or validate."""
+
+
+def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject a config object that sets a key outside `known`."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")

@@ -9,9 +9,9 @@ inflated by contention coefficients alpha (communication side) and beta
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_keys
 from .plan import ParallelPlan
 from .profile import HardwareSpec
 
@@ -76,7 +76,6 @@ class OptimizationSet:
     optimizer_strategy: str = "none"
     activation_strategy: str = "none"
     offload_coeffs: OffloadCoeffs = field(default_factory=OffloadCoeffs)
-    roofline_cap: bool = True
 
     def __post_init__(self):
         if self.optimizer_strategy not in OPTIMIZER_STRATEGIES:
@@ -111,6 +110,7 @@ class OptimizationSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OptimizationSet":
+        check_keys(data, tuple(f.name for f in fields(cls)), "optimization")
         kwargs: dict = {}
         kwargs["compute_scaling"] = dict(data.get("compute_scaling", {}))
         kwargs["comm_scaling"] = dict(data.get("comm_scaling", {}))
@@ -126,8 +126,6 @@ class OptimizationSet:
         kwargs["activation_strategy"] = data.get("activation_strategy", "none")
         if "offload_coeffs" in data:
             kwargs["offload_coeffs"] = OffloadCoeffs(**data["offload_coeffs"])
-        if "roofline_cap" in data:
-            kwargs["roofline_cap"] = bool(data["roofline_cap"])
         return cls(**kwargs)
 
 

@@ -36,9 +36,6 @@ class ParallelPlan:
     def layers_per_stage(self) -> int:
         return self.num_layers // (self.pp * self.chunks)
 
-    def nodes(self, gpus_per_node: int) -> int:
-        return -(-self.world_size // gpus_per_node)  # ceil
-
     def validate(self) -> None:
         """Check integer/divisibility invariants; raises ShapeError on the
         first violated dimension."""

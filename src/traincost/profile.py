@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
-from .errors import ConfigError, InputError, ProfileLookupError
+from .errors import ConfigError, InputError, ProfileLookupError, check_keys
 from .plan import ParallelPlan
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
@@ -41,8 +41,10 @@ class HardwareSpec:
         for name in ("h2d_bw", "d2h_bw", "cpu_memory", "cpu_flops",
                      "gpu_peak_flops", "gpu_memory", "hbm_bw",
                      "optimizer_throughput"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"hardware field {name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"hardware field {name} must be finite and positive, "
+                                 f"got {value}")
         if self.gpus_per_node < 1:
             raise InputError("gpus_per_node must be >= 1")
 
@@ -72,8 +74,6 @@ class ComputeEntry:
     module: str
     fwd_flops_per_s: float
     bwd_flops_per_s: float | None = None
-    shape: str | None = None
-    bwd_flops_ratio: float = 2.0     # backward work relative to forward
     intensity: float | None = None   # FLOPs/byte, enables roofline capping
 
     def __post_init__(self):
@@ -91,33 +91,26 @@ class ComputeEntry:
 @dataclass(frozen=True)
 class ComputeProfile:
     entries: tuple[ComputeEntry, ...]
-    # (module, shape) -> first entry with that key; (module, None) is the
-    # module's shape-free entry and ("*", None) the wildcard.
-    _by_key: dict = field(init=False, repr=False, compare=False)
+    # module -> first entry for it; "*" is the wildcard.
+    _by_module: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_key: dict = {}
+        by_module: dict = {}
         for entry in self.entries:
-            by_key.setdefault((entry.module, entry.shape), entry)
-        object.__setattr__(self, "_by_key", by_key)
+            by_module.setdefault(entry.module, entry)
+        object.__setattr__(self, "_by_module", by_module)
 
-    def lookup(self, module: str, shape: str | None = None) -> ComputeEntry:
-        """Exact (module, shape) match first, then the module's shape-free
-        entry, then a '*' wildcard."""
-        for key in ((module, shape), (module, None), ("*", None)):
-            entry = self._by_key.get(key)
-            if entry is not None:
-                return entry
-        raise ProfileLookupError(f"no compute profile entry for module={module!r} shape={shape!r}")
+    def lookup(self, module: str) -> ComputeEntry:
+        """The module's first entry, else the first '*' wildcard entry."""
+        entry = self._by_module.get(module) or self._by_module.get("*")
+        if entry is None:
+            raise ProfileLookupError(f"no compute profile entry for module={module!r}")
+        return entry
 
     @property
     def has_wildcard(self) -> bool:
-        """True when lookup cannot fail: a shape-free '*' entry exists."""
-        return ("*", None) in self._by_key
-
-    def throughput(self, module: str, backward: bool = False,
-                   shape: str | None = None) -> float:
-        return self.lookup(module, shape).throughput(backward)
+        """True when lookup cannot fail: a '*' entry exists."""
+        return "*" in self._by_module
 
 
 @dataclass(frozen=True)
@@ -214,25 +207,19 @@ class ProfileDB:
     hardware: HardwareSpec
     compute: ComputeProfile
     comm: CommProfile
-    compute_scaling: dict[str, float] = field(default_factory=dict)
-    comm_scaling: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for value in (*self.compute_scaling.values(), *self.comm_scaling.values()):
-            if not value > 0:
-                raise InputError(f"profile scaling factors must be positive, got {value}")
 
     @classmethod
     def from_json_dict(cls, data: dict, hardware: HardwareSpec) -> "ProfileDB":
+        check_keys(data, ("operators", "collectives"), "profile")
         ops = []
         for raw in data.get("operators", []):
+            check_keys(raw, ("module", "fwd_TFLOPS", "bwd_TFLOPS", "intensity"),
+                       "operator")
             ops.append(ComputeEntry(
                 module=raw["module"],
                 fwd_flops_per_s=raw["fwd_TFLOPS"] * 1e12,
                 bwd_flops_per_s=(raw["bwd_TFLOPS"] * 1e12
                                  if raw.get("bwd_TFLOPS") is not None else None),
-                shape=raw.get("shape"),
-                bwd_flops_ratio=raw.get("bwd_flops_ratio", 2.0),
                 intensity=raw.get("intensity"),
             ))
         colls = []
@@ -251,9 +238,7 @@ class ProfileDB:
                 ),
             ))
         return cls(hardware=hardware, compute=ComputeProfile(tuple(ops)),
-                   comm=CommProfile(tuple(colls)),
-                   compute_scaling=dict(data.get("compute_scaling", {})),
-                   comm_scaling=dict(data.get("comm_scaling", {})))
+                   comm=CommProfile(tuple(colls)))
 
 
 def op_time(work_flops: float, throughput: float) -> float:

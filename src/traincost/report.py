@@ -46,16 +46,8 @@ def _candidate_row(rank: int, cand: Candidate) -> list:
     return [
         rank, p.tp, p.cp, p.pp, p.ep, p.dp, p.micro_batch, p.chunks,
         "+".join(cand.opts.feature_names()) or "base",
-        mem.m_peak / 1e9 if mem else None,
-        cost.tflops if cost else None,
-        cost.t_step if cost else None,
-        cost.t_cal if cost else None,
-        cost.t_tp if cost else None,
-        cost.t_pp if cost else None,
-        cost.t_dp if cost else None,
-        cost.t_ep if cost else None,
-        cost.t_cp if cost else None,
-        cost.t_update if cost else None,
+        mem.m_peak / 1e9, cost.tflops, cost.t_step, cost.t_cal, cost.t_tp,
+        cost.t_pp, cost.t_dp, cost.t_ep, cost.t_cp, cost.t_update,
         cand.interval, cand.ettr, cand.t_e2e,
     ]
 

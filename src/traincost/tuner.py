@@ -10,7 +10,8 @@ bit-stable across runs.
 
 Candidates are evaluated serially, memory first: a plan over the device
 memory is rejected before its latency is computed. The decomposition is
-shared by every candidate with the same (tp, cp, ep, micro_batch).
+shared by every candidate with the same (tp, cp, ep, micro_batch). Only
+feasible candidates are kept; a rejection is counted under its reason.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .arch import Decomposition, ModelArchitecture, decompose
-from .basecost import TFLOPS_MODES, Dtypes, evaluate_plan
+from .basecost import TFLOPS_MODES, CostReport, Dtypes, MemoryReport, evaluate_plan
 from .errors import InfeasibleError, InputError, ShapeError
 from .fault import (
     CheckpointPolicy,
@@ -95,10 +96,8 @@ class Candidate:
     plan: ParallelPlan
     opts: OptimizationSet
     opts_index: int
-    feasible: bool
-    reason: str | None = None
-    cost: object | None = None      # CostReport when feasible
-    memory: object | None = None    # MemoryReport unless rejected before memory
+    cost: CostReport
+    memory: MemoryReport
     interval: int | None = None
     ettr: float | None = None
     t_e2e: float | None = None
@@ -114,14 +113,10 @@ class Candidate:
         out = {
             "plan": self.plan.to_json_dict(),
             "optimization": self.opts.feature_names(),
-            "feasible": self.feasible,
+            "feasible": True,
+            "cost": self.cost.to_json_dict(),
+            "memory": self.memory.to_json_dict(),
         }
-        if self.reason:
-            out["reason"] = self.reason
-        if self.cost is not None:
-            out["cost"] = self.cost.to_json_dict()
-        if self.memory is not None:
-            out["memory"] = self.memory.to_json_dict()
         if self.interval is not None:
             out["I_ckpt"] = self.interval
         if self.ettr is not None:
@@ -209,43 +204,40 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]):
     yield from descend(0, {})
 
 
-def _decompose(space: SearchSpace, plan: ParallelPlan) -> Decomposition | str:
-    """The plan's decomposition, or the ShapeError message rejecting it."""
-    try:
-        return decompose(space.arch, plan, act_dtype_bytes=space.dtypes.act_bytes)
-    except ShapeError as exc:
-        return str(exc)
+def _rejection_key(exc: Exception) -> str:
+    return str(exc).split(":")[0]
 
 
 def _evaluate_candidate(space: SearchSpace, plan: ParallelPlan,
                         opts: OptimizationSet, opts_index: int,
-                        shapes: dict[tuple, Decomposition | str]) -> Candidate:
-    """Evaluate one candidate against the device memory. `shapes` memoises
-    _decompose per (tp, cp, ep, micro_batch), the only plan fields the
-    decomposition reads, for the duration of one tune."""
-    limit = space.db.hardware.gpu_memory
+                        shapes: dict[tuple, Decomposition | str]) -> Candidate | str:
+    """Evaluate one candidate against the device memory: the feasible
+    Candidate, or the key its rejection counts under ("memory", or a
+    ShapeError/InputError message up to its first ':'). `shapes` memoises
+    the decomposition, or the key rejecting it, per (tp, cp, ep,
+    micro_batch), the only plan fields the decomposition reads, for the
+    duration of one tune."""
     try:
         plan.validate()
         key = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
         if key not in shapes:
-            shapes[key] = _decompose(space, plan)
+            try:
+                shapes[key] = decompose(space.arch, plan,
+                                        act_dtype_bytes=space.dtypes.act_bytes)
+            except ShapeError as exc:
+                shapes[key] = _rejection_key(exc)
         decomp = shapes[key]
         if isinstance(decomp, str):
-            raise ShapeError(decomp)
+            return decomp
         result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
                                tflops_mode=space.tflops_mode,
-                               memory_limit=limit, decomp=decomp)
+                               memory_limit=space.db.hardware.gpu_memory,
+                               decomp=decomp)
     except (ShapeError, InputError) as exc:
-        return Candidate(plan, opts, opts_index, feasible=False, reason=str(exc))
+        return _rejection_key(exc)
     if result.cost is None:
-        return Candidate(
-            plan, opts, opts_index, feasible=False,
-            reason=(f"memory: peak {result.memory.m_peak / 1e9:.2f} GB exceeds "
-                    f"{limit / 1e9:.2f} GB"),
-            memory=result.memory,
-        )
-    return Candidate(plan, opts, opts_index, feasible=True,
-                     cost=result.cost, memory=result.memory)
+        return "memory"
+    return Candidate(plan, opts, opts_index, result.cost, result.memory)
 
 
 def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
@@ -257,24 +249,20 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     space = space.resolved()
     rejections: dict[str, int] = {}
     shapes: dict[tuple, Decomposition | str] = {}
-    evaluated = [
-        _evaluate_candidate(space, plan, opts, idx, shapes)
-        for plan in _enumerate_plans(space, rejections)
-        for idx, opts in enumerate(space.opt_combos)
-    ]
-
-    feasible = []
-    for cand in evaluated:
-        if cand.feasible:
-            feasible.append(cand)
-        else:
-            key = cand.reason.split(":")[0] if cand.reason else "unknown"
-            rejections[key] = rejections.get(key, 0) + 1
+    feasible: list[Candidate] = []
+    evaluated = 0
+    for plan in _enumerate_plans(space, rejections):
+        for idx, opts in enumerate(space.opt_combos):
+            outcome = _evaluate_candidate(space, plan, opts, idx, shapes)
+            if isinstance(outcome, str):
+                rejections[outcome] = rejections.get(outcome, 0) + 1
+            else:
+                feasible.append(outcome)
+            evaluated += 1
     feasible.sort(key=lambda c: c.step_key)
     if top_k is not None:
         feasible = feasible[:top_k]
-    return TuneResult(tuple(feasible), evaluated=len(evaluated),
-                      rejections=rejections)
+    return TuneResult(tuple(feasible), evaluated=evaluated, rejections=rejections)
 
 
 def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,

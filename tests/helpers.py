@@ -107,7 +107,7 @@ def exhaustive_tune_reference(space, top_k):
                 continue
             if result.memory.m_peak > hw.gpu_memory:
                 continue
-            survivors.append(Candidate(plan, opts, idx, feasible=True,
-                                       cost=result.cost, memory=result.memory))
+            survivors.append(Candidate(plan, opts, idx, result.cost,
+                                       result.memory))
     survivors.sort(key=lambda cand: cand.step_key)
     return survivors[:top_k]

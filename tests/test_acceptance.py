@@ -86,8 +86,8 @@ def run_check(check, **kwargs):
 
 def test_c03_closed_form_vs_grid_oracle():
     result, elapsed = run_check(check_interval_grid, instances=100, seed=202)
-    report("C3 closed form vs grid oracle", result.passed and elapsed < 5.0,
-           f"{result.detail}, {elapsed:.2f} s")
+    report("C3 closed-form interval objective vs grid oracle",
+           result.passed and elapsed < 5.0, f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c04_monte_carlo_validation():

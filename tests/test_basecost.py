@@ -300,12 +300,12 @@ class TestEvaluatePlan:
         assert dist.memory.optimizer_bytes == pytest.approx(
             base.memory.optimizer_bytes / 4)
 
-    def test_profile_level_scaling_applies(self, dense_arch):
+    def test_compute_scaling_speeds_up_compute(self, dense_arch):
         plan = ParallelPlan(num_layers=dense_arch.num_layers)
-        base = evaluate_plan(dense_arch, plan, make_db(tflops=1e-6))
         db = make_db(tflops=1e-6)
-        object.__setattr__(db, "compute_scaling", {"*": 2.0})
-        boosted = evaluate_plan(dense_arch, plan, db)
+        base = evaluate_plan(dense_arch, plan, db)
+        boosted = evaluate_plan(dense_arch, plan, db,
+                                OptimizationSet(compute_scaling={"*": 2.0}))
         assert boosted.cost.t_cal == pytest.approx(base.cost.t_cal / 2)
 
     def test_memory_strategies_never_exceed_baseline_peak(self, flat_db):

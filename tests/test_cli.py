@@ -170,8 +170,10 @@ class TestProfileInput:
     @pytest.mark.parametrize("extra,message", [
         ({"tflops_mode": "bogus"}, "unknown tflops mode 'bogus'"),
         ({"profile": {**PROFILE, "comm_scaling": {"p2p": 0}}},
+         "unknown profile key 'comm_scaling'"),
+        ({"optimization": {"comm_scaling": {"p2p": 0}}},
          "scaling factors must be positive"),
-    ], ids=["tflops-mode", "profile-scaling"])
+    ], ids=["tflops-mode", "profile-scaling", "optimization-scaling"])
     def test_invalid_latency_input_exits_1_when_nothing_fits(self, tmp_path, capsys,
                                                              extra, message):
         cfg = write_run_config(tmp_path, **extra, **self.NOTHING_FITS)
@@ -227,12 +229,32 @@ class TestConfigInput:
             ("u_b", -1.0), ("u_b", float("inf")), ("u0", float("nan")),
             ("T_save", float("nan")), ("N_nodes", float("inf")),
             ("mix", [float("nan"), 0.5, 0.5]))],
+        *[({"hardware": {**HARDWARE, key: value}}, "hardware section invalid")
+          for key in ("M_GPU", "P_opt", "B_HBM")
+          for value in (float("nan"), float("inf"))],
+        ({"profile": {**PROFILE, "compute_scaling": {"*": 2.0}}},
+         "unknown profile key 'compute_scaling'"),
+        ({"profile": {**PROFILE, "comm_scaling": {"*": 2.0}}},
+         "unknown profile key 'comm_scaling'"),
+        ({"profile": {**PROFILE, "operators": PROFILE["operators"] + [
+            {"module": "qkv", "fwd_TFLOPS": 50, "shape": "b1"}]}},
+         "unknown operator key 'shape'"),
+        ({"profile": {**PROFILE, "operators": [
+            {"module": "*", "fwd_TFLOPS": 100, "bwd_flops_ratio": 2.0}]}},
+         "unknown operator key 'bwd_flops_ratio'"),
+        ({"optimization": {"roofline_cap": False}},
+         "unknown optimization key 'roofline_cap'"),
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
             "dtype-nan", "dtype-inf", "fault-rate-nan", "fault-rate-inf",
             "fault-repair-negative", "fault-repair-inf", "fault-init-nan",
-            "fault-save-nan", "fault-nodes-inf", "fault-mix-nan"])
+            "fault-save-nan", "fault-nodes-inf", "fault-mix-nan",
+            "hardware-M_GPU-nan", "hardware-M_GPU-inf", "hardware-P_opt-nan",
+            "hardware-P_opt-inf", "hardware-B_HBM-nan", "hardware-B_HBM-inf",
+            "profile-key-compute_scaling", "profile-key-comm_scaling",
+            "operator-key-shape", "operator-key-bwd_flops_ratio",
+            "optimization-key-roofline_cap"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)

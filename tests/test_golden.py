@@ -7,6 +7,15 @@ tests/golden/eval_llama2.json is the `eval` report of
 configs/run_eval_llama2.json, written by
 `traincost eval --config configs/run_eval_llama2.json --out ...`.
 
+Two goldens cover the default search spaces at scale, built from the
+configs/ files: tests/golden/tune_step_llama2_128.json (`tune step`,
+llama2-70b on hardware_a, 128 GPUs, global batch 256) and
+tests/golden/tune_e2e_deepseek_2048.json (`tune e2e`, deepseek-v3 on
+hardware_b with fault_example, 2048 GPUs, global batch 4096). Each holds
+`evaluated`, `rejections` and the top 20 candidates, projected as above
+plus I_ckpt, ETTR and T_e2e for the e2e case. Regenerate one by writing
+`scaled_projection(...)` of the same arguments to its file.
+
 Order, counts, keys and strings must match exactly; floats to a relative
 1e-12, so a refactor that reorders floating-point sums still passes while a
 change of model or ranking does not."""
@@ -19,7 +28,7 @@ import pytest
 
 from traincost.cli import main
 from traincost.config import load_config
-from traincost.tuner import tune_step
+from traincost.tuner import tune_e2e, tune_step
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REL = 1e-12
@@ -59,6 +68,58 @@ def test_tune_step_matches_golden(configs_dir):
                        for c in result["candidates"]],
     }
     assert_matches(projected, load_golden("tune_llama2.json"))
+
+
+SCALED_TOP_K = 20
+
+
+def scaled_config(configs_dir, tmp_path, model, hardware, g_n, g_bs, fault=None):
+    """A run config over configs/ files with the default search space."""
+    body = {"schema_version": 1, "space": {"g_n": g_n, "g_bs": g_bs}}
+    for key, name in (("model", model), ("hardware", hardware),
+                      ("profile", "profile_example.json"), ("fault", fault)):
+        if name is not None:
+            body[key] = os.path.abspath(os.path.join(configs_dir, name))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(body))
+    return load_config(str(path))
+
+
+def scaled_projection(cfg, mode):
+    if mode == "step":
+        result = tune_step(cfg.space, top_k=SCALED_TOP_K)
+    else:
+        fault = cfg.fault
+        steps = fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
+        result = tune_e2e(cfg.space, fault.model, fault.save_s, steps,
+                          top_k=SCALED_TOP_K)
+    result = result.to_json_dict()
+    extra = ("I_ckpt", "ETTR", "T_e2e") if mode == "e2e" else ()
+    return {
+        "evaluated": result["evaluated"],
+        "rejections": result["rejections"],
+        "candidates": [{"plan": c["plan"], "optimization": c["optimization"],
+                        "T_step": c["cost"]["T_step"],
+                        "M_peak": c["memory"]["M_peak"],
+                        **{key: c[key] for key in extra}}
+                       for c in result["candidates"]],
+    }
+
+
+SCALED_CASES = {
+    "tune_step_llama2_128.json": (
+        ("llama2_70b.json", "hardware_a.json", 128, 256), "step"),
+    "tune_e2e_deepseek_2048.json": (
+        ("deepseek_v3.json", "hardware_b.json", 2048, 4096, "fault_example.json"),
+        "e2e"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(SCALED_CASES))
+def test_default_space_at_scale_matches_golden(configs_dir, tmp_path, golden):
+    args, mode = SCALED_CASES[golden]
+    cfg = scaled_config(configs_dir, tmp_path, *args)
+    assert_matches(scaled_projection(cfg, mode), load_golden(golden))
 
 
 def test_eval_report_matches_golden(configs_dir, capsys):

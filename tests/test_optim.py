@@ -226,6 +226,11 @@ class TestOptimizationSet:
         assert opts.compute_lambda("norm") == 1.5
         assert OptimizationSet().compute_lambda("norm") == 1.0
 
+    @pytest.mark.parametrize("table", ["compute_scaling", "comm_scaling"])
+    def test_rejects_non_positive_scaling(self, table):
+        with pytest.raises(InputError, match="scaling factors must be positive"):
+            OptimizationSet(**{table: {"*": 0.0}})
+
     def test_from_json_round_trip_features(self):
         opts = OptimizationSet.from_json_dict({
             "tp_overlap": {"alpha": 1.1, "splits": 4},

@@ -11,11 +11,6 @@ class TestDerivedQuantities:
         assert plan.world_size == 128
         assert plan.micro_batches == 64
         assert plan.layers_per_stage == 2
-        assert plan.nodes(8) == 16
-
-    def test_nodes_rounds_up(self):
-        plan = ParallelPlan(tp=3, num_layers=1)
-        assert plan.nodes(2) == 2
 
     def test_validate_accepts_consistent_plan(self):
         ParallelPlan(pp=2, micro_batch=2, global_batch=8, dp=2,

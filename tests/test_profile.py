@@ -10,7 +10,6 @@ from traincost.profile import (
     ComputeEntry,
     ComputeProfile,
     HardwareSpec,
-    ProfileDB,
     comm_time,
     comm_volume,
     op_time,
@@ -127,17 +126,9 @@ class TestCommVolume:
 
 
 class TestProfiles:
-    def test_compute_lookup_prefers_shape_match(self):
-        profile = ComputeProfile((
-            ComputeEntry("qkv", 1e12),
-            ComputeEntry("qkv", 2e12, shape="big"),
-        ))
-        assert profile.throughput("qkv") == 1e12
-        assert profile.throughput("qkv", shape="big") == 2e12
-
     def test_compute_lookup_wildcard_fallback(self):
         profile = ComputeProfile((ComputeEntry("*", 3e12),))
-        assert profile.throughput("norm") == 3e12
+        assert profile.lookup("norm").throughput() == 3e12
 
     def test_compute_lookup_missing_names_key(self):
         profile = ComputeProfile((ComputeEntry("qkv", 1e12),))
@@ -146,11 +137,11 @@ class TestProfiles:
 
     def test_backward_defaults_to_forward(self):
         profile = ComputeProfile((ComputeEntry("qkv", 1e12),))
-        assert profile.throughput("qkv", backward=True) == 1e12
+        assert profile.lookup("qkv").throughput(backward=True) == 1e12
 
     def test_backward_override(self):
         profile = ComputeProfile((ComputeEntry("qkv", 1e12, bwd_flops_per_s=5e11),))
-        assert profile.throughput("qkv", backward=True) == 5e11
+        assert profile.lookup("qkv").throughput(backward=True) == 5e11
 
     def test_bucket_rejects_bad_beta(self):
         with pytest.raises(InputError):
@@ -158,22 +149,18 @@ class TestProfiles:
 
     def test_compute_lookup_first_entry_wins(self):
         profile = ComputeProfile((
-            ComputeEntry("qkv", 2e12, shape="big"),
             ComputeEntry("qkv", 1e12),
             ComputeEntry("qkv", 3e12),
-            ComputeEntry("qkv", 4e12, shape="big"),
             ComputeEntry("*", 5e12),
             ComputeEntry("*", 6e12),
         ))
-        assert profile.throughput("qkv") == 1e12
-        assert profile.throughput("qkv", shape="big") == 2e12
-        assert profile.throughput("qkv", shape="small") == 1e12
-        assert profile.throughput("norm", shape="big") == 5e12
+        assert profile.lookup("qkv").throughput() == 1e12
+        assert profile.lookup("norm").throughput() == 5e12
 
     def test_completeness_flags(self):
-        assert ComputeProfile((ComputeEntry("*", 1e12, shape="big"),
+        assert ComputeProfile((ComputeEntry("qkv", 1e12),
                                ComputeEntry("*", 1e12))).has_wildcard
-        assert not ComputeProfile((ComputeEntry("*", 1e12, shape="big"),)).has_wildcard
+        assert not ComputeProfile((ComputeEntry("qkv", 1e12),)).has_wildcard
         full = make_db().comm
         assert full.has_every_kind
         assert not CommProfile(full.entries[1:]).has_every_kind
@@ -194,12 +181,6 @@ class TestProfiles:
                 CommBucket(1.0, 10e9), CommBucket(5.0, 20e9),
                 CommBucket(5.0, 40e9),
             ))
-
-    @pytest.mark.parametrize("table", ["compute_scaling", "comm_scaling"])
-    def test_db_rejects_non_positive_scaling(self, table):
-        base = make_db()
-        with pytest.raises(InputError, match="scaling factors must be positive"):
-            ProfileDB(base.hardware, base.compute, base.comm, **{table: {"*": 0.0}})
 
     def test_buckets_sorted_at_construction(self):
         low, high = CommBucket(1e6, 50e9, 1.0), CommBucket(1e8, 150e9, 0.9)
