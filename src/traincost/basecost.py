@@ -7,13 +7,17 @@ step-level breakdowns stay consistent with the phase totals: the pipeline
 phase formulas are linear in their inputs, so each channel is the same
 pipeline_time formula evaluated on that channel's terms alone, and the
 channels sum to the scalar result up to rounding.
+
+evaluate_plan takes an optional EvalMemo that shares terms between the
+evaluations of one tune; its docstring says what is shared and keyed on
+what.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import optim as _optim
 from .arch import (
@@ -26,7 +30,14 @@ from .arch import (
 from .errors import InputError
 from .optim import OptimizationSet
 from .plan import ParallelPlan
-from .profile import ProfileDB, comm_time, comm_volume, op_time, roofline_bound
+from .profile import (
+    HardwareSpec,
+    ProfileDB,
+    comm_time,
+    comm_volume,
+    op_time,
+    roofline_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,7 @@ class TimeParts:
                          self.cp + other.cp, self.ep + other.ep)
 
 
-@dataclass(frozen=True)
-class PipelinePhases:
+class PipelinePhases(NamedTuple):
     warmup: float
     steady: float
     cooldown: float
@@ -366,12 +376,73 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 # Full evaluation
 
 
+class EvalMemo:
+    """Terms evaluate_plan shares between calls that evaluate plans of one
+    (arch, db, dtypes), as the tuner does for every candidate of a tune.
+
+    * Per plan (the last one seen, by identity): the parameter and activation
+      byte terms, the static bytes of each optimizer strategy and the
+      activation bytes of each activation strategy. A plan's feature combos
+      differ in these only through the two strategies.
+    * Per shape: the layer cost and the embedding/head module times, keyed by
+      (tp, cp, ep, micro_batch) and the combo fields they read: compute and
+      comm scaling and the tp/cp/ep overlap coefficients.
+    * Per batch split: model_flops_total, keyed by
+      (micro_batch, micro_batches * dp).
+
+    evaluate_plan without a memo uses a fresh one, so shared and unshared
+    evaluations compute every term through the same functions."""
+
+    def __init__(self) -> None:
+        self.plan: ParallelPlan | None = None
+        self.static: dict[str, tuple[float, float]] = {}
+        self.activation: dict[str, float] = {}
+        self.shapes: dict[tuple, tuple] = {}
+        self.flops: dict[tuple[int, int], float] = {}
+
+    def start_plan(self, plan: ParallelPlan, decomp: Decomposition,
+                   dtypes: Dtypes) -> None:
+        self.plan = plan
+        self.params = decomp.layer_params
+        self.params_held = plan.chunks * plan.layers_per_stage * self.params
+        self.param_bytes = dtypes.param_bytes * self.params_held
+        self.grad_bytes = dtypes.grad_bytes * self.params_held
+        self.layer_act_bytes = decomp.layer_act_bytes
+        self.attention_act_bytes = sum(m.act_bytes for m in decomp.layer
+                                       if m.name in ATTENTION_CORE_MODULES)
+        self.input_act_bytes = decomp.layer[0].act_bytes  # first norm retains the layer input
+        self.static.clear()
+        self.activation.clear()
+
+
+def _activation(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
+                hw: HardwareSpec, **times) -> tuple[float, float, float]:
+    """The activation strategy op on the memo's byte terms of `plan`."""
+    return _optim.apply_activation_strategy(
+        opts.activation_strategy, plan,
+        act_bytes_per_layer=memo.layer_act_bytes,
+        attention_act_bytes=memo.attention_act_bytes,
+        input_act_bytes=memo.input_act_bytes,
+        hw=hw, coeffs=opts.offload_coeffs, **times)
+
+
+def _optimizer(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
+               dtypes: Dtypes, hw: HardwareSpec,
+               t_update: float) -> tuple[float, float]:
+    """The optimizer strategy op on the memo's parameter terms of `plan`."""
+    return _optim.apply_optimizer_strategy(
+        opts.optimizer_strategy, plan, 4 * dtypes.opt_bytes * memo.params_held,
+        t_update, params_total=memo.params, grad_bytes_total=memo.grad_bytes,
+        param_bytes_total=memo.param_bytes, hw=hw)
+
+
 def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                   opts: OptimizationSet | None = None,
                   dtypes: Dtypes = Dtypes(),
                   tflops_mode: str = "fwd-bwd-per-device",
                   memory_limit: float | None = None,
-                  decomp: Decomposition | None = None) -> PlanEvaluation:
+                  decomp: Decomposition | None = None,
+                  memo: EvalMemo | None = None) -> PlanEvaluation:
     """Evaluate one plan end to end: memory, then layer times with feature
     overlays, pipeline phases, optimizer, step time and TFLOPS.
 
@@ -380,65 +451,65 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     terms are then skipped if the profile is complete; otherwise they still
     run, so a missing profile entry raises as it would without the limit.
     decomp, when given, must be decompose(arch, plan, dtypes.act_bytes) of
-    this plan, already validated."""
+    this plan, already validated. memo, when given, must only have served
+    evaluations of this arch, db and dtypes (see EvalMemo)."""
     opts = opts or OptimizationSet()
     if decomp is None:
         plan.validate()
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+    if memo is None:
+        memo = EvalMemo()
+    if memo.plan is not plan:
+        memo.start_plan(plan, decomp, dtypes)
+    hw = db.hardware
 
-    # Memory. The strategy ops return the same bytes for any times, so they
-    # run here with zero times and again below with the layer times.
-    params = decomp.layer_params
-    params_held = plan.chunks * plan.layers_per_stage * params
-    activation = partial(
-        _optim.apply_activation_strategy, opts.activation_strategy, plan,
-        act_bytes_per_layer=decomp.layer_act_bytes,
-        attention_act_bytes=sum(m.act_bytes for m in decomp.layer
-                                if m.name in ATTENTION_CORE_MODULES),
-        input_act_bytes=decomp.layer[0].act_bytes,  # first norm retains the layer input
-        hw=db.hardware, coeffs=opts.offload_coeffs,
-    )
-    optimizer = partial(
-        _optim.apply_optimizer_strategy, opts.optimizer_strategy, plan,
-        4 * dtypes.opt_bytes * params_held,
-        params_total=params,
-        grad_bytes_total=dtypes.grad_bytes * params_held,
-        param_bytes_total=dtypes.param_bytes * params_held,
-        hw=db.hardware,
-    )
-    m_act = activation(t_fwd=0.0, t_bwd=0.0)[0]
-    opt_bytes = optimizer(0.0)[0]
-    m_static = (dtypes.param_bytes + dtypes.grad_bytes) * params_held + opt_bytes
-    memory = MemoryReport(
-        m_static=m_static, m_activation=m_act,
-        m_peak=m_static + m_act,
-        param_bytes=dtypes.param_bytes * params_held,
-        grad_bytes=dtypes.grad_bytes * params_held,
-        optimizer_bytes=opt_bytes,
-    )
+    # Memory. The strategy ops return the same bytes for any times, so each
+    # runs once per plan with zero times, and again below with the layer
+    # times. Activation bytes depend on the strategy alone.
+    static = memo.static.get(opts.optimizer_strategy)
+    if static is None:
+        opt_bytes = _optimizer(opts, plan, memo, dtypes, hw, 0.0)[0]
+        static = memo.static[opts.optimizer_strategy] = (
+            (dtypes.param_bytes + dtypes.grad_bytes) * memo.params_held + opt_bytes,
+            opt_bytes)
+    m_static, opt_bytes = static
+    m_act = memo.activation.get(opts.activation_strategy)
+    if m_act is None:
+        m_act = memo.activation[opts.activation_strategy] = _activation(
+            opts, plan, memo, hw, t_fwd=0.0, t_bwd=0.0)[0]
+    memory = MemoryReport(m_static, m_act, m_static + m_act, memo.param_bytes,
+                          memo.grad_bytes, opt_bytes)
     over_limit = memory_limit is not None and memory.m_peak > memory_limit
     if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:
         return PlanEvaluation(cost=None, memory=memory)  # no lookup below can fail
 
-    lc = layer_cost(arch, plan, db, opts, dtypes, decomp=decomp)
-
-    t_embed = _module_time(decomp.embedding, db, opts, False)
-    t_embed_bwd = _module_time(decomp.embedding, db, opts, True)
-    t_head = _module_time(decomp.head, db, opts, False)
-    t_head_bwd = _module_time(decomp.head, db, opts, True)
+    shape_key = (plan.tp, plan.cp, plan.ep, plan.micro_batch,
+                 tuple(opts.compute_scaling.items()), tuple(opts.comm_scaling.items()),
+                 opts.tp_overlap, opts.cp_overlap, opts.ep_overlap)
+    shape = memo.shapes.get(shape_key)
+    if shape is None:
+        shape = memo.shapes[shape_key] = (
+            layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
+            _module_time(decomp.embedding, db, opts, False),
+            _module_time(decomp.embedding, db, opts, True),
+            _module_time(decomp.head, db, opts, False),
+            _module_time(decomp.head, db, opts, True),
+        )
+    lc, t_embed, t_embed_bwd, t_head, t_head_bwd = shape
 
     # Activation strategy: scalar result from the strategy op, then the delta
     # mirrored onto the channel split so totals stay consistent.
-    _, fwd_total, bwd_total = activation(
-        t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
-        t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd,
-    )
+    _, fwd_total, bwd_total = _activation(
+        opts, plan, memo, hw, t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
+        t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd)
     fwd_parts, bwd_parts = lc.fwd, lc.bwd
     if opts.activation_strategy == "full-recompute":
         bwd_parts = bwd_parts + fwd_parts
     else:
-        bwd_parts = replace(bwd_parts, cal=bwd_parts.cal + (bwd_total - lc.bwd.total))
-    fwd_parts = replace(fwd_parts, cal=fwd_parts.cal + (fwd_total - lc.fwd.total))
+        bwd_parts = TimeParts(bwd_parts.cal + (bwd_total - lc.bwd.total),
+                              bwd_parts.tp, bwd_parts.cp, bwd_parts.ep)
+    fwd_parts = TimeParts(fwd_parts.cal + (fwd_total - lc.fwd.total),
+                          fwd_parts.tp, fwd_parts.cp, fwd_parts.ep)
 
     # Pipeline hop and its steady-phase overlap.
     t_pp_hop = 0.0
@@ -459,15 +530,16 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     # is pipeline_time on that channel's terms alone.
     t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, 0.0, t_embed,
                           t_head, t_embed_bwd, t_head_bwd).total
-    t_tp, t_cp, t_ep = (pipeline_time(getattr(fwd_parts, c), getattr(bwd_parts, c),
-                                      plan).total for c in ("tp", "cp", "ep"))
+    t_tp = pipeline_time(fwd_parts.tp, bwd_parts.tp, plan).total
+    t_cp = pipeline_time(fwd_parts.cp, bwd_parts.cp, plan).total
+    t_ep = pipeline_time(fwd_parts.ep, bwd_parts.ep, plan).total
     t_pp = pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
 
     # Optimizer: base, then strategy, then overlap.
-    t_dp, t_update, _ = optimizer_time(plan, params, db, dtypes, opts)
-    t_update = optimizer(t_update)[1]
+    t_dp, t_update, _ = optimizer_time(plan, memo.params, db, dtypes, opts)
+    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
-        per_chunk_params = plan.layers_per_stage * params
+        per_chunk_params = plan.layers_per_stage * memo.params
         rs = [_collective_time(db, opts, "reduce-scatter", plan.dp,
                                dtypes.grad_bytes * per_chunk_params)] * plan.chunks
         ag = [_collective_time(db, opts, "all-gather", plan.dp,
@@ -477,7 +549,10 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     t_opt = t_dp + t_update
 
     t_step = step_time(phases.total, t_opt)
-    flops = model_flops_total(arch, plan)
+    split = (plan.micro_batch, plan.micro_batches * plan.dp)
+    flops = memo.flops.get(split)
+    if flops is None:
+        flops = memo.flops[split] = model_flops_total(arch, plan)
     achieved = tflops(flops, plan, t_step, mode=tflops_mode)
 
     cost = CostReport(
@@ -490,4 +565,3 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         warnings=phases.warnings,
     )
     return PlanEvaluation(cost=None if over_limit else cost, memory=memory)
-

@@ -17,7 +17,6 @@ from .errors import ConfigError, InfeasibleError, TraincostError
 from .fault import CheckpointPolicy, ettr_exact, ettr_closed_form, optimal_ckpt_interval
 from .report import render_report
 from .tuner import sweep, tune_e2e, tune_step
-from .verification import run_all
 
 # Kept so that existing command lines still parse.
 _WORKERS_HELP = "ignored: candidates are evaluated serially"
@@ -123,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
+        from .verification import run_all  # loads numpy, which nothing else here needs
         report = run_all(trials=args.trials, seed=args.seed)
         _emit(render_report(report, "json"), args.out)
         return 0 if report.passed else 1

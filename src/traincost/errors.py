@@ -27,7 +27,10 @@ class ConfigError(TraincostError):
 
 
 def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
-    """Reject a config object that sets a key outside `known`."""
+    """Reject a config value that is not an object or sets a key outside
+    `known`."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
     unknown = [key for key in data if key not in known]
     if unknown:
         raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")

@@ -5,14 +5,15 @@ is a discrete-event replay of the interleaved 1F1B schedule, the activation
 ledger walks the same schedule counting live allocations, the fault
 simulator draws actual failure arrival times, and the interval search is an
 exhaustive scan of the end-to-end objective.
+
+numpy is imported by the two functions that use it, so importing the
+package (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InputError
 from .fault import CheckpointPolicy, FaultModel, mean_repair_time
@@ -235,6 +236,7 @@ def simulate_faults(
     if lam == 0:
         return t_tr / base, 0.0
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     wall = np.full(trials, base, dtype=float)
     arrival = rng.exponential(1.0 / lam, size=trials)
@@ -278,6 +280,7 @@ def grid_search_interval(
     intervals; infeasible points are skipped, ties go to the smaller
     interval. Vectorized, so scanning hundreds of thousands of candidate
     intervals stays cheap."""
+    import numpy as np
     grid = np.unique(np.asarray(list(intervals), dtype=np.int64))
     grid = grid[grid >= 1]
     if grid.size == 0:

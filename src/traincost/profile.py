@@ -53,6 +53,8 @@ class HardwareSpec:
         """Accepts the config-file key convention (B_H2D .. P_opt) with the
         customary units: bandwidths in GB/s, memory in GB, CPU frequency in
         GHz, GPU compute in TFLOPS, optimizer throughput in Gparams/s."""
+        check_keys(data, ("B_H2D", "B_D2H", "M_CPU", "F_CPU", "P_GPU", "M_GPU", "N",
+                          "B_HBM", "P_opt"), "hardware")
         try:
             return cls(
                 h2d_bw=data["B_H2D"] * GB,
@@ -224,10 +226,14 @@ class ProfileDB:
             ))
         colls = []
         for raw in data.get("collectives", []):
+            check_keys(raw, ("kind", "group_size", "buckets", "bandwidth_GBps", "beta"),
+                       "collective")
             buckets = raw.get("buckets")
             if buckets is None:
                 buckets = [{"size_bytes": 1, "bandwidth_GBps": raw["bandwidth_GBps"],
                             "beta": raw.get("beta", 1.0)}]
+            for b in buckets:
+                check_keys(b, ("size_bytes", "bandwidth_GBps", "beta"), "bucket")
             colls.append(CommEntry(
                 kind=raw["kind"],
                 group_size=int(raw.get("group_size", 2)),

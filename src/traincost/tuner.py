@@ -9,9 +9,14 @@ Ranking is a total order (step time, then the plan tuple) so results are
 bit-stable across runs.
 
 Candidates are evaluated serially, memory first: a plan over the device
-memory is rejected before its latency is computed. The decomposition is
-shared by every candidate with the same (tp, cp, ep, micro_batch). Only
-feasible candidates are kept; a rejection is counted under its reason.
+memory is rejected before its latency is computed. Each plan is validated
+and decomposed once for all its feature combos, and the decomposition is
+shared by every plan with the same (tp, cp, ep, micro_batch). One
+basecost.EvalMemo per tune shares the rest: per plan the memory terms of
+each optimizer and activation strategy, per shape and latency-relevant
+combo fields the layer and embedding/head times, per batch split the model
+FLOPs. Only feasible candidates are kept; a rejection is counted under its
+reason.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .arch import Decomposition, ModelArchitecture, decompose
-from .basecost import TFLOPS_MODES, CostReport, Dtypes, MemoryReport, evaluate_plan
+from .basecost import (
+    TFLOPS_MODES,
+    CostReport,
+    Dtypes,
+    EvalMemo,
+    MemoryReport,
+    evaluate_plan,
+)
 from .errors import InfeasibleError, InputError, ShapeError
 from .fault import (
     CheckpointPolicy,
@@ -208,36 +220,24 @@ def _rejection_key(exc: Exception) -> str:
     return str(exc).split(":")[0]
 
 
-def _evaluate_candidate(space: SearchSpace, plan: ParallelPlan,
-                        opts: OptimizationSet, opts_index: int,
-                        shapes: dict[tuple, Decomposition | str]) -> Candidate | str:
-    """Evaluate one candidate against the device memory: the feasible
-    Candidate, or the key its rejection counts under ("memory", or a
-    ShapeError/InputError message up to its first ':'). `shapes` memoises
-    the decomposition, or the key rejecting it, per (tp, cp, ep,
-    micro_batch), the only plan fields the decomposition reads, for the
-    duration of one tune."""
+def _shape(space: SearchSpace, plan: ParallelPlan,
+           shapes: dict[tuple, Decomposition | str]) -> Decomposition | str:
+    """The plan's decomposition, or the key its rejection counts under (a
+    ShapeError message up to its first ':'). `shapes` memoises either per
+    (tp, cp, ep, micro_batch), the only plan fields the decomposition reads,
+    for the duration of one tune."""
     try:
         plan.validate()
-        key = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
-        if key not in shapes:
-            try:
-                shapes[key] = decompose(space.arch, plan,
-                                        act_dtype_bytes=space.dtypes.act_bytes)
-            except ShapeError as exc:
-                shapes[key] = _rejection_key(exc)
-        decomp = shapes[key]
-        if isinstance(decomp, str):
-            return decomp
-        result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
-                               tflops_mode=space.tflops_mode,
-                               memory_limit=space.db.hardware.gpu_memory,
-                               decomp=decomp)
-    except (ShapeError, InputError) as exc:
+    except ShapeError as exc:
         return _rejection_key(exc)
-    if result.cost is None:
-        return "memory"
-    return Candidate(plan, opts, opts_index, result.cost, result.memory)
+    key = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
+    if key not in shapes:
+        try:
+            shapes[key] = decompose(space.arch, plan,
+                                    act_dtype_bytes=space.dtypes.act_bytes)
+        except ShapeError as exc:
+            shapes[key] = _rejection_key(exc)
+    return shapes[key]
 
 
 def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
@@ -247,18 +247,33 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     ranked by ascending step time with a deterministic lexicographic
     tie-break, plus rejection statistics."""
     space = space.resolved()
+    combos = space.opt_combos
+    limit = space.db.hardware.gpu_memory
     rejections: dict[str, int] = {}
     shapes: dict[tuple, Decomposition | str] = {}
+    memo = EvalMemo()
     feasible: list[Candidate] = []
     evaluated = 0
     for plan in _enumerate_plans(space, rejections):
-        for idx, opts in enumerate(space.opt_combos):
-            outcome = _evaluate_candidate(space, plan, opts, idx, shapes)
-            if isinstance(outcome, str):
-                rejections[outcome] = rejections.get(outcome, 0) + 1
+        evaluated += len(combos)
+        decomp = _shape(space, plan, shapes)
+        if isinstance(decomp, str):
+            rejections[decomp] = rejections.get(decomp, 0) + len(combos)
+            continue
+        for idx, opts in enumerate(combos):
+            try:
+                result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
+                                       tflops_mode=space.tflops_mode,
+                                       memory_limit=limit, decomp=decomp, memo=memo)
+            except (ShapeError, InputError) as exc:
+                key = _rejection_key(exc)
             else:
-                feasible.append(outcome)
-            evaluated += 1
+                if result.cost is not None:
+                    feasible.append(Candidate(plan, opts, idx, result.cost,
+                                              result.memory))
+                    continue
+                key = "memory"
+            rejections[key] = rejections.get(key, 0) + 1
     feasible.sort(key=lambda c: c.step_key)
     if top_k is not None:
         feasible = feasible[:top_k]

@@ -244,6 +244,18 @@ class TestConfigInput:
          "unknown operator key 'bwd_flops_ratio'"),
         ({"optimization": {"roofline_cap": False}},
          "unknown optimization key 'roofline_cap'"),
+        ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
+            {"kind": "all-reduce", "group_sise": 8, "bandwidth_GBps": 1}]}},
+         "unknown collective key 'group_sise'"),
+        ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
+            {"kind": "all-reduce", "group_size": 2, "buckets": [
+                {"size_bytes": 1, "bandwidth_GBps": 1, "bata": 0.5}]}]}},
+         "unknown bucket key 'bata'"),
+        ({"hardware": {**HARDWARE, "M_GPUS": 80}}, "unknown hardware key 'M_GPUS'"),
+        ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + ["p2p"]}},
+         "collective must be a JSON object, got str"),
+        ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
+            {"kind": "p2p", "buckets": [1]}]}}, "bucket must be a JSON object, got int"),
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -254,7 +266,9 @@ class TestConfigInput:
             "hardware-P_opt-inf", "hardware-B_HBM-nan", "hardware-B_HBM-inf",
             "profile-key-compute_scaling", "profile-key-comm_scaling",
             "operator-key-shape", "operator-key-bwd_flops_ratio",
-            "optimization-key-roofline_cap"])
+            "optimization-key-roofline_cap", "collective-key-group_sise",
+            "bucket-key-bata", "hardware-key-M_GPUS", "collective-not-object",
+            "bucket-not-object"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)

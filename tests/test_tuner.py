@@ -1,11 +1,33 @@
-import pytest
+from dataclasses import replace
 
-from helpers import exhaustive_tune_reference, make_db, make_hardware, tiny_dense
-from traincost.errors import InputError
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    exhaustive_tune_reference,
+    make_db,
+    make_hardware,
+    tiny_dense,
+    tiny_moe,
+)
+from traincost.arch import decompose
+from traincost.basecost import evaluate_plan
+from traincost.errors import InputError, ShapeError
 from traincost.fault import FaultModel
-from traincost.optim import OptimizationSet
+from traincost.optim import (
+    ACTIVATION_STRATEGIES,
+    OPTIMIZER_STRATEGIES,
+    DpOverlapCoeffs,
+    OffloadCoeffs,
+    OptimizationSet,
+    OverlapCoeffs,
+)
 from traincost.tuner import (
+    Candidate,
     SearchSpace,
+    TuneResult,
+    _enumerate_plans,
     linearity,
     prune,
     sweep,
@@ -143,6 +165,96 @@ class TestTuneStep:
         strategies = {(c.optimizer_strategy, c.activation_strategy)
                       for c in combos}
         assert ("cpu", "offload") in strategies and ("none", "none") in strategies
+
+
+def unshared_tune_reference(space) -> TuneResult:
+    """tune_step(top_k=None) without shared terms: every candidate is
+    validated, decomposed and evaluated on its own, with no memo."""
+    space = space.resolved()
+    rejections: dict[str, int] = {}
+    feasible, evaluated = [], 0
+    for plan in _enumerate_plans(space, rejections):
+        for idx, opts in enumerate(space.opt_combos):
+            evaluated += 1
+            try:
+                plan.validate()
+                decomp = decompose(space.arch, plan, space.dtypes.act_bytes)
+                result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
+                                       tflops_mode=space.tflops_mode,
+                                       memory_limit=space.db.hardware.gpu_memory,
+                                       decomp=decomp)
+            except (ShapeError, InputError) as exc:
+                key = str(exc).split(":")[0]
+            else:
+                if result.cost is not None:
+                    feasible.append(Candidate(plan, opts, idx, result.cost,
+                                              result.memory))
+                    continue
+                key = "memory"
+            rejections[key] = rejections.get(key, 0) + 1
+    feasible.sort(key=lambda c: c.step_key)
+    return TuneResult(tuple(feasible), evaluated, rejections)
+
+
+coeff = st.sampled_from([1.0, 1.25, 2.0])
+overlap = st.none() | st.builds(OverlapCoeffs, alpha=coeff, beta=coeff,
+                                splits=st.integers(1, 3))
+COMBO_FIELDS = {
+    "compute_scaling": st.sampled_from([{}, {"*": 0.5}, {"qkv": 2.0, "*": 0.8},
+                                        {"head": 1.5}]),
+    "comm_scaling": st.sampled_from([{}, {"*": 2.0}, {"all-gather": 0.5, "p2p": 3.0}]),
+    "tp_overlap": overlap, "cp_overlap": overlap, "ep_overlap": overlap,
+    "pp_overlap": overlap,
+    "dp_overlap": st.none() | st.builds(
+        DpOverlapCoeffs, alpha_rs=coeff, beta_bwd=coeff,
+        mode=st.sampled_from(["exposed-only", "verbatim"])),
+    "optimizer_strategy": st.sampled_from(OPTIMIZER_STRATEGIES),
+    "activation_strategy": st.sampled_from(ACTIVATION_STRATEGIES),
+    "offload_coeffs": st.builds(OffloadCoeffs, alpha_offload=coeff,
+                                beta_offload=coeff, alpha_fetch=coeff,
+                                beta_fetch=coeff),
+}
+
+
+@st.composite
+def feature_combos(draw):
+    """A random combo plus variants of it that differ in one or two fields,
+    so that a memo key missing a field makes two combos collide."""
+    base = draw(st.builds(OptimizationSet, **COMBO_FIELDS))
+    combos = [base]
+    for _ in range(draw(st.integers(0, 4))):
+        names = draw(st.lists(st.sampled_from(sorted(COMBO_FIELDS)), min_size=1,
+                              max_size=2, unique=True))
+        combos.append(replace(base, **{n: draw(COMBO_FIELDS[n]) for n in names}))
+    return tuple(combos)
+
+
+@st.composite
+def small_spaces(draw):
+    moe = draw(st.booleans())
+    arch = tiny_moe(l=4, s=8, h=8) if moe else tiny_dense(l=4, s=8, h=8, a=2)
+    hw = make_hardware(gpu_memory=draw(st.sampled_from([2e4, 6e4, 2e5, 1e12])),
+                       cpu_memory=draw(st.sampled_from([1e3, 2000e9])))
+    db = make_db(hw, tflops=draw(st.sampled_from([0.5, 1.0])),
+                 per_kind_gbps={"p2p": draw(st.sampled_from([0.1, 1.0])),
+                                "all-to-all": 0.3})
+    return SearchSpace(
+        arch=arch, db=db, total_gpus=8, global_batch=8,
+        tp_candidates=(1, 2), cp_candidates=draw(st.sampled_from([(1,), (1, 2)])),
+        pp_candidates=(1, 2), ep_candidates=(1, 2, 4) if moe else (1,),
+        micro_batch_candidates=(1, 2), chunk_candidates=(1, 2),
+        opt_combos=draw(feature_combos()),
+    )
+
+
+class TestSharedTerms:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_spaces())
+    def test_tune_step_matches_unshared_evaluation(self, space):
+        # every float, the evaluated count and the rejection counts
+        assert tune_step(space, top_k=None).to_json_dict() \
+            == unshared_tune_reference(space).to_json_dict()
 
 
 class TestTuneE2e:
