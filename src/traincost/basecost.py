@@ -27,7 +27,7 @@ from .arch import (
     decompose,
     model_flops_total,
 )
-from .errors import InputError
+from .errors import InputError, ShapeError, check_keys
 from .optim import OptimizationSet
 from .plan import ParallelPlan
 from .profile import (
@@ -56,6 +56,7 @@ class Dtypes:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dtypes":
+        check_keys(data, ("D_para", "D_grad", "D_opt", "D_act"), "dtypes")
         return cls(
             param_bytes=data.get("D_para", 2.0),
             grad_bytes=data.get("D_grad", 2.0),
@@ -377,16 +378,19 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 
 
 class EvalMemo:
-    """Terms evaluate_plan shares between calls that evaluate plans of one
+    """Work evaluate_plan shares between calls that evaluate plans of one
     (arch, db, dtypes), as the tuner does for every candidate of a tune.
 
-    * Per plan (the last one seen, by identity): the parameter and activation
-      byte terms, the static bytes of each optimizer strategy and the
-      activation bytes of each activation strategy. A plan's feature combos
-      differ in these only through the two strategies.
-    * Per shape: the layer cost and the embedding/head module times, keyed by
-      (tp, cp, ep, micro_batch) and the combo fields they read: compute and
-      comm scaling and the tp/cp/ep overlap coefficients.
+    * Per plan (the last one seen, by identity): validation, the parameter
+      and activation byte terms, the static bytes of each optimizer strategy
+      and the activation bytes of each activation strategy. A plan's feature
+      combos differ in these only through the two strategies.
+    * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
+      reads: the decomposition, or the ShapeError message it raised, which
+      is raised again for every later plan of that shape.
+    * Per shape and the combo fields they read (compute and comm scaling and
+      the tp/cp/ep overlap coefficients): the layer cost and the
+      embedding/head module times.
     * Per batch split: model_flops_total, keyed by
       (micro_batch, micro_batches * dp).
 
@@ -397,12 +401,26 @@ class EvalMemo:
         self.plan: ParallelPlan | None = None
         self.static: dict[str, tuple[float, float]] = {}
         self.activation: dict[str, float] = {}
+        self.decomps: dict[tuple, Decomposition | str] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.flops: dict[tuple[int, int], float] = {}
 
-    def start_plan(self, plan: ParallelPlan, decomp: Decomposition,
+    def start_plan(self, arch: ModelArchitecture, plan: ParallelPlan,
                    dtypes: Dtypes) -> None:
-        self.plan = plan
+        """Validate `plan` and set its decomposition and byte terms; raises
+        ShapeError for an invalid plan or shape."""
+        plan.validate()
+        shape = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
+        decomp = self.decomps.get(shape)
+        if decomp is None:
+            try:
+                decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+            except ShapeError as exc:
+                decomp = str(exc)
+            self.decomps[shape] = decomp
+        if isinstance(decomp, str):
+            raise ShapeError(decomp)
+        self.plan, self.shape, self.decomp = plan, shape, decomp
         self.params = decomp.layer_params
         self.params_held = plan.chunks * plan.layers_per_stage * self.params
         self.param_bytes = dtypes.param_bytes * self.params_held
@@ -441,7 +459,6 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                   dtypes: Dtypes = Dtypes(),
                   tflops_mode: str = "fwd-bwd-per-device",
                   memory_limit: float | None = None,
-                  decomp: Decomposition | None = None,
                   memo: EvalMemo | None = None) -> PlanEvaluation:
     """Evaluate one plan end to end: memory, then layer times with feature
     overlays, pipeline phases, optimizer, step time and TFLOPS.
@@ -450,18 +467,14 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     on latency. When its peak exceeds memory_limit, cost is None. The latency
     terms are then skipped if the profile is complete; otherwise they still
     run, so a missing profile entry raises as it would without the limit.
-    decomp, when given, must be decompose(arch, plan, dtypes.act_bytes) of
-    this plan, already validated. memo, when given, must only have served
-    evaluations of this arch, db and dtypes (see EvalMemo)."""
+    memo, when given, must only have served evaluations of this arch, db and
+    dtypes (see EvalMemo)."""
     opts = opts or OptimizationSet()
-    if decomp is None:
-        plan.validate()
-        decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
     if memo is None:
         memo = EvalMemo()
     if memo.plan is not plan:
-        memo.start_plan(plan, decomp, dtypes)
-    hw = db.hardware
+        memo.start_plan(arch, plan, dtypes)
+    decomp, hw = memo.decomp, db.hardware
 
     # Memory. The strategy ops return the same bytes for any times, so each
     # runs once per plan with zero times, and again below with the layer
@@ -483,8 +496,8 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:
         return PlanEvaluation(cost=None, memory=memory)  # no lookup below can fail
 
-    shape_key = (plan.tp, plan.cp, plan.ep, plan.micro_batch,
-                 tuple(opts.compute_scaling.items()), tuple(opts.comm_scaling.items()),
+    shape_key = (memo.shape, tuple(opts.compute_scaling.items()),
+                 tuple(opts.comm_scaling.items()),
                  opts.tp_overlap, opts.cp_overlap, opts.ep_overlap)
     shape = memo.shapes.get(shape_key)
     if shape is None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
 from .basecost import Dtypes
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_keys
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
 from .plan import ParallelPlan
@@ -46,12 +46,11 @@ class FaultSection:
             return steps_from_tokens(self.tokens, global_batch, seq_len)
         raise ConfigError("fault config needs either S or tokens")
 
-    def policy(self, step_s: float, global_batch: int, seq_len: int,
-               interval: int | None = None) -> CheckpointPolicy:
-        chosen = interval if interval is not None else self.interval_steps
-        if chosen is None:
-            raise ConfigError("fault config has no I_ckpt and none was supplied")
-        return CheckpointPolicy(chosen, self.save_s,
+    def policy(self, step_s: float, global_batch: int,
+               seq_len: int) -> CheckpointPolicy:
+        if self.interval_steps is None:
+            raise ConfigError("fault config has no I_ckpt")
+        return CheckpointPolicy(self.interval_steps, self.save_s,
                                 self.resolve_steps(global_batch, seq_len), step_s)
 
 
@@ -129,23 +128,28 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _read_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return _object(json.load(fh), path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"parse error in {path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 def _load_section(value, base_dir: str) -> dict:
     """A section is either an inline object or a path to a JSON file."""
     if isinstance(value, dict):
         return value
     if isinstance(value, str):
-        path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-        try:
-            with open(path) as fh:
-                return _object(json.load(fh), path)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"referenced file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"parse error in {path}: {exc}") from exc
+        return _read_json(value if os.path.isabs(value) else os.path.join(base_dir, value))
     raise ConfigError(f"section must be an object or a file path, got {type(value).__name__}")
 
 
 def _parse_fault(section: dict) -> FaultSection:
+    check_keys(section, ("N_nodes", "r_f_per_node_day", "u0", "u_bc", "u_bp", "u_bj",
+                         "mix", "u_b", "T_save", "I_ckpt", "S", "tokens"), "fault")
     model = FaultModel.from_json_dict(section)
     interval = section.get("I_ckpt")
     return FaultSection(
@@ -160,12 +164,14 @@ def _parse_fault(section: dict) -> FaultSection:
 def _parse_space(section: dict, arch: ModelArchitecture, db: ProfileDB,
                  combos: tuple[OptimizationSet, ...], dtypes: Dtypes,
                  tflops_mode: str) -> SearchSpace:
+    check_keys(section, ("g_n", "g_bs", "t", "c", "p", "e", "d", "m_bs", "v"), "space")
+
     def cand(key):
-        return tuple(int(x) for x in section.get(key, ()))
+        return tuple(section.get(key, ()))
     return SearchSpace(
         arch=arch, db=db,
-        total_gpus=int(section["g_n"]),
-        global_batch=int(section["g_bs"]),
+        total_gpus=section["g_n"],
+        global_batch=section["g_bs"],
         tp_candidates=cand("t"),
         cp_candidates=cand("c") or (1,),
         pp_candidates=cand("p"),
@@ -175,16 +181,6 @@ def _parse_space(section: dict, arch: ModelArchitecture, db: ProfileDB,
         chunk_candidates=cand("v"),
         opt_combos=combos, dtypes=dtypes, tflops_mode=tflops_mode,
     )
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return _object(json.load(fh), path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"parse error in {path}: line {exc.lineno}: {exc.msg}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -202,6 +198,9 @@ def load_config_with_space(path: str, space_path: str) -> RunConfig:
 
 
 def _build_config(raw: dict, base_dir: str) -> RunConfig:
+    check_keys(raw, ("schema_version", "model", "hardware", "profile", "dtypes",
+                     "tflops_mode", "optimization", "plan", "space", "fault",
+                     "output"), "config")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
@@ -216,7 +215,7 @@ def _build_config(raw: dict, base_dir: str) -> RunConfig:
     with _section("profile"):
         db = ProfileDB.from_json_dict(_load_section(raw["profile"], base_dir), hardware)
     with _section("dtypes"):
-        dtypes = Dtypes.from_json_dict(_object(raw.get("dtypes", {}), "dtypes"))
+        dtypes = Dtypes.from_json_dict(raw.get("dtypes", {}))
     tflops_mode = raw.get("tflops_mode", "fwd-bwd-per-device")
 
     with _section("optimization"):

@@ -133,9 +133,16 @@ def mean_repair_time(fault: FaultModel) -> float:
 
 
 def _denominator(fault: FaultModel, policy: CheckpointPolicy) -> float:
+    """1 - lambda * (u_b + rollback); raises InfeasibleError unless positive."""
     u_b = mean_repair_time(fault)
     rollback = policy.interval_steps * policy.step_s / 2.0
-    return 1.0 - fault.failures_per_second * (u_b + rollback)
+    den = 1.0 - fault.failures_per_second * (u_b + rollback)
+    if den <= 0:
+        raise InfeasibleError(
+            "failure rate too high for checkpointing to converge "
+            f"(denominator {den:.3g} <= 0)"
+        )
+    return den
 
 
 def failure_fixed_point(fault: FaultModel, policy: CheckpointPolicy) -> float:
@@ -147,14 +154,8 @@ def failure_fixed_point(fault: FaultModel, policy: CheckpointPolicy) -> float:
     lam = fault.failures_per_second
     if lam == 0:
         return 0.0
-    den = _denominator(fault, policy)
-    if den <= 0:
-        raise InfeasibleError(
-            "failure rate too high for checkpointing to converge "
-            f"(denominator {den:.3g} <= 0)"
-        )
     base = policy.training_s + fault.init_s + policy.num_saves * policy.save_s
-    return lam * base / den
+    return lam * base / _denominator(fault, policy)
 
 
 def ettr_exact(fault: FaultModel, policy: CheckpointPolicy) -> EttrReport:
@@ -178,14 +179,8 @@ def ettr_exact(fault: FaultModel, policy: CheckpointPolicy) -> EttrReport:
 def ettr_closed_form(fault: FaultModel, policy: CheckpointPolicy) -> float:
     """Closed-form expected ETTR; drops the initialization term and the
     ceiling on the save count relative to ettr_exact."""
-    den = _denominator(fault, policy)
-    if den <= 0:
-        raise InfeasibleError(
-            "failure rate too high for checkpointing to converge "
-            f"(numerator {den:.3g} <= 0)"
-        )
     save_ratio = policy.save_s / (policy.interval_steps * policy.step_s)
-    return den / (1.0 + save_ratio)
+    return _denominator(fault, policy) / (1.0 + save_ratio)
 
 
 def e2e_objective(fault: FaultModel, policy: CheckpointPolicy) -> float:

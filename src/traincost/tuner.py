@@ -8,22 +8,15 @@ enumeration returns exactly the feasible set an exhaustive scan would.
 Ranking is a total order (step time, then the plan tuple) so results are
 bit-stable across runs.
 
-Candidates are evaluated serially, memory first: a plan over the device
-memory is rejected before its latency is computed. Each plan is validated
-and decomposed once for all its feature combos, and the decomposition is
-shared by every plan with the same (tp, cp, ep, micro_batch). One
-basecost.EvalMemo per tune shares the rest: per plan the memory terms of
-each optimizer and activation strategy, per shape and latency-relevant
-combo fields the layer and embedding/head times, per batch split the model
-FLOPs. Only feasible candidates are kept; a rejection is counted under its
-reason.
+Candidates are evaluated serially through one basecost.EvalMemo per tune,
+whose docstring says what work they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arch import Decomposition, ModelArchitecture, decompose
+from .arch import ModelArchitecture
 from .basecost import (
     TFLOPS_MODES,
     CostReport,
@@ -54,6 +47,11 @@ def _powers_of_two(limit: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+_PLAN_DIMS = {"t": "tp_candidates", "c": "cp_candidates", "p": "pp_candidates",
+              "e": "ep_candidates", "d": "dp_candidates",
+              "m_bs": "micro_batch_candidates", "v": "chunk_candidates"}
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     arch: ModelArchitecture
@@ -72,8 +70,12 @@ class SearchSpace:
     tflops_mode: str = "fwd-bwd-per-device"
 
     def __post_init__(self):
-        if self.total_gpus < 1:
-            raise InputError("total_gpus must be >= 1")
+        counts = [("total_gpus", self.total_gpus), ("global_batch", self.global_batch)]
+        counts += [(name, value) for name in _PLAN_DIMS.values()
+                   for value in getattr(self, name)]
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InputError(f"{name} value {value!r} is not an integer >= 1")
         if self.tflops_mode not in TFLOPS_MODES:
             raise InputError(f"unknown tflops mode {self.tflops_mode!r}")
 
@@ -216,57 +218,29 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]):
     yield from descend(0, {})
 
 
-def _rejection_key(exc: Exception) -> str:
-    return str(exc).split(":")[0]
-
-
-def _shape(space: SearchSpace, plan: ParallelPlan,
-           shapes: dict[tuple, Decomposition | str]) -> Decomposition | str:
-    """The plan's decomposition, or the key its rejection counts under (a
-    ShapeError message up to its first ':'). `shapes` memoises either per
-    (tp, cp, ep, micro_batch), the only plan fields the decomposition reads,
-    for the duration of one tune."""
-    try:
-        plan.validate()
-    except ShapeError as exc:
-        return _rejection_key(exc)
-    key = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
-    if key not in shapes:
-        try:
-            shapes[key] = decompose(space.arch, plan,
-                                    act_dtype_bytes=space.dtypes.act_bytes)
-        except ShapeError as exc:
-            shapes[key] = _rejection_key(exc)
-    return shapes[key]
-
-
 def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     """Search the space for the plans with the smallest step time.
 
     Returns the top_k feasible candidates (all of them when top_k is None)
     ranked by ascending step time with a deterministic lexicographic
-    tie-break, plus rejection statistics."""
+    tie-break, plus the count of each rejection reason: a pruning rule, a
+    ShapeError or InputError message up to its first ':', or "memory"."""
     space = space.resolved()
     combos = space.opt_combos
     limit = space.db.hardware.gpu_memory
     rejections: dict[str, int] = {}
-    shapes: dict[tuple, Decomposition | str] = {}
     memo = EvalMemo()
     feasible: list[Candidate] = []
     evaluated = 0
     for plan in _enumerate_plans(space, rejections):
         evaluated += len(combos)
-        decomp = _shape(space, plan, shapes)
-        if isinstance(decomp, str):
-            rejections[decomp] = rejections.get(decomp, 0) + len(combos)
-            continue
         for idx, opts in enumerate(combos):
             try:
                 result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
                                        tflops_mode=space.tflops_mode,
-                                       memory_limit=limit, decomp=decomp, memo=memo)
+                                       memory_limit=limit, memo=memo)
             except (ShapeError, InputError) as exc:
-                key = _rejection_key(exc)
+                key = str(exc).split(":")[0]
             else:
                 if result.cost is not None:
                     feasible.append(Candidate(plan, opts, idx, result.cost,
@@ -331,10 +305,6 @@ class SweepResult:
             "rows": [list(r) for r in self.rows],
         }
 
-
-_PLAN_DIMS = {"t": "tp_candidates", "c": "cp_candidates", "p": "pp_candidates",
-              "e": "ep_candidates", "d": "dp_candidates",
-              "m_bs": "micro_batch_candidates", "v": "chunk_candidates"}
 
 _FAULT_PARAMS = ("r_f", "u_b", "T_save", "N_nodes", "I_ckpt")
 

@@ -360,16 +360,6 @@ class TestMemoryFirst:
             if limited.cost is not None:
                 assert limited.cost == full.cost
 
-    @pytest.mark.parametrize("arch", SMALL_ARCHS, ids=["dense", "moe"])
-    def test_supplied_decomposition_is_identical(self, arch, flat_db):
-        dtypes = Dtypes(act_bytes=1.0)
-        for plan in _small_plans(arch):
-            decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
-            for opts in default_feature_combos():
-                assert evaluate_plan(arch, plan, flat_db, opts, dtypes,
-                                     decomp=decomp) \
-                    == evaluate_plan(arch, plan, flat_db, opts, dtypes)
-
     @pytest.mark.parametrize("side,name", [
         ("compute", "norm"), ("compute", "head"), ("comm", "all-gather"),
         ("comm", "reduce-scatter"), ("comm", "all-reduce"), ("comm", "p2p"),

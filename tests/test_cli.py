@@ -256,6 +256,14 @@ class TestConfigInput:
          "collective must be a JSON object, got str"),
         ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
             {"kind": "p2p", "buckets": [1]}]}}, "bucket must be a JSON object, got int"),
+        *[({"space": {"g_n": 8, "g_bs": 8, key: value}}, "space section invalid")
+          for key, value in (("m_bs", [0]), ("d", [0]), ("v", [0]), ("p", [0]),
+                             ("t", [2.5]), ("t", [True]), ("t", [-2]),
+                             ("g_n", 8.0), ("g_bs", False))],
+        ({"fault": {**FAULT, "u_bb": 1e6}}, "unknown fault key 'u_bb'"),
+        ({"space": {"g_n": 8, "g_bs": 8, "tp": [4]}}, "unknown space key 'tp'"),
+        ({"dtypes": {"D_params": 2}}, "unknown dtypes key 'D_params'"),
+        ({"optimisation": {}}, "unknown config key 'optimisation'"),
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -268,7 +276,10 @@ class TestConfigInput:
             "operator-key-shape", "operator-key-bwd_flops_ratio",
             "optimization-key-roofline_cap", "collective-key-group_sise",
             "bucket-key-bata", "hardware-key-M_GPUS", "collective-not-object",
-            "bucket-not-object"])
+            "bucket-not-object", "space-m_bs-zero", "space-d-zero", "space-v-zero",
+            "space-p-zero", "space-t-float", "space-t-bool", "space-t-negative",
+            "space-g_n-float", "space-g_bs-bool", "fault-key-u_bb", "space-key-tp",
+            "dtypes-key-D_params", "config-key-optimisation"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)

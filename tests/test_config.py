@@ -1,4 +1,6 @@
+import glob
 import json
+import os
 
 import pytest
 
@@ -13,6 +15,9 @@ PROFILE = {"operators": [{"module": "*", "fwd_TFLOPS": 100}],
            "collectives": [{"kind": k, "group_size": 8, "bandwidth_GBps": 100}
                            for k in ("all-gather", "reduce-scatter",
                                      "all-reduce", "all-to-all", "p2p")]}
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def write_config(tmp_path, body, name="run.json"):
@@ -110,3 +115,24 @@ class TestLoadConfig:
     def test_unknown_output_format(self, tmp_path):
         with pytest.raises(ConfigError, match="output"):
             load_config(write_config(tmp_path, minimal_body(output="yaml")))
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("model", ["llama2_70b", "llama3_405b", "deepseek_v3"])
+    @pytest.mark.parametrize("hardware", ["hardware_a", "hardware_b"])
+    def test_model_and_hardware_files_load(self, tmp_path, configs_dir, model,
+                                           hardware):
+        body = {"schema_version": 1, "space": {"g_n": 8, "g_bs": 8}}
+        for key, name in (("model", model), ("hardware", hardware),
+                          ("profile", "profile_example"), ("fault", "fault_example")):
+            body[key] = os.path.abspath(os.path.join(configs_dir, f"{name}.json"))
+        cfg = load_config(write_config(tmp_path, body))
+        assert cfg.arch.num_layers > 0 and cfg.fault is not None
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(ROOT, "configs", "run_*.json"))
+        + glob.glob(os.path.join(ROOT, "bench", "configs", "*.json"))),
+        ids=os.path.basename)
+    def test_run_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.plan is not None or cfg.space is not None

@@ -11,7 +11,6 @@ from helpers import (
     tiny_dense,
     tiny_moe,
 )
-from traincost.arch import decompose
 from traincost.basecost import evaluate_plan
 from traincost.errors import InputError, ShapeError
 from traincost.fault import FaultModel
@@ -130,7 +129,7 @@ class TestTuneStep:
         assert rebuilt.to_json_dict() == first.to_json_dict()
 
     def test_shape_rejection_counted_for_every_candidate(self):
-        # the decomposition is memoised per shape, its ShapeError too
+        # the memo keeps a shape's ShapeError and raises it for every combo
         space = small_space(tp_candidates=(1, 3), pp_candidates=(1,),
                             dp_candidates=(1,), chunk_candidates=(1,))
         result = tune_step(space, top_k=None)
@@ -177,12 +176,9 @@ def unshared_tune_reference(space) -> TuneResult:
         for idx, opts in enumerate(space.opt_combos):
             evaluated += 1
             try:
-                plan.validate()
-                decomp = decompose(space.arch, plan, space.dtypes.act_bytes)
                 result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
                                        tflops_mode=space.tflops_mode,
-                                       memory_limit=space.db.hardware.gpu_memory,
-                                       decomp=decomp)
+                                       memory_limit=space.db.hardware.gpu_memory)
             except (ShapeError, InputError) as exc:
                 key = str(exc).split(":")[0]
             else:
@@ -240,7 +236,9 @@ def small_spaces(draw):
                                 "all-to-all": 0.3})
     return SearchSpace(
         arch=arch, db=db, total_gpus=8, global_batch=8,
-        tp_candidates=(1, 2), cp_candidates=draw(st.sampled_from([(1,), (1, 2)])),
+        # tp=3 does not divide h=8: the memo re-raises that shape's ShapeError
+        tp_candidates=draw(st.sampled_from([(1, 2), (1, 2, 3)])),
+        cp_candidates=draw(st.sampled_from([(1,), (1, 2)])),
         pp_candidates=(1, 2), ep_candidates=(1, 2, 4) if moe else (1,),
         micro_batch_candidates=(1, 2), chunk_candidates=(1, 2),
         opt_combos=draw(feature_combos()),
