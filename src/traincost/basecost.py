@@ -90,8 +90,7 @@ class PipelinePhases(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     t_fwd: float
     t_bwd: float
     t_warmup: float
@@ -132,8 +131,7 @@ class CostReport:
         }
 
 
-@dataclass(frozen=True)
-class MemoryReport:
+class MemoryReport(NamedTuple):
     m_static: float
     m_activation: float
     m_peak: float
@@ -154,8 +152,7 @@ class MemoryReport:
         }
 
 
-@dataclass(frozen=True)
-class PlanEvaluation:
+class PlanEvaluation(NamedTuple):
     cost: CostReport | None   # None when memory exceeded the evaluation's limit
     memory: MemoryReport
 
@@ -329,15 +326,20 @@ def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan,
 
 def optimizer_time(plan: ParallelPlan, params_per_layer: float, db: ProfileDB,
                    dtypes: Dtypes = Dtypes(),
-                   opts: OptimizationSet | None = None) -> tuple[float, float, float]:
+                   opts: OptimizationSet | None = None,
+                   memo: "EvalMemo | None" = None,
+                   t_dp: float | None = None) -> tuple[float, float, float]:
     """(t_dp, t_update, t_opt): gradient exchange plus parameter update.
 
-    Base form only; strategy and overlap adjustments happen in evaluate_plan."""
+    Base form only; strategy and overlap adjustments happen in evaluate_plan.
+    A given t_dp (the dp-overlap exchange) replaces the all-reduce; otherwise
+    the all-reduce is computed, through memo's collective times if given."""
     opts = opts or OptimizationSet()
     params_total = plan.chunks * plan.layers_per_stage * params_per_layer
-    vol = comm_volume("dp", plan, params_per_layer=params_per_layer,
-                      grad_dtype_bytes=dtypes.grad_bytes)
-    t_dp = _collective_time(db, opts, "all-reduce", plan.dp, vol)
+    if t_dp is None:
+        vol = comm_volume("dp", plan, params_per_layer=params_per_layer,
+                          grad_dtype_bytes=dtypes.grad_bytes)
+        t_dp = (memo or EvalMemo()).collective(db, opts, "all-reduce", plan.dp, vol)
     p_opt = db.hardware.optimizer_throughput * opts.compute_lambda("optimizer")
     t_update = params_total / p_opt if params_total else 0.0
     return t_dp, t_update, t_dp + t_update
@@ -381,16 +383,23 @@ class EvalMemo:
     """Work evaluate_plan shares between calls that evaluate plans of one
     (arch, db, dtypes), as the tuner does for every candidate of a tune.
 
-    * Per plan (the last one seen, by identity): validation, the parameter
-      and activation byte terms, the static bytes of each optimizer strategy
-      and the activation bytes of each activation strategy. A plan's feature
-      combos differ in these only through the two strategies.
+    * Once: whether the profile is complete, so that no lookup can fail and
+      a plan over the memory limit may skip latency.
     * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
-      reads: the decomposition, or the ShapeError message it raised, which
-      is raised again for every later plan of that shape.
+      reads: the decomposition and its byte terms (per-layer parameters and
+      activation bytes, attention-core and layer-input bytes), or the
+      ShapeError message decompose raised, raised again for every later
+      plan of that shape.
+    * Per plan (the last one seen, by identity): validation, the held
+      parameter and gradient bytes, the static bytes of each optimizer
+      strategy and the activation bytes of each activation strategy. A
+      plan's feature combos differ in these only through the two strategies.
     * Per shape and the combo fields they read (compute and comm scaling and
       the tp/cp/ep overlap coefficients): the layer cost and the
       embedding/head module times.
+    * Per collective (kind, group size, message bytes, comm_lambda(kind)):
+      its time, for the pipeline hop and the dp all-reduce or per-chunk
+      reduce-scatter/all-gather.
     * Per batch split: model_flops_total, keyed by
       (micro_batch, micro_batches * dp).
 
@@ -399,38 +408,53 @@ class EvalMemo:
 
     def __init__(self) -> None:
         self.plan: ParallelPlan | None = None
+        self.complete: bool | None = None
         self.static: dict[str, tuple[float, float]] = {}
         self.activation: dict[str, float] = {}
-        self.decomps: dict[tuple, Decomposition | str] = {}
+        self.decomps: dict[tuple, tuple | str] = {}
         self.shapes: dict[tuple, tuple] = {}
+        self.collectives: dict[tuple, float] = {}
         self.flops: dict[tuple[int, int], float] = {}
 
     def start_plan(self, arch: ModelArchitecture, plan: ParallelPlan,
-                   dtypes: Dtypes) -> None:
+                   db: ProfileDB, dtypes: Dtypes) -> None:
         """Validate `plan` and set its decomposition and byte terms; raises
         ShapeError for an invalid plan or shape."""
+        if self.complete is None:
+            self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         plan.validate()
         shape = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
-        decomp = self.decomps.get(shape)
-        if decomp is None:
+        terms = self.decomps.get(shape)
+        if terms is None:
             try:
-                decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+                d = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
             except ShapeError as exc:
-                decomp = str(exc)
-            self.decomps[shape] = decomp
-        if isinstance(decomp, str):
-            raise ShapeError(decomp)
-        self.plan, self.shape, self.decomp = plan, shape, decomp
-        self.params = decomp.layer_params
+                terms = str(exc)
+            else:
+                terms = (d, d.layer_params, d.layer_act_bytes,
+                         sum(m.act_bytes for m in d.layer
+                             if m.name in ATTENTION_CORE_MODULES),
+                         d.layer[0].act_bytes)  # first norm retains the layer input
+            self.decomps[shape] = terms
+        if isinstance(terms, str):
+            raise ShapeError(terms)
+        (self.decomp, self.params, self.layer_act_bytes, self.attention_act_bytes,
+         self.input_act_bytes) = terms
+        self.plan, self.shape = plan, shape
         self.params_held = plan.chunks * plan.layers_per_stage * self.params
         self.param_bytes = dtypes.param_bytes * self.params_held
         self.grad_bytes = dtypes.grad_bytes * self.params_held
-        self.layer_act_bytes = decomp.layer_act_bytes
-        self.attention_act_bytes = sum(m.act_bytes for m in decomp.layer
-                                       if m.name in ATTENTION_CORE_MODULES)
-        self.input_act_bytes = decomp.layer[0].act_bytes  # first norm retains the layer input
         self.static.clear()
         self.activation.clear()
+
+    def collective(self, db: ProfileDB, opts: OptimizationSet, kind: str,
+                   group: int, volume: float) -> float:
+        """_collective_time, memoised on the inputs it reads."""
+        key = (kind, group, volume, opts.comm_lambda(kind))
+        t = self.collectives.get(key)
+        if t is None:
+            t = self.collectives[key] = _collective_time(db, opts, kind, group, volume)
+        return t
 
 
 def _activation(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
@@ -473,7 +497,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if memo is None:
         memo = EvalMemo()
     if memo.plan is not plan:
-        memo.start_plan(arch, plan, dtypes)
+        memo.start_plan(arch, plan, db, dtypes)
     decomp, hw = memo.decomp, db.hardware
 
     # Memory. The strategy ops return the same bytes for any times, so each
@@ -493,8 +517,8 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     memory = MemoryReport(m_static, m_act, m_static + m_act, memo.param_bytes,
                           memo.grad_bytes, opt_bytes)
     over_limit = memory_limit is not None and memory.m_peak > memory_limit
-    if over_limit and db.compute.has_wildcard and db.comm.has_every_kind:
-        return PlanEvaluation(cost=None, memory=memory)  # no lookup below can fail
+    if over_limit and memo.complete:
+        return PlanEvaluation(None, memory)  # no lookup below can fail
 
     shape_key = (memo.shape, tuple(opts.compute_scaling.items()),
                  tuple(opts.comm_scaling.items()),
@@ -528,7 +552,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     t_pp_hop = 0.0
     if plan.pp > 1:
         vol = comm_volume("pp", plan, arch, dtypes.act_bytes)
-        t_pp_hop = _collective_time(db, opts, "p2p", 2, vol)
+        t_pp_hop = memo.collective(db, opts, "p2p", 2, vol)
     t_pp_steady = t_pp_hop
     if opts.pp_overlap is not None and t_pp_hop > 0:
         ov = opts.pp_overlap
@@ -540,25 +564,32 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp_hop,
                            t_embed, t_head, t_embed_bwd, t_head_bwd, t_pp_steady)
     # The phase formulas are linear in their inputs, so each exposure channel
-    # is pipeline_time on that channel's terms alone.
+    # is pipeline_time on that channel's terms alone; a channel without terms
+    # is exactly 0.0 and skips the call.
     t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, 0.0, t_embed,
                           t_head, t_embed_bwd, t_head_bwd).total
-    t_tp = pipeline_time(fwd_parts.tp, bwd_parts.tp, plan).total
-    t_cp = pipeline_time(fwd_parts.cp, bwd_parts.cp, plan).total
-    t_ep = pipeline_time(fwd_parts.ep, bwd_parts.ep, plan).total
-    t_pp = pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
+    t_tp, t_cp, t_ep = (
+        pipeline_time(f, b, plan).total if f or b else 0.0
+        for f, b in ((fwd_parts.tp, bwd_parts.tp), (fwd_parts.cp, bwd_parts.cp),
+                     (fwd_parts.ep, bwd_parts.ep)))
+    t_pp = (pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
+            if t_pp_hop else 0.0)
 
-    # Optimizer: base, then strategy, then overlap.
-    t_dp, t_update, _ = optimizer_time(plan, memo.params, db, dtypes, opts)
-    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
+    # Optimizer: base, then strategy, then overlap. The dp-overlap exchange
+    # replaces the all-reduce, which is skipped when its lookup cannot fail.
+    t_dp = None
     if opts.dp_overlap is not None and plan.dp > 1:
         per_chunk_params = plan.layers_per_stage * memo.params
-        rs = [_collective_time(db, opts, "reduce-scatter", plan.dp,
-                               dtypes.grad_bytes * per_chunk_params)] * plan.chunks
-        ag = [_collective_time(db, opts, "all-gather", plan.dp,
-                               dtypes.param_bytes * per_chunk_params)] * plan.chunks
+        rs = [memo.collective(db, opts, "reduce-scatter", plan.dp,
+                              dtypes.grad_bytes * per_chunk_params)] * plan.chunks
+        ag = [memo.collective(db, opts, "all-gather", plan.dp,
+                              dtypes.param_bytes * per_chunk_params)] * plan.chunks
         t_dp = _optim.dp_overlap(rs, ag, fwd_parts.total, bwd_parts.total,
                                  plan, opts.dp_overlap)
+    t_base, t_update, _ = optimizer_time(plan, memo.params, db, dtypes, opts, memo=memo,
+                                         t_dp=t_dp if memo.complete else None)
+    t_dp = t_base if t_dp is None else t_dp
+    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
     t_opt = t_dp + t_update
 
     t_step = step_time(phases.total, t_opt)
@@ -577,4 +608,4 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         t_cal=t_cal, t_tp=t_tp, t_pp=t_pp, t_ep=t_ep, t_cp=t_cp,
         warnings=phases.warnings,
     )
-    return PlanEvaluation(cost=None if over_limit else cost, memory=memory)
+    return PlanEvaluation(None if over_limit else cost, memory)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the unknown-key check
-that config sections raise them through."""
+"""Exception types shared across the package, and the input checks that
+config sections, search spaces and sweeps raise them through."""
 
 
 class TraincostError(Exception):
@@ -34,3 +34,10 @@ def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
     unknown = [key for key in data if key not in known]
     if unknown:
         raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
+def check_count(name: str, value) -> int:
+    """Reject a count that is not an int >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} value {value!r} is not an integer >= 1")
+    return value

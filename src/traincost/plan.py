@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ShapeError
+from .errors import ShapeError, check_count
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class ParallelPlan:
     @classmethod
     def from_json_dict(cls, data: dict, num_layers: int | None = None) -> "ParallelPlan":
         """Build from the short key convention used in config files
-        (t, c, p, e, d, m_bs, g_bs, v); long key names are accepted too."""
+        (t, c, p, e, d, m_bs, g_bs, v); long key names are accepted too.
+        Every value must be an integer >= 1."""
         key_map = {
             "t": "tp", "c": "cp", "p": "pp", "e": "ep", "d": "dp",
             "m_bs": "micro_batch", "g_bs": "global_batch", "v": "chunks",
@@ -68,8 +69,7 @@ class ParallelPlan:
         }
         kwargs = {}
         for key, value in data.items():
-            field = key_map.get(key, key)
-            kwargs[field] = int(value)
+            kwargs[key_map.get(key, key)] = check_count(key, value)
         if num_layers is not None:
             kwargs.setdefault("num_layers", num_layers)
         plan = cls(**kwargs)

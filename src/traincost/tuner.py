@@ -25,7 +25,7 @@ from .basecost import (
     MemoryReport,
     evaluate_plan,
 )
-from .errors import InfeasibleError, InputError, ShapeError
+from .errors import InfeasibleError, InputError, ShapeError, check_count
 from .fault import (
     CheckpointPolicy,
     FaultModel,
@@ -74,8 +74,7 @@ class SearchSpace:
         counts += [(name, value) for name in _PLAN_DIMS.values()
                    for value in getattr(self, name)]
         for name, value in counts:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InputError(f"{name} value {value!r} is not an integer >= 1")
+            check_count(name, value)
         if self.tflops_mode not in TFLOPS_MODES:
             raise InputError(f"unknown tflops mode {self.tflops_mode!r}")
 
@@ -263,21 +262,21 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
     the phase split loses nothing; candidates whose fault regime is
     infeasible are annotated and ranked last rather than dropped."""
     step_result = tune_step(space, top_k=None)
-    annotated = []
+    ranked = []   # (sort key, candidate, annotations); annotated after the cut
     for cand in step_result.candidates:
         t_step = cand.cost.t_step
         try:
             interval, ettr = optimal_ckpt_interval(fault, save_s, total_steps, t_step)
             policy = CheckpointPolicy(interval, save_s, total_steps, t_step)
             t_e2e = e2e_objective(fault, policy)
-            annotated.append(replace(cand, interval=interval, ettr=ettr,
-                                     t_e2e=t_e2e))
+            ranked.append(((t_e2e, cand.step_key), cand,
+                           {"interval": interval, "ettr": ettr, "t_e2e": t_e2e}))
         except InfeasibleError as exc:
-            annotated.append(replace(cand, fault_note=str(exc)))
-    annotated.sort(key=lambda c: (c.t_e2e if c.t_e2e is not None else float("inf"),
-                                  c.step_key))
-    return TuneResult(tuple(annotated[:top_k]), evaluated=step_result.evaluated,
-                      rejections=step_result.rejections)
+            ranked.append(((float("inf"), cand.step_key), cand,
+                           {"fault_note": str(exc)}))
+    ranked.sort(key=lambda entry: entry[0])
+    return TuneResult(tuple(replace(cand, **notes) for _, cand, notes in ranked[:top_k]),
+                      evaluated=step_result.evaluated, rejections=step_result.rejections)
 
 
 def linearity(t_step_small: float, t_step_large: float) -> float:
@@ -346,24 +345,26 @@ def sweep(
         if parameter == "g_n":
             # scaling efficiency: ideally-scaled reference time over actual
             if reference is None:
-                reference = (int(value), best.cost.t_step)
-            ideal = reference[1] * reference[0] / int(value)
+                reference = (value, best.cost.t_step)
+            ideal = reference[1] * reference[0] / value
             row += (linearity(ideal, best.cost.t_step),)
         rows.append(row)
     return SweepResult(parameter, columns, tuple(rows))
 
 
 def _pin_parameter(space: SearchSpace, parameter: str, value) -> SearchSpace:
+    if parameter in _PLAN_DIMS or parameter in ("g_bs", "g_n", "N"):
+        check_count(parameter, value)
     if parameter in _PLAN_DIMS:
-        return replace(space.resolved(), **{_PLAN_DIMS[parameter]: (int(value),)})
+        return replace(space.resolved(), **{_PLAN_DIMS[parameter]: (value,)})
     if parameter == "g_bs":
         # candidate micro-batch sets depend on the batch; re-resolve
-        return replace(space, global_batch=int(value),
+        return replace(space, global_batch=value,
                        micro_batch_candidates=()).resolved()
     if parameter == "g_n":
-        return replace(space, total_gpus=int(value), dp_candidates=()).resolved()
+        return replace(space, total_gpus=value, dp_candidates=()).resolved()
     if parameter == "N":
-        hw = replace(space.db.hardware, gpus_per_node=int(value))
+        hw = replace(space.db.hardware, gpus_per_node=value)
         return replace(space, db=replace(space.db, hardware=hw),
                        tp_candidates=()).resolved()
     if parameter == "optimizer_strategy":

@@ -36,9 +36,11 @@ def make_hardware(**overrides) -> HardwareSpec:
 def make_db(hw: HardwareSpec | None = None, tflops: float = 1.0,
             bandwidth_gbps: float = 1.0, beta: float = 1.0,
             entries: list[ComputeEntry] | None = None,
-            per_kind_gbps: dict[str, float] | None = None) -> ProfileDB:
+            per_kind_gbps: dict[str, float] | None = None,
+            group_sizes: tuple[int, ...] = (8,)) -> ProfileDB:
     """Flat profile: one wildcard throughput and one flat bucket per
-    collective kind, so expected latencies are simple ratios."""
+    collective kind and group size, so expected latencies are simple ratios.
+    An entry's bandwidth scales with group_size / 8."""
     hw = hw or make_hardware()
     compute = ComputeProfile(tuple(entries or ()) + (
         ComputeEntry(module="*", fwd_flops_per_s=tflops * 1e12),
@@ -46,10 +48,10 @@ def make_db(hw: HardwareSpec | None = None, tflops: float = 1.0,
     kinds = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
     per_kind = per_kind_gbps or {}
     comm = CommProfile(tuple(
-        CommEntry(kind=kind, group_size=8,
-                  buckets=(CommBucket(1.0, per_kind.get(kind, bandwidth_gbps) * 1e9,
-                                      beta),))
-        for kind in kinds
+        CommEntry(kind=kind, group_size=group,
+                  buckets=(CommBucket(1.0, per_kind.get(kind, bandwidth_gbps)
+                                      * (group / 8) * 1e9, beta),))
+        for kind in kinds for group in group_sizes
     ))
     return ProfileDB(hardware=hw, compute=compute, comm=comm)
 

@@ -89,6 +89,16 @@ class TestTune:
         assert code == 0
         assert captured.out.startswith("| rank |")
 
+    @pytest.mark.parametrize("parameter,value", [
+        ("v", "2.5"), ("t", "0"), ("g_bs", "8.0"), ("g_n", "true"), ("N", "-8")])
+    def test_sweep_rejects_non_integer_value(self, tmp_path, capsys, parameter, value):
+        code, captured = run(capsys, "sweep", "--config", self.space_config(tmp_path),
+                             "--parameter", parameter, "--values", value)
+        assert code == 1
+        assert captured.err.startswith(f"error: {parameter} value ")
+        assert captured.err.endswith(" is not an integer >= 1\n")
+        assert captured.err.count("\n") == 1
+
     def test_e2e_annotates_interval(self, tmp_path, capsys):
         cfg = self.space_config(tmp_path)
         code, captured = run(capsys, "tune", "e2e", "--config", cfg,
@@ -260,6 +270,10 @@ class TestConfigInput:
           for key, value in (("m_bs", [0]), ("d", [0]), ("v", [0]), ("p", [0]),
                              ("t", [2.5]), ("t", [True]), ("t", [-2]),
                              ("g_n", 8.0), ("g_bs", False))],
+        *[({"plan": {"t": 1, "c": 1, "p": 2, "e": 1, "d": 2, "m_bs": 1, "g_bs": 8,
+                     "v": 1, key: value}}, f"plan section invalid: {key} value")
+          for key, value in (("t", 1.5), ("t", True), ("g_bs", 8.0), ("d", "2"),
+                             ("m_bs", 0))],
         ({"fault": {**FAULT, "u_bb": 1e6}}, "unknown fault key 'u_bb'"),
         ({"space": {"g_n": 8, "g_bs": 8, "tp": [4]}}, "unknown space key 'tp'"),
         ({"dtypes": {"D_params": 2}}, "unknown dtypes key 'D_params'"),
@@ -278,7 +292,9 @@ class TestConfigInput:
             "bucket-key-bata", "hardware-key-M_GPUS", "collective-not-object",
             "bucket-not-object", "space-m_bs-zero", "space-d-zero", "space-v-zero",
             "space-p-zero", "space-t-float", "space-t-bool", "space-t-negative",
-            "space-g_n-float", "space-g_bs-bool", "fault-key-u_bb", "space-key-tp",
+            "space-g_n-float", "space-g_bs-bool", "plan-t-float", "plan-t-bool",
+            "plan-g_bs-float", "plan-d-string", "plan-m_bs-zero", "fault-key-u_bb",
+            "space-key-tp",
             "dtypes-key-D_params", "config-key-optimisation"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),

@@ -128,6 +128,28 @@ class TestTuneStep:
         rebuilt = tune_step(small_space(), top_k=6)
         assert rebuilt.to_json_dict() == first.to_json_dict()
 
+    def test_one_evaluate_plan_call_per_candidate(self, monkeypatch):
+        # memory rejections too are full calls that return their
+        # MemoryReport: the benchmark's traced accounting relies on it
+        import traincost.tuner as tuner
+        calls, no_cost = [], []
+        evaluate = tuner.evaluate_plan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            result = evaluate(*args, **kwargs)
+            if result.cost is None:
+                no_cost.append(result.memory)
+            return result
+
+        monkeypatch.setattr(tuner, "evaluate_plan", counting)
+        space = small_space(db=make_db(make_hardware(gpu_memory=3e4)),
+                            tp_candidates=(1, 2, 3))
+        result = tune_step(space, top_k=None)
+        assert result.candidates and result.rejections["memory"] > 0
+        assert len(calls) == result.evaluated
+        assert len(no_cost) == result.rejections["memory"]
+
     def test_shape_rejection_counted_for_every_candidate(self):
         # the memo keeps a shape's ShapeError and raises it for every combo
         space = small_space(tp_candidates=(1, 3), pp_candidates=(1,),
@@ -198,7 +220,11 @@ overlap = st.none() | st.builds(OverlapCoeffs, alpha=coeff, beta=coeff,
 COMBO_FIELDS = {
     "compute_scaling": st.sampled_from([{}, {"*": 0.5}, {"qkv": 2.0, "*": 0.8},
                                         {"head": 1.5}]),
-    "comm_scaling": st.sampled_from([{}, {"*": 2.0}, {"all-gather": 0.5, "p2p": 3.0}]),
+    # maps keyed by one collective kind make a collective memo key without
+    # comm_lambda(kind) collide
+    "comm_scaling": st.sampled_from([{}, {"*": 2.0}, {"all-gather": 0.5, "p2p": 3.0},
+                                     {"p2p": 0.5}, {"all-reduce": 0.5},
+                                     {"reduce-scatter": 2.0}]),
     "tp_overlap": overlap, "cp_overlap": overlap, "ep_overlap": overlap,
     "pp_overlap": overlap,
     "dp_overlap": st.none() | st.builds(
@@ -222,6 +248,11 @@ def feature_combos(draw):
         names = draw(st.lists(st.sampled_from(sorted(COMBO_FIELDS)), min_size=1,
                               max_size=2, unique=True))
         combos.append(replace(base, **{n: draw(COMBO_FIELDS[n]) for n in names}))
+    if draw(st.booleans()):
+        # the same combo with dp_overlap toggled: the all-reduce against the
+        # per-chunk reduce-scatter/all-gather of equal bytes when chunks=1
+        combos.append(replace(base, dp_overlap=None if base.dp_overlap
+                              else DpOverlapCoeffs()))
     return tuple(combos)
 
 
@@ -231,9 +262,13 @@ def small_spaces(draw):
     arch = tiny_moe(l=4, s=8, h=8) if moe else tiny_dense(l=4, s=8, h=8, a=2)
     hw = make_hardware(gpu_memory=draw(st.sampled_from([2e4, 6e4, 2e5, 1e12])),
                        cpu_memory=draw(st.sampled_from([1e3, 2000e9])))
+    # distinct bandwidths per kind and per group size (2 or 8): a collective
+    # memo key without the kind or the group makes two collectives collide
     db = make_db(hw, tflops=draw(st.sampled_from([0.5, 1.0])),
                  per_kind_gbps={"p2p": draw(st.sampled_from([0.1, 1.0])),
-                                "all-to-all": 0.3})
+                                "all-to-all": 0.3, "all-reduce": 0.7,
+                                "reduce-scatter": 1.3},
+                 group_sizes=(2, 8))
     return SearchSpace(
         arch=arch, db=db, total_gpus=8, global_batch=8,
         # tp=3 does not divide h=8: the memo re-raises that shape's ShapeError
