@@ -327,19 +327,17 @@ def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan,
 def optimizer_time(plan: ParallelPlan, params_per_layer: float, db: ProfileDB,
                    dtypes: Dtypes = Dtypes(),
                    opts: OptimizationSet | None = None,
-                   memo: "EvalMemo | None" = None,
-                   t_dp: float | None = None) -> tuple[float, float, float]:
+                   memo: "EvalMemo | None" = None) -> tuple[float, float, float]:
     """(t_dp, t_update, t_opt): gradient exchange plus parameter update.
 
     Base form only; strategy and overlap adjustments happen in evaluate_plan.
-    A given t_dp (the dp-overlap exchange) replaces the all-reduce; otherwise
-    the all-reduce is computed, through memo's collective times if given."""
+    The all-reduce goes through memo's collective times when memo is given."""
     opts = opts or OptimizationSet()
     params_total = plan.chunks * plan.layers_per_stage * params_per_layer
-    if t_dp is None:
-        vol = comm_volume("dp", plan, params_per_layer=params_per_layer,
-                          grad_dtype_bytes=dtypes.grad_bytes)
-        t_dp = (memo or EvalMemo()).collective(db, opts, "all-reduce", plan.dp, vol)
+    vol = comm_volume("dp", plan, params_per_layer=params_per_layer,
+                      grad_dtype_bytes=dtypes.grad_bytes)
+    collective = memo.collective if memo else _collective_time
+    t_dp = collective(db, opts, "all-reduce", plan.dp, vol)
     p_opt = db.hardware.optimizer_throughput * opts.compute_lambda("optimizer")
     t_update = params_total / p_opt if params_total else 0.0
     return t_dp, t_update, t_dp + t_update
@@ -379,6 +377,15 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 # Full evaluation
 
 
+class ShapeTerms(NamedTuple):
+    """A shape's decomposition and the byte terms start_plan scales."""
+    decomp: Decomposition
+    params: float               # per layer
+    layer_act_bytes: float
+    attention_act_bytes: float  # attention-core modules
+    input_act_bytes: float      # the first norm retains the layer input
+
+
 class EvalMemo:
     """Work evaluate_plan shares between calls that evaluate plans of one
     (arch, db, dtypes), as the tuner does for every candidate of a tune.
@@ -386,10 +393,9 @@ class EvalMemo:
     * Once: whether the profile is complete, so that no lookup can fail and
       a plan over the memory limit may skip latency.
     * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
-      reads: the decomposition and its byte terms (per-layer parameters and
-      activation bytes, attention-core and layer-input bytes), or the
-      ShapeError message decompose raised, raised again for every later
-      plan of that shape.
+      reads: its ShapeTerms (the decomposition and its per-layer parameter
+      and activation byte terms), or the ShapeError message decompose
+      raised, raised again for every later plan of that shape.
     * Per plan (the last one seen, by identity): validation, the held
       parameter and gradient bytes, the static bytes of each optimizer
       strategy and the activation bytes of each activation strategy. A
@@ -398,8 +404,8 @@ class EvalMemo:
       the tp/cp/ep overlap coefficients): the layer cost and the
       embedding/head module times.
     * Per collective (kind, group size, message bytes, comm_lambda(kind)):
-      its time, for the pipeline hop and the dp all-reduce or per-chunk
-      reduce-scatter/all-gather.
+      its time, for the pipeline hop, the dp all-reduce and the dp-overlap's
+      per-chunk reduce-scatter/all-gather.
     * Per batch split: model_flops_total, keyed by
       (micro_batch, micro_batches * dp).
 
@@ -411,7 +417,7 @@ class EvalMemo:
         self.complete: bool | None = None
         self.static: dict[str, tuple[float, float]] = {}
         self.activation: dict[str, float] = {}
-        self.decomps: dict[tuple, tuple | str] = {}
+        self.decomps: dict[tuple, ShapeTerms | str] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.collectives: dict[tuple, float] = {}
         self.flops: dict[tuple[int, int], float] = {}
@@ -431,17 +437,15 @@ class EvalMemo:
             except ShapeError as exc:
                 terms = str(exc)
             else:
-                terms = (d, d.layer_params, d.layer_act_bytes,
-                         sum(m.act_bytes for m in d.layer
-                             if m.name in ATTENTION_CORE_MODULES),
-                         d.layer[0].act_bytes)  # first norm retains the layer input
+                terms = ShapeTerms(d, d.layer_params, d.layer_act_bytes,
+                                   sum(m.act_bytes for m in d.layer
+                                       if m.name in ATTENTION_CORE_MODULES),
+                                   d.layer[0].act_bytes)
             self.decomps[shape] = terms
         if isinstance(terms, str):
             raise ShapeError(terms)
-        (self.decomp, self.params, self.layer_act_bytes, self.attention_act_bytes,
-         self.input_act_bytes) = terms
-        self.plan, self.shape = plan, shape
-        self.params_held = plan.chunks * plan.layers_per_stage * self.params
+        self.plan, self.shape, self.terms = plan, shape, terms
+        self.params_held = plan.chunks * plan.layers_per_stage * terms.params
         self.param_bytes = dtypes.param_bytes * self.params_held
         self.grad_bytes = dtypes.grad_bytes * self.params_held
         self.static.clear()
@@ -462,9 +466,9 @@ def _activation(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
     """The activation strategy op on the memo's byte terms of `plan`."""
     return _optim.apply_activation_strategy(
         opts.activation_strategy, plan,
-        act_bytes_per_layer=memo.layer_act_bytes,
-        attention_act_bytes=memo.attention_act_bytes,
-        input_act_bytes=memo.input_act_bytes,
+        act_bytes_per_layer=memo.terms.layer_act_bytes,
+        attention_act_bytes=memo.terms.attention_act_bytes,
+        input_act_bytes=memo.terms.input_act_bytes,
         hw=hw, coeffs=opts.offload_coeffs, **times)
 
 
@@ -474,7 +478,7 @@ def _optimizer(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
     """The optimizer strategy op on the memo's parameter terms of `plan`."""
     return _optim.apply_optimizer_strategy(
         opts.optimizer_strategy, plan, 4 * dtypes.opt_bytes * memo.params_held,
-        t_update, params_total=memo.params, grad_bytes_total=memo.grad_bytes,
+        t_update, params_total=memo.terms.params, grad_bytes_total=memo.grad_bytes,
         param_bytes_total=memo.param_bytes, hw=hw)
 
 
@@ -498,7 +502,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         memo = EvalMemo()
     if memo.plan is not plan:
         memo.start_plan(arch, plan, db, dtypes)
-    decomp, hw = memo.decomp, db.hardware
+    decomp, hw = memo.terms.decomp, db.hardware
 
     # Memory. The strategy ops return the same bytes for any times, so each
     # runs once per plan with zero times, and again below with the layer
@@ -564,32 +568,25 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp_hop,
                            t_embed, t_head, t_embed_bwd, t_head_bwd, t_pp_steady)
     # The phase formulas are linear in their inputs, so each exposure channel
-    # is pipeline_time on that channel's terms alone; a channel without terms
-    # is exactly 0.0 and skips the call.
+    # is pipeline_time on that channel's terms alone.
     t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, 0.0, t_embed,
                           t_head, t_embed_bwd, t_head_bwd).total
-    t_tp, t_cp, t_ep = (
-        pipeline_time(f, b, plan).total if f or b else 0.0
-        for f, b in ((fwd_parts.tp, bwd_parts.tp), (fwd_parts.cp, bwd_parts.cp),
-                     (fwd_parts.ep, bwd_parts.ep)))
-    t_pp = (pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
-            if t_pp_hop else 0.0)
+    t_tp = pipeline_time(fwd_parts.tp, bwd_parts.tp, plan).total
+    t_cp = pipeline_time(fwd_parts.cp, bwd_parts.cp, plan).total
+    t_ep = pipeline_time(fwd_parts.ep, bwd_parts.ep, plan).total
+    t_pp = pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
 
-    # Optimizer: base, then strategy, then overlap. The dp-overlap exchange
-    # replaces the all-reduce, which is skipped when its lookup cannot fail.
-    t_dp = None
+    # Optimizer: base, then strategy, then overlap.
+    t_dp, t_update, _ = optimizer_time(plan, memo.terms.params, db, dtypes, opts, memo)
+    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
-        per_chunk_params = plan.layers_per_stage * memo.params
+        per_chunk_params = plan.layers_per_stage * memo.terms.params
         rs = [memo.collective(db, opts, "reduce-scatter", plan.dp,
                               dtypes.grad_bytes * per_chunk_params)] * plan.chunks
         ag = [memo.collective(db, opts, "all-gather", plan.dp,
                               dtypes.param_bytes * per_chunk_params)] * plan.chunks
         t_dp = _optim.dp_overlap(rs, ag, fwd_parts.total, bwd_parts.total,
                                  plan, opts.dp_overlap)
-    t_base, t_update, _ = optimizer_time(plan, memo.params, db, dtypes, opts, memo=memo,
-                                         t_dp=t_dp if memo.complete else None)
-    t_dp = t_base if t_dp is None else t_dp
-    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
     t_opt = t_dp + t_update
 
     t_step = step_time(phases.total, t_opt)

@@ -398,23 +398,3 @@ class TestMemoryFirst:
                     else:
                         assert outcome(arch, plan, opts, 0.0) is None
         assert raised
-
-    def test_dp_overlap_skips_the_all_reduce_of_a_complete_profile(self, monkeypatch):
-        # the per-chunk exchange replaces the all-reduce, so a complete profile
-        # is not asked for it; an incomplete one still is (test above)
-        kinds = []
-        lookup = CommProfile.effective_bandwidth
-
-        def recording(self, kind, group_size, message_bytes):
-            kinds.append(kind)
-            return lookup(self, kind, group_size, message_bytes)
-
-        monkeypatch.setattr(CommProfile, "effective_bandwidth", recording)
-        arch = SMALL_ARCHS[0]
-        plan = ParallelPlan(pp=2, dp=2, global_batch=4, chunks=2,
-                            num_layers=arch.num_layers)
-        evaluate_plan(arch, plan, make_db(), default_feature_combos()[0])
-        assert "reduce-scatter" in kinds and "all-reduce" not in kinds
-        kinds.clear()
-        evaluate_plan(arch, plan, make_db(), OptimizationSet())
-        assert "all-reduce" in kinds and "reduce-scatter" not in kinds
