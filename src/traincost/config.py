@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
 from .basecost import Dtypes
-from .errors import ConfigError, InputError, ShapeError, check_keys
+from .errors import ConfigError, InputError, ShapeError, check_count, check_keys
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
 from .plan import ParallelPlan
@@ -155,8 +155,8 @@ def _parse_fault(section: dict) -> FaultSection:
     return FaultSection(
         model=model,
         save_s=float(section.get("T_save", 0.0)),
-        interval_steps=int(interval) if interval is not None else None,
-        total_steps=int(section["S"]) if "S" in section else None,
+        interval_steps=check_count("I_ckpt", interval) if interval is not None else None,
+        total_steps=check_count("S", section["S"]) if "S" in section else None,
         tokens=float(section["tokens"]) if "tokens" in section else None,
     )
 

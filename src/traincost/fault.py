@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, InputError
+from .errors import InfeasibleError, InputError, check_count
 
 DAY_SECONDS = 86400.0
 
@@ -56,7 +56,7 @@ class FaultModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FaultModel":
         kwargs = dict(
-            nodes=int(data["N_nodes"]),
+            nodes=check_count("N_nodes", data["N_nodes"]),
             failures_per_node_day=float(data["r_f_per_node_day"]),
             init_s=float(data.get("u0", 0.0)),
         )

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 from .fault import CheckpointPolicy, FaultModel, mean_repair_time
@@ -24,8 +26,7 @@ from .plan import ParallelPlan
 # Interleaved 1F1B schedule replay
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: str          # "fwd" or "bwd"
     micro_batch: int
     chunk: int
@@ -117,68 +118,71 @@ def simulate_pipeline(
         raise InputError("interleaved schedule needs micro_batches divisible by pp")
 
     n_stages = p * v
-    orders = {dev: _device_op_order(plan, dev) for dev in range(p)}
-    cursor = {dev: 0 for dev in range(p)}
-    clock = {dev: 0.0 for dev in range(p)}
-    done: dict[tuple[str, int, int], float] = {}  # (kind, micro, global stage) -> end
+    last = n_stages - 1
+    hop = t_pp if p > 1 else 0.0  # adjacent stages sit on different devices
+
+    def op_row(kind: str, slot: int, dev: int) -> tuple:
+        fwd = kind == "fwd"
+        micro, chunk = _slot_ids(plan, slot, fwd)
+        gs = chunk * p + dev
+        duration = l * (t_fwd if fwd else t_bwd)
+        if gs == 0:
+            duration += t_embed if fwd else t_embed_bwd
+        if gs == last:
+            duration += t_head if fwd else t_head_bwd
+        return kind, fwd, micro, chunk, gs, duration, micro * n_stages + gs
+
+    orders = [[op_row(kind, slot, dev) for kind, slot in _device_op_order(plan, dev)]
+              for dev in range(p)]
+    cursor = [0] * p
+    clock = [0.0] * p
+    # end time of each (micro, global stage) op at index micro * n_stages + gs
+    fwd_end: list[float | None] = [None] * (m_b * n_stages)
+    bwd_end: list[float | None] = [None] * (m_b * n_stages)
     events: list[TraceEvent] = []
+    append = events.append
 
-    def global_stage(chunk: int, device: int) -> int:
-        return chunk * p + device
-
-    def ready_time(kind: str, micro: int, gs: int) -> float | None:
-        """Earliest start permitted by data dependencies, or None if a
-        dependency has not executed yet."""
-        if kind == "fwd":
-            if gs == 0:
-                return 0.0
-            dep = done.get(("fwd", micro, gs - 1))
-            if dep is None:
-                return None
-            hop = t_pp if (gs - 1) % p != gs % p else 0.0
-            return dep + hop
-        # backward: needs own forward plus the downstream backward
-        own = done.get(("fwd", micro, gs))
-        if own is None:
-            return None
-        if gs == n_stages - 1:
-            return own
-        dep = done.get(("bwd", micro, gs + 1))
-        if dep is None:
-            return None
-        hop = t_pp if (gs + 1) % p != gs % p else 0.0
-        return max(own, dep + hop)
-
-    total_ops = sum(len(o) for o in orders.values())
-    scheduled = 0
-    while scheduled < total_ops:
+    remaining = sum(map(len, orders))
+    while remaining:
         progressed = False
         for dev in range(p):
-            while cursor[dev] < len(orders[dev]):
-                kind, slot = orders[dev][cursor[dev]]
-                micro, chunk = _slot_ids(plan, slot, kind == "fwd")
-                gs = global_stage(chunk, dev)
-                ready = ready_time(kind, micro, gs)
-                if ready is None:
-                    break
-                start = max(clock[dev], ready)
-                duration = l * (t_fwd if kind == "fwd" else t_bwd)
-                if gs == 0:
-                    duration += t_embed if kind == "fwd" else t_embed_bwd
-                if gs == n_stages - 1:
-                    duration += t_head if kind == "fwd" else t_head_bwd
-                end = start + duration
-                clock[dev] = end
-                done[(kind, micro, gs)] = end
-                events.append(TraceEvent(kind, micro, chunk, dev, start, end))
-                cursor[dev] += 1
-                scheduled += 1
+            ops, i, now = orders[dev], cursor[dev], clock[dev]
+            while i < len(ops):
+                kind, fwd, micro, chunk, gs, duration, idx = ops[i]
+                # earliest start permitted by data dependencies; stop at the
+                # first op whose dependency has not executed yet
+                if fwd:
+                    if gs == 0:
+                        ready = 0.0
+                    else:
+                        dep = fwd_end[idx - 1]
+                        if dep is None:
+                            break
+                        ready = dep + hop
+                else:
+                    # backward: needs own forward plus the downstream backward
+                    ready = fwd_end[idx]
+                    if ready is None:
+                        break
+                    if gs != last:
+                        dep = bwd_end[idx + 1]
+                        if dep is None:
+                            break
+                        ready = max(ready, dep + hop)
+                start = max(now, ready)
+                now = start + duration
+                (fwd_end if fwd else bwd_end)[idx] = now
+                append(TraceEvent(kind, micro, chunk, dev, start, now))
+                i += 1
+            if i > cursor[dev]:
+                remaining -= i - cursor[dev]
+                cursor[dev], clock[dev] = i, now
                 progressed = True
         if not progressed:
             raise InputError("schedule deadlocked; plan outside supported regime")
 
-    makespan = max(e.end for e in events) - min(e.start for e in events)
-    events.sort(key=lambda e: (e.start, e.device, e.kind))
+    makespan = max(map(itemgetter(5), events)) - min(map(itemgetter(4), events))
+    events.sort(key=itemgetter(4, 3, 0))
     return makespan, PipelineTrace(tuple(events), makespan)
 
 

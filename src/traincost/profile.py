@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
-from .errors import ConfigError, InputError, ProfileLookupError, check_keys
+from .errors import (ConfigError, InputError, ProfileLookupError, check_count,
+                     check_keys)
 from .plan import ParallelPlan
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
@@ -63,7 +64,7 @@ class HardwareSpec:
                 cpu_flops=data["F_CPU"] * 1e9,
                 gpu_peak_flops=data["P_GPU"] * 1e12,
                 gpu_memory=data["M_GPU"] * GB,
-                gpus_per_node=int(data["N"]),
+                gpus_per_node=check_count("N", data["N"]),
                 hbm_bw=data.get("B_HBM", 2000.0) * GB,
                 optimizer_throughput=data.get("P_opt", 1.0) * GB,
             )
@@ -236,7 +237,7 @@ class ProfileDB:
                 check_keys(b, ("size_bytes", "bandwidth_GBps", "beta"), "bucket")
             colls.append(CommEntry(
                 kind=raw["kind"],
-                group_size=int(raw.get("group_size", 2)),
+                group_size=check_count("group_size", raw.get("group_size", 2)),
                 buckets=tuple(
                     CommBucket(b["size_bytes"], b["bandwidth_GBps"] * GB,
                                b.get("beta", 1.0))

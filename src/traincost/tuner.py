@@ -306,6 +306,7 @@ class SweepResult:
 
 
 _FAULT_PARAMS = ("r_f", "u_b", "T_save", "N_nodes", "I_ckpt")
+_ON_OFF = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
 def sweep(
@@ -373,7 +374,10 @@ def _pin_parameter(space: SearchSpace, parameter: str, value) -> SearchSpace:
         return replace(space, opt_combos=_dedupe(combos))
     if parameter == "dp_overlap":
         from .optim import DpOverlapCoeffs
-        enabled = value in (True, "on", "true", 1)
+        enabled = _ON_OFF.get(str(value).lower())
+        if enabled is None:
+            raise InputError(f"dp_overlap value {value!r} is not one of on/off, "
+                             "true/false, 1/0")
         combos = tuple(
             replace(c, dp_overlap=DpOverlapCoeffs() if enabled else None)
             for c in space.resolved().opt_combos
@@ -409,11 +413,11 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
         elif parameter == "u_b":
             f = replace(fault, mean_repair_s=float(value))
         elif parameter == "N_nodes":
-            f = replace(fault, nodes=int(value))
+            f = replace(fault, nodes=check_count(parameter, value))
         elif parameter == "T_save":
             s = float(value)
         if parameter == "I_ckpt":
-            interval = int(value)
+            interval = check_count(parameter, value)
         else:
             try:
                 interval, _ = optimal_ckpt_interval(f, s, total_steps, step_s)

@@ -278,6 +278,12 @@ class TestConfigInput:
         ({"space": {"g_n": 8, "g_bs": 8, "tp": [4]}}, "unknown space key 'tp'"),
         ({"dtypes": {"D_params": 2}}, "unknown dtypes key 'D_params'"),
         ({"optimisation": {}}, "unknown config key 'optimisation'"),
+        *[({"fault": {**FAULT, key: value}}, f"fault section invalid: {key} value")
+          for key, value in (("I_ckpt", 10.9), ("N_nodes", 16.7), ("S", True))],
+        ({"hardware": {**HARDWARE, "N": 8.5}}, "hardware section invalid: N value"),
+        ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
+            {"kind": "all-reduce", "group_size": 2.5, "bandwidth_GBps": 1}]}},
+         "profile section invalid: group_size value"),
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -295,7 +301,9 @@ class TestConfigInput:
             "space-g_n-float", "space-g_bs-bool", "plan-t-float", "plan-t-bool",
             "plan-g_bs-float", "plan-d-string", "plan-m_bs-zero", "fault-key-u_bb",
             "space-key-tp",
-            "dtypes-key-D_params", "config-key-optimisation"])
+            "dtypes-key-D_params", "config-key-optimisation", "fault-I_ckpt-float",
+            "fault-N_nodes-float", "fault-S-bool", "hardware-N-float",
+            "collective-group_size-float"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)
@@ -351,6 +359,15 @@ class TestFaultCommands:
         assert lines[0].split(",")[0] == "value"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("parameter,value", [("N_nodes", "16.7"), ("I_ckpt", "10.9")])
+    def test_sweep_fault_count_rejects_non_integer(self, tmp_path, capsys,
+                                                   parameter, value):
+        cfg = write_run_config(tmp_path, space={"g_n": 4, "g_bs": 4})
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter", parameter,
+                             "--values", value, "--t-step", "28")
+        assert code == 1
+        assert captured.err == f"error: {parameter} value {value} is not an integer >= 1\n"
+
 
 class TestVerify:
     def test_suites_pass(self, tmp_path, capsys):
@@ -380,3 +397,12 @@ class TestSampleConfigs:
                              "--output", "markdown")
         assert code == 0
         assert captured.out.count("\n") >= 3
+
+    def test_dp_overlap_sweep_rejects_unknown_value(self, configs_dir, capsys):
+        cfg = os.path.join(configs_dir, "run_tune_llama2.json")
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter",
+                             "dp_overlap", "--values", "yes,off,on")
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: dp_overlap value 'yes' is not one of on/off, "
+                                "true/false, 1/0\n")

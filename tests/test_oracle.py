@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traincost.basecost import pipeline_time
 from traincost.errors import InputError
 from traincost.fault import CheckpointPolicy, FaultModel, ettr_closed_form, ettr_exact
 from traincost.oracle import (
+    _device_op_order,
+    _slot_ids,
     grid_search_interval,
     simulate_activation_ledger,
     simulate_faults,
@@ -18,7 +22,80 @@ def plan_of(p=1, v=1, m_b=1, l=1):
                         num_layers=p * v * l)
 
 
+EXTRA_TIMES = ("t_pp", "t_embed", "t_embed_bwd", "t_head", "t_head_bwd")
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A plan the replay supports, per-layer times and hop, embedding and
+    head costs that are each either zero or positive."""
+    p, v, l = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    m_b = p * draw(st.integers(1, 4)) if v > 1 else draw(st.integers(p, 4 * p))
+    t_f, t_b = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
+    extras = {key: draw(st.just(0.0) | st.floats(0.01, 2.0)) for key in EXTRA_TIMES}
+    return plan_of(p=p, v=v, m_b=m_b, l=l), t_f, t_b, extras
+
+
 class TestPipelineSim:
+    @settings(max_examples=100, deadline=None)
+    @given(pipeline_cases())
+    def test_every_op_starts_when_device_and_dependencies_allow(self, case):
+        """Each device runs its static op order, and each op starts exactly
+        at the later of its device's previous end and its dependencies'
+        ready time, derived here from the trace's own events."""
+        plan, t_f, t_b, extras = case
+        p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
+        makespan, trace = simulate_pipeline(t_f, t_b, plan, **extras)
+        assert len(trace.events) == 2 * m_b * v * p
+        last = p * v - 1
+        by_op = {(e.kind, e.micro_batch, e.chunk * p + e.device): e for e in trace.events}
+
+        def arrival(kind, micro, gs, device):
+            dep = by_op[kind, micro, gs]
+            return dep.end + (extras["t_pp"] if dep.device != device else 0.0)
+
+        for dev in range(p):
+            ran = [e for e in trace.events if e.device == dev]
+            assert [(e.kind, e.micro_batch, e.chunk) for e in ran] == [
+                (kind, *_slot_ids(plan, slot, kind == "fwd"))
+                for kind, slot in _device_op_order(plan, dev)]
+            previous_end = 0.0
+            for e in ran:
+                fwd, gs = e.kind == "fwd", e.chunk * p + dev
+                if fwd:
+                    ready = 0.0 if gs == 0 else arrival("fwd", e.micro_batch, gs - 1, dev)
+                else:
+                    ready = by_op["fwd", e.micro_batch, gs].end
+                    if gs < last:
+                        ready = max(ready, arrival("bwd", e.micro_batch, gs + 1, dev))
+                assert e.start == max(previous_end, ready)
+                duration = l * (t_f if fwd else t_b)
+                if gs == 0:
+                    duration += extras["t_embed" if fwd else "t_embed_bwd"]
+                if gs == last:
+                    duration += extras["t_head" if fwd else "t_head_bwd"]
+                assert e.end == e.start + duration
+                previous_end = e.end
+        assert makespan == max(e.end for e in trace.events) - min(
+            e.start for e in trace.events)
+
+    @pytest.mark.parametrize("p,v,m_b,t_b,extras,makespan", [
+        (2, 2, 4, 1.0, {}, 18.0),
+        (4, 3, 8, 2.0, {"t_pp": 0.25, "t_embed": 0.5, "t_embed_bwd": 0.75,
+                        "t_head": 0.5, "t_head_bwd": 1.0}, 101.5),
+        (16, 5, 256, 2.0, {}, 3885.0),
+    ], ids=["interleaved-p2-v2", "hop-embed-head", "p16-v5"])
+    def test_pinned_makespans(self, p, v, m_b, t_b, extras, makespan):
+        assert simulate_pipeline(1.0, t_b, plan_of(p=p, v=v, m_b=m_b), **extras)[0] \
+            == makespan
+
+    def test_trace_event_is_a_tuple(self):
+        _, trace = simulate_pipeline(1.0, 2.0, plan_of(p=2, m_b=2))
+        first = trace.events[0]
+        assert first == ("fwd", 0, 0, 0, 0.0, 1.0)
+        kind, micro, chunk, device, start, end = first
+        assert (kind, device, end) == (first.kind, first.device, first.end)
+
     def test_two_stage_example(self):
         makespan, trace = simulate_pipeline(1.0, 2.0, plan_of(p=2, m_b=4))
         assert makespan == 15.0

@@ -396,6 +396,18 @@ class TestSweep:
         # exchange vs per-chunk rs+ag), so the step times must differ
         assert result.rows[0][8] != result.rows[1][8]
 
+    def test_dp_overlap_sweep_values(self):
+        from traincost.tuner import _pin_parameter
+        space = small_space(dp_candidates=(2,))
+        for value, enabled in (("on", True), ("true", True), (1, True), (True, True),
+                               ("off", False), ("false", False), (0, False),
+                               (False, False)):
+            pinned = _pin_parameter(space, "dp_overlap", value)
+            assert all((c.dp_overlap is not None) == enabled for c in pinned.opt_combos)
+        for value in ("yes", "", 2, 1.0, None):
+            with pytest.raises(InputError, match="dp_overlap value"):
+                _pin_parameter(space, "dp_overlap", value)
+
     def test_unknown_parameter(self):
         with pytest.raises(InputError, match="unknown sweep parameter"):
             sweep(small_space(), "zeta", [1])
