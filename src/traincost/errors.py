@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the input checks that
 config sections, search spaces and sweeps raise them through."""
 
+import sys
+
 
 class TraincostError(Exception):
     """Base class for all package errors."""
@@ -41,3 +43,11 @@ def check_count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InputError(f"{name} value {value!r} is not an integer >= 1")
     return value
+
+
+def check_nonnegative(name: str, value) -> float:
+    """Reject a rate or time that is not a finite number >= 0 (or is a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max):
+        raise InputError(f"{name} value {value!r} is not a finite number >= 0")
+    return float(value)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -56,28 +57,43 @@ class PipelineTrace:
         ]
 
 
-def _device_op_order(plan: ParallelPlan, device: int) -> list[tuple[str, int]]:
-    """Static (kind, virtual slot) order one device executes: warmup forwards,
-    one-forward-one-backward pairs, trailing backwards.
+def _warmups(plan: ParallelPlan) -> list[int]:
+    """Forwards each device runs before its first backward, for a plan the
+    replays support.
 
-    The warmup depth 2(p-r-1) + (v-1)p is the interleaved launch pattern and
-    is used for every chunk count, v=1 included: the deeper-than-classic
-    warmup only moves forwards into otherwise idle bubble time (single-chunk
+    The depth 2(p-r-1) + (v-1)p is the interleaved launch pattern and is
+    used for every chunk count, v=1 included: the deeper-than-classic warmup
+    only moves forwards into otherwise idle bubble time (single-chunk
     makespans are unchanged; property-checked in the tests) while producing
     the activation residency the memory model assumes."""
     p, v, m_b = plan.pp, plan.chunks, plan.micro_batches
-    total = m_b * v
+    if m_b < p:
+        raise InputError(
+            f"unsupported regime: micro_batches={m_b} < pp={p}; "
+            "the analytic formula remains usable"
+        )
+    if v > 1 and m_b % p != 0:
+        raise InputError("interleaved schedule needs micro_batches divisible by pp")
     if v > 1 and m_b == p:
-        warmup = total  # all forwards first, then all backwards
-    else:
-        warmup = min((p - device - 1) * 2 + (v - 1) * p, total)
-    ops: list[tuple[str, int]] = [("fwd", i) for i in range(warmup)]
-    for k in range(total - warmup):
-        ops.append(("fwd", warmup + k))
-        ops.append(("bwd", k))
-    for k in range(total - warmup, total):
-        ops.append(("bwd", k))
-    return ops
+        return [m_b * v] * p  # all forwards first, then all backwards
+    return [min(2 * (p - r - 1) + (v - 1) * p, m_b * v) for r in range(p)]
+
+
+def _in_device_order(fwd: list, bwd: list, warmup: int) -> list:
+    """Merge per-slot forward and backward columns into one device's op
+    order: `warmup` forwards, one-forward-one-backward pairs, trailing
+    backwards."""
+    out, paired = fwd + bwd, len(fwd) - warmup
+    out[warmup:warmup + 2 * paired:2], out[warmup + 1:warmup + 2 * paired:2] = \
+        fwd[warmup:], bwd[:paired]
+    return out
+
+
+def _device_op_order(plan: ParallelPlan, device: int) -> list[tuple[str, int]]:
+    """Static (kind, virtual slot) order one device executes."""
+    slots = range(plan.micro_batches * plan.chunks)
+    return _in_device_order([("fwd", s) for s in slots], [("bwd", s) for s in slots],
+                            _warmups(plan)[device])
 
 
 def _slot_ids(plan: ParallelPlan, slot: int, forward: bool) -> tuple[int, int]:
@@ -107,110 +123,94 @@ def simulate_pipeline(
 
     t_fwd/t_bwd are per-layer times; each slot runs layers_per_stage of them.
     Transfers between adjacent stages cost t_pp of latency without occupying
-    either device."""
+    either device. Events are sorted by (start, device, kind); the makespan
+    is the last device clock."""
     p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
-    if m_b < p:
-        raise InputError(
-            f"unsupported regime: micro_batches={m_b} < pp={p}; "
-            "the analytic formula remains usable"
-        )
-    if v > 1 and m_b % p != 0:
-        raise InputError("interleaved schedule needs micro_batches divisible by pp")
-
+    warmups = _warmups(plan)
     n_stages = p * v
-    last = n_stages - 1
     hop = t_pp if p > 1 else 0.0  # adjacent stages sit on different devices
+    fwd_d, bwd_d = [l * t_fwd] * n_stages, [l * t_bwd] * n_stages
+    fwd_d[0], bwd_d[0] = fwd_d[0] + t_embed, bwd_d[0] + t_embed_bwd
+    fwd_d[-1], bwd_d[-1] = fwd_d[-1] + t_head, bwd_d[-1] + t_head_bwd
+    # End times, a row per micro-batch and direction: a sentinel, then stages
+    # 0..last (None until run); start and duration lists share the layout. A
+    # forward row's -hop readies stage 0 at -hop + hop = 0; a backward row's
+    # -inf ends the row before, so the last stage never waits downstream.
+    row = n_stages + 1
+    bwd_at = m_b * row
+    end = ([-hop] + [None] * n_stages) * m_b + ([-math.inf] + [None] * n_stages) * m_b \
+        + [-math.inf]
+    start = [None] * len(end)
+    duration = ([0.0] + fwd_d) * m_b + ([0.0] + bwd_d) * m_b
 
-    def op_row(kind: str, slot: int, dev: int) -> tuple:
-        fwd = kind == "fwd"
-        micro, chunk = _slot_ids(plan, slot, fwd)
-        gs = chunk * p + dev
-        duration = l * (t_fwd if fwd else t_bwd)
-        if gs == 0:
-            duration += t_embed if fwd else t_embed_bwd
-        if gs == last:
-            duration += t_head if fwd else t_head_bwd
-        return kind, fwd, micro, chunk, gs, duration, micro * n_stages + gs
+    def replay(js: list[int]):
+        """Run one device's ops in order; while the next op waits on an op
+        not yet run, yield its index."""
+        now = 0.0
+        for j in js:
+            if j < bwd_at:
+                while (ready := end[j - 1]) is None:
+                    yield j
+                ready += hop
+            else:  # needs its own forward (bwd_at back) and the downstream backward
+                while (ready := end[j - bwd_at]) is None or (dep := end[j + 1]) is None:
+                    yield j
+                if (dep := dep + hop) > ready:
+                    ready = dep
+            if ready > now:
+                now = ready
+            start[j] = now
+            now += duration[j]
+            end[j] = now
 
-    orders = [[op_row(kind, slot, dev) for kind, slot in _device_op_order(plan, dev)]
-              for dev in range(p)]
-    cursor = [0] * p
-    clock = [0.0] * p
-    # end time of each (micro, global stage) op at index micro * n_stages + gs
-    fwd_end: list[float | None] = [None] * (m_b * n_stages)
-    bwd_end: list[float | None] = [None] * (m_b * n_stages)
-    events: list[TraceEvent] = []
-    append = events.append
+    # per virtual slot, shared by all devices: (micro, chunk) and the end-list
+    # index of its forward and backward on device 0
+    micros, fwd_chunks = map(list, zip(*(_slot_ids(plan, s, True) for s in range(m_b * v))))
+    bwd_chunks = [v - 1 - c for c in fwd_chunks]
+    fwd_ids = [m * row + c * p + 1 for m, c in zip(micros, fwd_chunks)]
+    bwd_ids = [bwd_at + m * row + c * p + 1 for m, c in zip(micros, bwd_chunks)]
+    op_ids = [_in_device_order([j + dev for j in fwd_ids], [j + dev for j in bwd_ids], w)
+              for dev, w in enumerate(warmups)]
+    runs = [replay(js) for js in op_ids]
 
-    remaining = sum(map(len, orders))
-    while remaining:
-        progressed = False
-        for dev in range(p):
-            ops, i, now = orders[dev], cursor[dev], clock[dev]
-            while i < len(ops):
-                kind, fwd, micro, chunk, gs, duration, idx = ops[i]
-                # earliest start permitted by data dependencies; stop at the
-                # first op whose dependency has not executed yet
-                if fwd:
-                    if gs == 0:
-                        ready = 0.0
-                    else:
-                        dep = fwd_end[idx - 1]
-                        if dep is None:
-                            break
-                        ready = dep + hop
-                else:
-                    # backward: needs own forward plus the downstream backward
-                    ready = fwd_end[idx]
-                    if ready is None:
-                        break
-                    if gs != last:
-                        dep = bwd_end[idx + 1]
-                        if dep is None:
-                            break
-                        ready = max(ready, dep + hop)
-                start = max(now, ready)
-                now = start + duration
-                (fwd_end if fwd else bwd_end)[idx] = now
-                append(TraceEvent(kind, micro, chunk, dev, start, now))
-                i += 1
-            if i > cursor[dev]:
-                remaining -= i - cursor[dev]
-                cursor[dev], clock[dev] = i, now
-                progressed = True
-        if not progressed:
+    # Sweep the devices alternately up and down, running each as far as its
+    # dependencies allow: forwards flow downstream, backwards upstream. A
+    # pass in which no device moves past the op it last waited on deadlocks.
+    pending, waits_on = list(range(p)), {}
+    while pending:
+        waiting = {dev: next(runs[dev], None) for dev in pending}
+        if waiting == waits_on:
             raise InputError("schedule deadlocked; plan outside supported regime")
+        waits_on = waiting
+        pending = [dev for dev in reversed(pending) if waiting[dev] is not None]
+    makespan = max(end[js[-1]] for js in op_ids)
+    del op_ids, runs
 
-    makespan = max(map(itemgetter(5), events)) - min(map(itemgetter(4), events))
-    events.sort(key=itemgetter(4, 3, 0))
+    # Events go in by device, then kind, then slot (each kind runs its slots
+    # in order), so a stable sort on start alone leaves them in (start,
+    # device, kind) order with ties in run order.
+    events: list[TraceEvent] = []
+    for dev in range(p):
+        for kind, chunks, ids in (("bwd", bwd_chunks, bwd_ids), ("fwd", fwd_chunks, fwd_ids)):
+            js = [j + dev for j in ids]
+            events += map(tuple.__new__, repeat(TraceEvent), zip(
+                repeat(kind), micros, chunks, repeat(dev),
+                map(start.__getitem__, js), map(end.__getitem__, js)))
+    del start, end, duration, js
+    events.sort(key=itemgetter(4))
     return makespan, PipelineTrace(tuple(events), makespan)
 
 
 def simulate_activation_ledger(
     plan: ParallelPlan, act_bytes_per_layer: float
 ) -> list[float]:
-    """Per-stage peak of live activations from replaying the schedule order:
-    each forward slot allocates one layer-set of activation bytes, the
-    matching backward frees it. Returns peaks for stages 0..pp-1."""
-    p, v, m_b = plan.pp, plan.chunks, plan.micro_batches
-    if m_b < p:
-        raise InputError(f"ledger needs micro_batches >= pp, got {m_b} < {p}")
-    if v > 1 and m_b % p != 0:
-        raise InputError("interleaved schedule needs micro_batches divisible by pp")
-    peaks = []
-    for dev in range(p):
-        live = 0
-        peak = 0
-        for kind, _slot in _device_op_order(plan, dev):
-            if kind == "fwd":
-                live += 1
-                peak = max(peak, live)
-            else:
-                # allocation stays live until the backward completes
-                peak = max(peak, live)
-                live -= 1
-        peaks.append(peak * act_bytes_per_layer)
-    return peaks
+    """Per-stage peak of live activations over the schedule order: each
+    forward slot allocates one layer-set of activation bytes and the matching
+    backward frees it, so stage r's peak is the running sum's maximum."""
+    slots = plan.micro_batches * plan.chunks
+    allocs, frees = [1] * slots, [-1] * slots
+    return [max(accumulate(_in_device_order(allocs, frees, w))) * act_bytes_per_layer
+            for w in _warmups(plan)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +244,27 @@ def simulate_faults(
     rng = np.random.default_rng(seed)
     wall = np.full(trials, base, dtype=float)
     arrival = rng.exponential(1.0 / lam, size=trials)
-    active = arrival < wall
-    recovery_values = np.array([fault.recovery_process_s, fault.recovery_pod_s,
-                                fault.recovery_job_s])
-    mix = np.array(fault.mix)
+    recoveries = (fault.recovery_process_s, fault.recovery_pod_s, fault.recovery_job_s)
     interval_s = policy.interval_steps * policy.step_s
+    # Each round draws repair, rollback and next arrival, in that order, for
+    # the trials still failing (in trial order); a trial leaves the compacted
+    # arrays, with its wall time written back, once it finishes first.
+    failing = np.flatnonzero(arrival < wall)
+    wall_f, arrival_f = wall[failing], arrival[failing]
 
-    while active.any():
-        n = int(active.sum())
+    while failing.size:
+        n = failing.size
         if fault.mean_repair_s is not None:
-            repair = np.full(n, fault.mean_repair_s)
+            cost = np.full(n, fault.mean_repair_s)
         else:
-            repair = rng.choice(recovery_values, size=n, p=mix)
-        cost = repair
+            cost = rng.choice(recoveries, size=n, p=fault.mix)
         if include_rollback:
-            cost = cost + rng.uniform(0.0, interval_s, size=n)
-        wall[active] += cost
-        arrival[active] = arrival[active] + rng.exponential(1.0 / lam, size=n)
-        active = arrival < wall
+            cost += rng.uniform(0.0, interval_s, size=n)
+        wall_f += cost
+        arrival_f += rng.exponential(1.0 / lam, size=n)
+        still = arrival_f < wall_f
+        wall[failing] = wall_f
+        failing, wall_f, arrival_f = failing[still], wall_f[still], arrival_f[still]
 
     ettr = t_tr / wall
     mean = float(ettr.mean())

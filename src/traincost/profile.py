@@ -275,19 +275,6 @@ def roofline_bound(work_flops: float, traffic_bytes: float,
     return min(work_flops / traffic_bytes * hw.hbm_bw, hw.gpu_peak_flops)
 
 
-def roofline_bound_modified(intensity: float, slope: float, intercept: float,
-                            hw: HardwareSpec) -> float:
-    """Empirical roofline: a fitted linear memory-bound arm replaces the
-    ideal one; the compute arm still clamps at specification peak."""
-    return min(slope * intensity + intercept, hw.gpu_peak_flops)
-
-
-def roofline_outliers(points: list[tuple[float, float]], bound_fn,
-                      ratio: float = 0.5) -> list[tuple[float, float]]:
-    """Profiled (intensity, achieved) points falling below ratio x bound."""
-    return [(x, y) for x, y in points if y < ratio * bound_fn(x)]
-
-
 def comm_volume(
     kind: str,
     plan: ParallelPlan,

@@ -368,6 +368,19 @@ class TestFaultCommands:
         assert code == 1
         assert captured.err == f"error: {parameter} value {value} is not an integer >= 1\n"
 
+    @pytest.mark.parametrize("parameter", ["r_f", "u_b", "T_save"])
+    @pytest.mark.parametrize("value,shown", [("abc", "'abc'"), ("nan", "nan"),
+                                             ("inf", "inf"), ("-1", "-1")],
+                             ids=["text", "nan", "inf", "negative"])
+    def test_sweep_fault_value_rejects_non_finite_or_negative(
+            self, tmp_path, capsys, parameter, value, shown):
+        cfg = write_run_config(tmp_path, space={"g_n": 4, "g_bs": 4})
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter", parameter,
+                             "--values", value, "--t-step", "28")
+        assert code == 1
+        assert captured.err == (f"error: {parameter} value {shown} "
+                                "is not a finite number >= 0\n")
+
 
 class TestVerify:
     def test_suites_pass(self, tmp_path, capsys):

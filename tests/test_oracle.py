@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,23 @@ class TestPipelineSim:
         assert simulate_pipeline(1.0, t_b, plan_of(p=p, v=v, m_b=m_b), **extras)[0] \
             == makespan
 
+    @pytest.mark.parametrize("p,v,m_b,l,t_f,t_b,digest", [
+        (2, 2, 4, 1, 1.0, 2.0,
+         "1c4bc472587047eb1108219af15e89d92e2fe8d70332e5f0e8032ea004e7e3ae"),
+        (4, 3, 8, 2, 1.25, 2.5,
+         "0195dda5a7a23219ae34e3703052bc23ed891dd3911f2eb2b18b4f2dceb3808d"),
+        (16, 3, 256, 1, 0.75, 1.5,
+         "e51f9d7defc23789e13e8b1cee3a0ffa3c25cfce139d4be4639256c9c0536ea4"),
+    ], ids=["p2-v2", "p4-v3-l2", "p16-v3"])
+    def test_pinned_trace_digests(self, p, v, m_b, l, t_f, t_b, digest):
+        """Every event of a replay with hop, embedding and head costs on, in
+        its (start, device, kind) order, hashes to a recorded digest, so any
+        change to an event's values or to the order shows."""
+        extras = {"t_pp": 0.3, "t_embed": 0.7, "t_embed_bwd": 1.1,
+                  "t_head": 0.9, "t_head_bwd": 1.3}
+        _, trace = simulate_pipeline(t_f, t_b, plan_of(p=p, v=v, m_b=m_b, l=l), **extras)
+        assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest
+
     def test_trace_event_is_a_tuple(self):
         _, trace = simulate_pipeline(1.0, 2.0, plan_of(p=2, m_b=2))
         first = trace.events[0]
@@ -168,6 +187,21 @@ class TestActivationLedger:
         peaks = simulate_activation_ledger(plan, 1.0)
         assert peaks == sorted(peaks, reverse=True)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pipeline_cases(), st.floats(0.5, 2.0))
+    def test_matches_literal_replay_of_op_order(self, case, unit):
+        """Each stage's peak equals a step-by-step replay of the device's
+        op order: a forward allocates, the matching backward frees."""
+        plan = case[0]
+        expected = []
+        for dev in range(plan.pp):
+            live = peak = 0
+            for kind, _slot in _device_op_order(plan, dev):
+                live += 1 if kind == "fwd" else -1
+                peak = max(peak, live)
+            expected.append(peak * unit)
+        assert simulate_activation_ledger(plan, unit) == expected
+
     def test_matches_closed_form_factor(self):
         from traincost.optim import apply_activation_strategy
         rng = np.random.default_rng(3)
@@ -229,6 +263,25 @@ class TestFaultSim:
         _, se_small = simulate_faults(fault, policy, trials=500, seed=2)
         _, se_large = simulate_faults(fault, policy, trials=8000, seed=2)
         assert se_large < se_small / 2
+
+    @pytest.mark.parametrize("seed,repair,rollback,expected", [
+        (3, None, True, (0.9717292743604121, 3.1170153799021866e-05)),
+        (3, None, False, (0.9767714347324784, 1.949251452140988e-05)),
+        (3, 134.41, True, (0.9751871061384995, 2.347230039486556e-05)),
+        (3, 134.41, False, (0.9802765675189227, 1.0980683121787412e-05)),
+        (2024, None, True, (0.9716928192393911, 3.1154121207907894e-05)),
+        (2024, None, False, (0.9767425408804886, 1.893966226497916e-05)),
+        (2024, 134.41, True, (0.9751528007545553, 2.3059780277572572e-05)),
+        (2024, 134.41, False, (0.9802674140178085, 1.087829480773569e-05)),
+    ])
+    def test_pinned_draw_stream(self, seed, repair, rollback, expected):
+        """Exact (mean, se) for fixed seeds: any change to the order or the
+        sizes of the random draws moves them. About a hundred failures per
+        trial, so the loop runs many rounds."""
+        fault = FaultModel(nodes=64, failures_per_node_day=0.05, mean_repair_s=repair)
+        policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
+        assert simulate_faults(fault, policy, trials=2000, seed=seed,
+                               include_rollback=rollback) == expected
 
     def test_trials_validated(self):
         fault = FaultModel(nodes=1, failures_per_node_day=0.0)

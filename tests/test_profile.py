@@ -14,8 +14,6 @@ from traincost.profile import (
     comm_volume,
     op_time,
     roofline_bound,
-    roofline_bound_modified,
-    roofline_outliers,
 )
 
 
@@ -73,16 +71,6 @@ class TestRoofline:
         hw = make_hardware()
         for intensity in (0.1, 1, 10, 100, 1e4, 1e8):
             assert roofline_bound(intensity, 1.0, hw) <= hw.gpu_peak_flops
-
-    def test_modified_roofline_outlier_flagged(self):
-        # A profiled point far below the fitted attainable curve is an
-        # optimization target; neighbours near the fit are not flagged.
-        hw = make_hardware(gpu_peak_flops=1024e12)
-        bound = lambda x: roofline_bound_modified(x, slope=0.0,
-                                                  intercept=389.3e12, hw=hw)
-        points = [(937.2, 178.8e12), (880.0, 360.0e12)]
-        flagged = roofline_outliers(points, bound, ratio=0.5)
-        assert flagged == [(937.2, 178.8e12)]
 
 
 class TestCommVolume:
