@@ -89,13 +89,6 @@ def _in_device_order(fwd: list, bwd: list, warmup: int) -> list:
     return out
 
 
-def _device_op_order(plan: ParallelPlan, device: int) -> list[tuple[str, int]]:
-    """Static (kind, virtual slot) order one device executes."""
-    slots = range(plan.micro_batches * plan.chunks)
-    return _in_device_order([("fwd", s) for s in slots], [("bwd", s) for s in slots],
-                            _warmups(plan)[device])
-
-
 def _slot_ids(plan: ParallelPlan, slot: int, forward: bool) -> tuple[int, int]:
     """(micro_batch, chunk) for a virtual slot index, processing micro-batches
     in groups of pp and cycling chunks per group; backwards run chunks in
@@ -124,7 +117,12 @@ def simulate_pipeline(
     t_fwd/t_bwd are per-layer times; each slot runs layers_per_stage of them.
     Transfers between adjacent stages cost t_pp of latency without occupying
     either device. Events are sorted by (start, device, kind); the makespan
-    is the last device clock."""
+    is the last device clock. Every time must be finite and >= 0."""
+    for name, value in (("t_fwd", t_fwd), ("t_bwd", t_bwd), ("t_pp", t_pp),
+                        ("t_embed", t_embed), ("t_embed_bwd", t_embed_bwd),
+                        ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
+        if not (math.isfinite(value) and value >= 0):
+            raise InputError(f"{name} value {value!r} is not a finite number >= 0")
     p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
     warmups = _warmups(plan)
     n_stages = p * v
@@ -259,7 +257,7 @@ def simulate_faults(
         else:
             cost = rng.choice(recoveries, size=n, p=fault.mix)
         if include_rollback:
-            cost += rng.uniform(0.0, interval_s, size=n)
+            cost = cost + rng.uniform(0.0, interval_s, size=n)
         wall_f += cost
         arrival_f += rng.exponential(1.0 / lam, size=n)
         still = arrival_f < wall_f

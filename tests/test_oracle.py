@@ -9,8 +9,8 @@ from traincost.basecost import pipeline_time
 from traincost.errors import InputError
 from traincost.fault import CheckpointPolicy, FaultModel, ettr_closed_form, ettr_exact
 from traincost.oracle import (
-    _device_op_order,
     _slot_ids,
+    _warmups,
     grid_search_interval,
     simulate_activation_ledger,
     simulate_faults,
@@ -22,6 +22,18 @@ from traincost.plan import ParallelPlan
 def plan_of(p=1, v=1, m_b=1, l=1):
     return ParallelPlan(pp=p, chunks=v, micro_batch=1, global_batch=m_b,
                         num_layers=p * v * l)
+
+
+def device_op_order(plan, device):
+    """(kind, virtual slot) order one device runs, written out one op at a
+    time: the warmup forwards, then a forward and a backward in turn while
+    forwards remain, then the remaining backwards."""
+    slots, warmup = plan.micro_batches * plan.chunks, _warmups(plan)[device]
+    order = [("fwd", s) for s in range(warmup)]
+    for s in range(warmup, slots):
+        order += [("fwd", s), ("bwd", s - warmup)]
+    order += [("bwd", s) for s in range(slots - warmup, slots)]
+    return order
 
 
 EXTRA_TIMES = ("t_pp", "t_embed", "t_embed_bwd", "t_head", "t_head_bwd")
@@ -60,7 +72,7 @@ class TestPipelineSim:
             ran = [e for e in trace.events if e.device == dev]
             assert [(e.kind, e.micro_batch, e.chunk) for e in ran] == [
                 (kind, *_slot_ids(plan, slot, kind == "fwd"))
-                for kind, slot in _device_op_order(plan, dev)]
+                for kind, slot in device_op_order(plan, dev)]
             previous_end = 0.0
             for e in ran:
                 fwd, gs = e.kind == "fwd", e.chunk * p + dev
@@ -143,6 +155,17 @@ class TestPipelineSim:
         with pytest.raises(InputError, match="divisible"):
             simulate_pipeline(1.0, 1.0, plan)
 
+    @pytest.mark.parametrize("times", [
+        {"t_fwd": -1.0}, {"t_bwd": float("nan")}, {"t_pp": -0.1},
+        {"t_embed": float("inf")}, {"t_embed_bwd": -1e-9}, {"t_head": float("-inf")},
+        {"t_head_bwd": float("nan")},
+    ])
+    def test_negative_or_non_finite_times_rejected(self, times):
+        name = next(iter(times))
+        args = {"t_fwd": 1.0, "t_bwd": 2.0, **times}
+        with pytest.raises(InputError, match=f"^{name} value .* finite number >= 0"):
+            simulate_pipeline(plan=plan_of(p=2, m_b=4), **args)
+
     def test_trace_events_well_formed(self):
         plan = plan_of(p=3, v=2, m_b=6)
         _, trace = simulate_pipeline(1.0, 2.0, plan, t_pp=0.1)
@@ -196,7 +219,7 @@ class TestActivationLedger:
         expected = []
         for dev in range(plan.pp):
             live = peak = 0
-            for kind, _slot in _device_op_order(plan, dev):
+            for kind, _slot in device_op_order(plan, dev):
                 live += 1 if kind == "fwd" else -1
                 peak = max(peak, live)
             expected.append(peak * unit)
@@ -282,6 +305,16 @@ class TestFaultSim:
         policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
         assert simulate_faults(fault, policy, trials=2000, seed=seed,
                                include_rollback=rollback) == expected
+
+    @pytest.mark.parametrize("repair", [None, 134])
+    def test_integer_recovery_times_with_rollback(self, repair):
+        """Integer repair or recovery times (which FaultModel accepts) add
+        a float rollback draw without a casting error."""
+        fault = FaultModel(nodes=64, failures_per_node_day=0.05, recovery_process_s=140,
+                           recovery_pod_s=260, recovery_job_s=300, mean_repair_s=repair)
+        policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
+        mean, se = simulate_faults(fault, policy, trials=500, seed=3)
+        assert 0.9 < mean < 1.0 and se > 0.0
 
     def test_trials_validated(self):
         fault = FaultModel(nodes=1, failures_per_node_day=0.0)
