@@ -22,9 +22,9 @@ only through per-module override entries supplied with the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, check_count, check_keys, check_number
 from .plan import ParallelPlan
 
 ATTENTION_KINDS = ("MHA", "GQA", "MLA-plugin")
@@ -44,6 +44,11 @@ class ModuleOverride:
     act_elems_per_token: float | None = None
     params: float | None = None
 
+    def __post_init__(self):
+        for name in ("flops_per_token", "act_elems_per_token", "params"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name))
+
 
 @dataclass(frozen=True)
 class ModelArchitecture:
@@ -62,9 +67,11 @@ class ModelArchitecture:
     module_overrides: dict[str, ModuleOverride] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden_size", "seq_len", "num_heads", "vocab_size"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be > 0")
+        for name in ("num_layers", "hidden_size", "seq_len", "num_heads", "vocab_size",
+                     "dense_ffn_size", "query_groups", "expert_ffn_size", "top_k",
+                     "num_experts"):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name))
         if self.attention_kind not in ATTENTION_KINDS:
             raise InputError(f"unknown attention_kind {self.attention_kind!r}")
         if self.structure_kind not in STRUCTURE_KINDS:
@@ -98,6 +105,7 @@ class ModelArchitecture:
             "n_experts": "num_experts",
             "attention": "attention_kind", "structure": "structure_kind",
         }
+        check_keys(data, (*key_map, *(f.name for f in fields(cls))), "model")
         kwargs = {}
         for key, value in data.items():
             field_name = key_map.get(key, key)

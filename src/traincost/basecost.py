@@ -15,7 +15,6 @@ what.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ from .arch import (
     decompose,
     model_flops_total,
 )
-from .errors import InputError, ShapeError, check_keys
+from .errors import InputError, ShapeError, check_keys, check_number
 from .optim import OptimizationSet
 from .plan import ParallelPlan
 from .profile import (
@@ -49,10 +48,7 @@ class Dtypes:
 
     def __post_init__(self):
         for name in ("param_bytes", "grad_bytes", "opt_bytes", "act_bytes"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or value < 0):
-                raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
+            check_number(name, getattr(self, name))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dtypes":

@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from .basecost import evaluate_plan
-from .config import RunConfig, load_config, load_config_with_space
-from .errors import ConfigError, InfeasibleError, TraincostError
+from .config import RunConfig, load_config
+from .errors import ConfigError, InfeasibleError, TraincostError, check_count, check_number
 from .fault import CheckpointPolicy, ettr_exact, ettr_closed_form, optimal_ckpt_interval
 from .report import render_report
 from .tuner import sweep, tune_e2e, tune_step
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_tune)
     p_tune.add_argument("--space", help="JSON file overriding the config's "
                         "space section")
-    p_tune.add_argument("--top-k", type=int, default=4)
+    p_tune.add_argument("--top-k", default="4")
     p_tune.add_argument("--workers", type=int, default=None,
                         help=_WORKERS_HELP)
 
@@ -55,19 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--parameter", required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 1,2,4,8")
-    p_sweep.add_argument("--t-step", type=float, default=None,
-                         help="step time for fault-parameter sweeps")
+    p_sweep.add_argument("--t-step", help="step time for fault-parameter sweeps")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help=_WORKERS_HELP)
 
     p_ettr = sub.add_parser("ettr", help="effective-training-time ratio for a plan")
     add_common(p_ettr)
-    p_ettr.add_argument("--t-step", type=float, default=None,
-                        help="use this step time instead of evaluating the plan")
+    p_ettr.add_argument("--t-step", help="use this step time instead of evaluating the plan")
 
     p_int = sub.add_parser("interval", help="optimal checkpoint interval")
     add_common(p_int)
-    p_int.add_argument("--t-step", type=float, default=None)
+    p_int.add_argument("--t-step")
 
     p_verify = sub.add_parser("verify", help="run the oracle-vs-closed-form suites")
     p_verify.add_argument("--trials", type=int, default=4000)
@@ -127,7 +125,13 @@ def _dispatch(args) -> int:
         _emit(render_report(report, "json"), args.out)
         return 0 if report.passed else 1
 
-    cfg = load_config(args.config)
+    # The numeric flags parse here, not in argparse, so that a bad value ends
+    # in one error line under the same rule as the config's numbers.
+    if getattr(args, "t_step", None) is not None:
+        args.t_step = check_number("--t-step", _parse_value(args.t_step), strict=True)
+    if args.command == "tune":
+        args.top_k = check_count("--top-k", _parse_value(args.top_k))
+    cfg = load_config(args.config, getattr(args, "space", None))
     fmt = args.output or cfg.output_format
 
     if args.command == "eval":
@@ -145,8 +149,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "tune":
-        if getattr(args, "space", None):
-            cfg = load_config_with_space(args.config, args.space)
         if cfg.space is None:
             raise ConfigError("tune needs a space section (in the config "
                               "or via --space)")

@@ -5,14 +5,13 @@ converted, and default filled into the objects the commands consume."""
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
 from .basecost import Dtypes
-from .errors import ConfigError, InputError, ShapeError, check_count, check_keys
+from .errors import ConfigError, InputError, ShapeError, check_count, check_keys, check_number
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
 from .plan import ParallelPlan
@@ -33,11 +32,10 @@ class FaultSection:
     tokens: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.save_s) and self.save_s >= 0):
-            raise InputError("T_save must be finite and >= 0")
-        if self.tokens is not None and not (math.isfinite(self.tokens)
-                                            and self.tokens > 0):
-            raise InputError("tokens must be finite and > 0")
+        object.__setattr__(self, "save_s", check_number("T_save", self.save_s))
+        if self.tokens is not None:
+            object.__setattr__(self, "tokens",
+                               check_number("tokens", self.tokens, strict=True))
 
     def resolve_steps(self, global_batch: int, seq_len: int) -> int:
         if self.total_steps is not None:
@@ -122,23 +120,19 @@ def _section(name: str):
         raise ConfigError(f"{name} section invalid: {detail}") from exc
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
+    """The file's JSON value; the parser that reads it checks that it is an
+    object (`check_keys`)."""
     try:
         with open(path) as fh:
-            return _object(json.load(fh), path)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _load_section(value, base_dir: str) -> dict:
+def _load_section(value, base_dir: str):
     """A section is either an inline object or a path to a JSON file."""
     if isinstance(value, dict):
         return value
@@ -150,14 +144,13 @@ def _load_section(value, base_dir: str) -> dict:
 def _parse_fault(section: dict) -> FaultSection:
     check_keys(section, ("N_nodes", "r_f_per_node_day", "u0", "u_bc", "u_bp", "u_bj",
                          "mix", "u_b", "T_save", "I_ckpt", "S", "tokens"), "fault")
-    model = FaultModel.from_json_dict(section)
     interval = section.get("I_ckpt")
     return FaultSection(
-        model=model,
-        save_s=float(section.get("T_save", 0.0)),
+        model=FaultModel.from_json_dict(section),
+        save_s=section.get("T_save", 0.0),
         interval_steps=check_count("I_ckpt", interval) if interval is not None else None,
         total_steps=check_count("S", section["S"]) if "S" in section else None,
-        tokens=float(section["tokens"]) if "tokens" in section else None,
+        tokens=section.get("tokens"),
     )
 
 
@@ -183,25 +176,19 @@ def _parse_space(section: dict, arch: ModelArchitecture, db: ProfileDB,
     )
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, space_path: str | None = None) -> RunConfig:
     """Load and validate a run configuration; every referenced file must
-    exist and parse, and cross-references (plan vs model) must resolve."""
-    return _build_config(_read_json(path), os.path.dirname(os.path.abspath(path)))
-
-
-def load_config_with_space(path: str, space_path: str) -> RunConfig:
-    """Same as load_config but with the search space taken from a separate
-    file (resolved relative to the working directory)."""
+    exist and parse, and cross-references (plan vs model) must resolve. A
+    `space_path` (resolved relative to the working directory) replaces the
+    config's space section."""
     raw = _read_json(path)
-    raw["space"] = os.path.abspath(space_path)
-    return _build_config(raw, os.path.dirname(os.path.abspath(path)))
-
-
-def _build_config(raw: dict, base_dir: str) -> RunConfig:
     check_keys(raw, ("schema_version", "model", "hardware", "profile", "dtypes",
                      "tflops_mode", "optimization", "plan", "space", "fault",
                      "output"), "config")
-    version = raw.get("schema_version", SCHEMA_VERSION)
+    if space_path is not None:
+        raw["space"] = os.path.abspath(space_path)
+    base_dir = os.path.dirname(os.path.abspath(path))
+    version = check_count("schema_version", raw.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
@@ -225,11 +212,10 @@ def _build_config(raw: dict, base_dir: str) -> RunConfig:
             declared_combos = ()   # a space without a declared allowlist gets
             # the default one (all features) when it resolves
         elif isinstance(opt_raw, list):
-            combos = tuple(OptimizationSet.from_json_dict(_object(o, "optimization entry"))
-                           for o in opt_raw)
+            combos = tuple(OptimizationSet.from_json_dict(o) for o in opt_raw)
             declared_combos = combos
         else:
-            combos = (OptimizationSet.from_json_dict(_object(opt_raw, "optimization")),)
+            combos = (OptimizationSet.from_json_dict(opt_raw),)
             declared_combos = combos
 
     plan = None

@@ -45,9 +45,17 @@ def check_count(name: str, value) -> int:
     return value
 
 
-def check_nonnegative(name: str, value) -> float:
-    """Reject a rate or time that is not a finite number >= 0 (or is a bool)."""
+def check_number(name: str, value, low: float = 0.0, strict: bool = False,
+                 high: float = sys.float_info.max) -> float:
+    """Return `value` as a float if it is a finite real number >= `low`
+    (> `low` when `strict`) and <= `high`; otherwise raise InputError. A bool
+    or a string is not a number, and NaN or an infinity is not finite."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 <= value <= sys.float_info.max):
-        raise InputError(f"{name} value {value!r} is not a finite number >= 0")
+            or not (low < value if strict else low <= value)
+            or not value <= high):
+        if high < sys.float_info.max:
+            domain = f"in {'(' if strict else '['}{low:g}, {high:g}]"
+        else:
+            domain = f"{'>' if strict else '>='} {low:g}"
+        raise InputError(f"{name} value {value!r} is not a finite number {domain}")
     return float(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, InputError, check_count
+from .errors import InfeasibleError, InputError, check_count, check_number
 
 DAY_SECONDS = 86400.0
 
@@ -20,6 +20,11 @@ DAY_SECONDS = 86400.0
 # multi-thousand-GPU cluster operations history.
 DEFAULT_RECOVERY_MIX = (0.3, 0.6, 0.1)
 DEFAULT_RECOVERY_SECONDS = (141.0, 262.0, 307.0)
+
+
+# Config key of each optional FaultModel time.
+_TIME_KEYS = {"recovery_process_s": "u_bc", "recovery_pod_s": "u_bp",
+              "recovery_job_s": "u_bj", "init_s": "u0", "mean_repair_s": "u_b"}
 
 
 @dataclass(frozen=True)
@@ -34,19 +39,18 @@ class FaultModel:
     mean_repair_s: float | None = None  # overrides the mixture when given
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise InputError("nodes must be >= 1")
-        if not (math.isfinite(self.failures_per_node_day)
-                and self.failures_per_node_day >= 0):
-            raise InputError("failure rate must be finite and >= 0")
-        times = (self.recovery_process_s, self.recovery_pod_s,
-                 self.recovery_job_s, self.init_s)
-        if self.mean_repair_s is not None:
-            times += (self.mean_repair_s,)
-        if not all(math.isfinite(t) and t >= 0 for t in times):
-            raise InputError("recovery, repair and init times must be finite and >= 0")
-        if not abs(sum(self.mix) - 1.0) <= 1e-9:
-            raise InputError(f"fault mix must sum to 1, got {sum(self.mix)}")
+        """Check each value under its config key; rates and times are stored
+        as floats."""
+        check_count("N_nodes", self.nodes)
+        for name, key in (("failures_per_node_day", "r_f_per_node_day"), *_TIME_KEYS.items()):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_number(key, getattr(self, name)))
+        if not isinstance(self.mix, (list, tuple)) or len(self.mix) != 3:
+            raise InputError(f"fault mix must be a list of 3 weights, got {self.mix!r}")
+        mix = tuple(check_number("mix weight", w) for w in self.mix)
+        if not abs(sum(mix) - 1.0) <= 1e-9:
+            raise InputError(f"fault mix must sum to 1, got {sum(mix)}")
+        object.__setattr__(self, "mix", mix)
 
     @property
     def failures_per_second(self) -> float:
@@ -55,22 +59,9 @@ class FaultModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FaultModel":
-        kwargs = dict(
-            nodes=check_count("N_nodes", data["N_nodes"]),
-            failures_per_node_day=float(data["r_f_per_node_day"]),
-            init_s=float(data.get("u0", 0.0)),
-        )
-        if "u_bc" in data:
-            kwargs["recovery_process_s"] = float(data["u_bc"])
-        if "u_bp" in data:
-            kwargs["recovery_pod_s"] = float(data["u_bp"])
-        if "u_bj" in data:
-            kwargs["recovery_job_s"] = float(data["u_bj"])
-        if "mix" in data:
-            kwargs["mix"] = tuple(float(x) for x in data["mix"])
-        if "u_b" in data:
-            kwargs["mean_repair_s"] = float(data["u_b"])
-        return cls(**kwargs)
+        kwargs = {name: data[key] for name, key in _TIME_KEYS.items() if key in data}
+        return cls(data["N_nodes"], data["r_f_per_node_day"],
+                   mix=data.get("mix", DEFAULT_RECOVERY_MIX), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -214,6 +205,8 @@ def optimal_ckpt_interval(
             f"(discriminant {disc:.3g} < 0)"
         )
     continuous = (-save_s + math.sqrt(disc)) / step_s
+    if not continuous < math.inf:  # NaN or inf once a product overflows
+        raise InfeasibleError("no finite optimal interval: the continuous optimum overflows")
     lo = max(1, math.floor(continuous))
     hi = max(1, math.ceil(continuous))
     best, best_g = None, math.inf

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InputError, check_keys
+from .errors import ConfigError, InputError, check_count, check_keys, check_number
 from .plan import ParallelPlan
 from .profile import HardwareSpec
 
@@ -26,10 +26,9 @@ class OverlapCoeffs:
     splits: int = 1      # pipelining split count (tensor-parallel overlap only)
 
     def __post_init__(self):
-        if self.alpha < 1.0 or self.beta < 1.0:
-            raise InputError("overlap coefficients must be >= 1")
-        if self.splits < 1:
-            raise InputError("split count must be >= 1")
+        for name in ("alpha", "beta"):
+            check_number(name, getattr(self, name), low=1.0)
+        check_count("splits", self.splits)
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ class DpOverlapCoeffs:
     mode: str = "exposed-only"   # or "verbatim"
 
     def __post_init__(self):
-        if min(self.alpha_rs, self.beta_bwd, self.alpha_ag, self.beta_fwd) < 1.0:
-            raise InputError("overlap coefficients must be >= 1")
+        for name in ("alpha_rs", "beta_bwd", "alpha_ag", "beta_fwd"):
+            check_number(name, getattr(self, name), low=1.0)
         if self.mode not in ("exposed-only", "verbatim"):
             raise InputError(f"unknown dp overlap mode {self.mode!r}")
 
@@ -55,9 +54,8 @@ class OffloadCoeffs:
     beta_fetch: float = 1.0      # backward compute inflation
 
     def __post_init__(self):
-        if min(self.alpha_offload, self.beta_offload,
-               self.alpha_fetch, self.beta_fetch) < 1.0:
-            raise InputError("offload coefficients must be >= 1")
+        for name in ("alpha_offload", "beta_offload", "alpha_fetch", "beta_fetch"):
+            check_number(name, getattr(self, name), low=1.0)
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,9 @@ class OptimizationSet:
             raise InputError(f"unknown optimizer strategy {self.optimizer_strategy!r}")
         if self.activation_strategy not in ACTIVATION_STRATEGIES:
             raise InputError(f"unknown activation strategy {self.activation_strategy!r}")
-        for value in (*self.compute_scaling.values(), *self.comm_scaling.values()):
-            if value <= 0:
-                raise InputError("scaling factors must be positive")
+        for table in ("compute_scaling", "comm_scaling"):
+            for key, value in getattr(self, table).items():
+                check_number(f"{table} {key!r}", value, strict=True)
 
     def compute_lambda(self, module: str) -> float:
         return self.compute_scaling.get(module, self.compute_scaling.get("*", 1.0))
@@ -114,18 +112,15 @@ class OptimizationSet:
         kwargs: dict = {}
         kwargs["compute_scaling"] = dict(data.get("compute_scaling", {}))
         kwargs["comm_scaling"] = dict(data.get("comm_scaling", {}))
-        for key in ("tp_overlap", "cp_overlap", "ep_overlap", "pp_overlap"):
+        for key, coeffs in (("tp_overlap", OverlapCoeffs), ("cp_overlap", OverlapCoeffs),
+                            ("ep_overlap", OverlapCoeffs), ("pp_overlap", OverlapCoeffs),
+                            ("dp_overlap", DpOverlapCoeffs), ("offload_coeffs", OffloadCoeffs)):
             raw = data.get(key)
             if raw is not None:
-                raw = raw if isinstance(raw, dict) else {}
-                kwargs[key] = OverlapCoeffs(**raw)
-        raw = data.get("dp_overlap")
-        if raw is not None:
-            kwargs["dp_overlap"] = DpOverlapCoeffs(**(raw if isinstance(raw, dict) else {}))
+                check_keys(raw, tuple(f.name for f in fields(coeffs)), key)
+                kwargs[key] = coeffs(**raw)
         kwargs["optimizer_strategy"] = data.get("optimizer_strategy", "none")
         kwargs["activation_strategy"] = data.get("activation_strategy", "none")
-        if "offload_coeffs" in data:
-            kwargs["offload_coeffs"] = OffloadCoeffs(**data["offload_coeffs"])
         return cls(**kwargs)
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, check_count, check_number
 from .fault import CheckpointPolicy, FaultModel, mean_repair_time
 from .plan import ParallelPlan
 
@@ -121,8 +121,7 @@ def simulate_pipeline(
     for name, value in (("t_fwd", t_fwd), ("t_bwd", t_bwd), ("t_pp", t_pp),
                         ("t_embed", t_embed), ("t_embed_bwd", t_embed_bwd),
                         ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
-        if not (math.isfinite(value) and value >= 0):
-            raise InputError(f"{name} value {value!r} is not a finite number >= 0")
+        check_number(name, value)
     p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
     warmups = _warmups(plan)
     n_stages = p * v
@@ -230,8 +229,7 @@ def simulate_faults(
     and recovery); each failure costs a recovery draw from the three-level
     mixture plus, when rollback is enabled, a uniformly distributed loss
     within the current checkpoint interval."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    check_count("trials", trials)
     lam = fault.failures_per_second
     t_tr = policy.training_s
     base = t_tr + fault.init_s + policy.num_saves * policy.save_s

@@ -6,9 +6,9 @@ A plan is always tied to a concrete layer count so that derived quantities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .errors import ShapeError, check_count
+from .errors import ShapeError, check_count, check_keys
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ class ParallelPlan:
             "m_bs": "micro_batch", "g_bs": "global_batch", "v": "chunks",
             "L": "num_layers",
         }
+        check_keys(data, (*key_map, *(f.name for f in fields(cls))), "plan")
         kwargs = {}
         for key, value in data.items():
             kwargs[key_map.get(key, key)] = check_count(key, value)

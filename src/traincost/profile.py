@@ -17,12 +17,29 @@ from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
 from .errors import (ConfigError, InputError, ProfileLookupError, check_count,
-                     check_keys)
+                     check_keys, check_number)
 from .plan import ParallelPlan
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
 
 GB = 1e9
+
+# Config key and unit of each HardwareSpec value but gpus_per_node (key N):
+# bandwidths in GB/s, memory in GB, CPU frequency in GHz, GPU compute in
+# TFLOPS, optimizer throughput in Gparams/s.
+_HARDWARE_KEYS = {
+    "h2d_bw": ("B_H2D", GB), "d2h_bw": ("B_D2H", GB), "cpu_memory": ("M_CPU", GB),
+    "cpu_flops": ("F_CPU", 1e9), "gpu_peak_flops": ("P_GPU", 1e12),
+    "gpu_memory": ("M_GPU", GB), "hbm_bw": ("B_HBM", GB),
+    "optimizer_throughput": ("P_opt", GB),
+}
+_HARDWARE_DEFAULTS = {"B_HBM": 2000.0, "P_opt": 1.0}
+
+
+def _scaled(data: dict, key: str, unit: float) -> float:
+    """A config value checked in its own unit, then converted to SI units, so
+    that `true` cannot become 1e9."""
+    return check_number(key, data[key], strict=True) * unit
 
 
 @dataclass(frozen=True)
@@ -39,35 +56,20 @@ class HardwareSpec:
     optimizer_throughput: float  # parameter updates/s
 
     def __post_init__(self):
-        for name in ("h2d_bw", "d2h_bw", "cpu_memory", "cpu_flops",
-                     "gpu_peak_flops", "gpu_memory", "hbm_bw",
-                     "optimizer_throughput"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"hardware field {name} must be finite and positive, "
-                                 f"got {value}")
-        if self.gpus_per_node < 1:
-            raise InputError("gpus_per_node must be >= 1")
+        """Check each value under its config key."""
+        for name, (key, _) in _HARDWARE_KEYS.items():
+            check_number(key, getattr(self, name), strict=True)
+        check_count("N", self.gpus_per_node)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HardwareSpec":
-        """Accepts the config-file key convention (B_H2D .. P_opt) with the
-        customary units: bandwidths in GB/s, memory in GB, CPU frequency in
-        GHz, GPU compute in TFLOPS, optimizer throughput in Gparams/s."""
-        check_keys(data, ("B_H2D", "B_D2H", "M_CPU", "F_CPU", "P_GPU", "M_GPU", "N",
-                          "B_HBM", "P_opt"), "hardware")
+        """Accepts the config keys and units of _HARDWARE_KEYS plus N."""
+        check_keys(data, (*(key for key, _ in _HARDWARE_KEYS.values()), "N"), "hardware")
+        raw = {**_HARDWARE_DEFAULTS, **data}
         try:
-            return cls(
-                h2d_bw=data["B_H2D"] * GB,
-                d2h_bw=data["B_D2H"] * GB,
-                cpu_memory=data["M_CPU"] * GB,
-                cpu_flops=data["F_CPU"] * 1e9,
-                gpu_peak_flops=data["P_GPU"] * 1e12,
-                gpu_memory=data["M_GPU"] * GB,
-                gpus_per_node=check_count("N", data["N"]),
-                hbm_bw=data.get("B_HBM", 2000.0) * GB,
-                optimizer_throughput=data.get("P_opt", 1.0) * GB,
-            )
+            return cls(**{name: _scaled(raw, key, unit)
+                          for name, (key, unit) in _HARDWARE_KEYS.items()},
+                       gpus_per_node=raw["N"])
         except KeyError as exc:
             raise ConfigError(f"hardware spec missing field {exc}") from exc
 
@@ -80,10 +82,10 @@ class ComputeEntry:
     intensity: float | None = None   # FLOPs/byte, enables roofline capping
 
     def __post_init__(self):
-        if self.fwd_flops_per_s <= 0:
-            raise InputError(f"throughput for {self.module} must be positive")
-        if self.bwd_flops_per_s is not None and self.bwd_flops_per_s <= 0:
-            raise InputError(f"backward throughput for {self.module} must be positive")
+        check_number(f"{self.module} fwd_flops_per_s", self.fwd_flops_per_s, strict=True)
+        for name in ("bwd_flops_per_s", "intensity"):
+            if getattr(self, name) is not None:
+                check_number(f"{self.module} {name}", getattr(self, name), strict=True)
 
     def throughput(self, backward: bool = False) -> float:
         if backward and self.bwd_flops_per_s is not None:
@@ -123,12 +125,9 @@ class CommBucket:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.message_bytes > 0:
-            raise InputError(f"bucket size must be positive, got {self.message_bytes}")
-        if self.bandwidth <= 0:
-            raise InputError("bandwidth must be positive")
-        if not (0.0 < self.beta <= 1.0):
-            raise InputError(f"decay beta must be in (0, 1], got {self.beta}")
+        check_number("bucket size", self.message_bytes, strict=True)
+        check_number("bandwidth", self.bandwidth, strict=True)
+        check_number("decay beta", self.beta, strict=True, high=1.0)
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,7 @@ class CommEntry:
     def __post_init__(self):
         if self.kind not in COLLECTIVE_KINDS:
             raise InputError(f"unknown collective kind {self.kind!r}")
-        if self.group_size < 1:
-            raise InputError(f"collective {self.kind} group_size must be >= 1, "
-                             f"got {self.group_size}")
+        check_count("group_size", self.group_size)
         if not self.buckets:
             raise InputError(f"collective {self.kind} needs at least one bucket")
         buckets = tuple(sorted(self.buckets, key=lambda b: b.message_bytes))
@@ -220,8 +217,8 @@ class ProfileDB:
                        "operator")
             ops.append(ComputeEntry(
                 module=raw["module"],
-                fwd_flops_per_s=raw["fwd_TFLOPS"] * 1e12,
-                bwd_flops_per_s=(raw["bwd_TFLOPS"] * 1e12
+                fwd_flops_per_s=_scaled(raw, "fwd_TFLOPS", 1e12),
+                bwd_flops_per_s=(_scaled(raw, "bwd_TFLOPS", 1e12)
                                  if raw.get("bwd_TFLOPS") is not None else None),
                 intensity=raw.get("intensity"),
             ))
@@ -237,9 +234,9 @@ class ProfileDB:
                 check_keys(b, ("size_bytes", "bandwidth_GBps", "beta"), "bucket")
             colls.append(CommEntry(
                 kind=raw["kind"],
-                group_size=check_count("group_size", raw.get("group_size", 2)),
+                group_size=raw.get("group_size", 2),
                 buckets=tuple(
-                    CommBucket(b["size_bytes"], b["bandwidth_GBps"] * GB,
+                    CommBucket(b["size_bytes"], _scaled(b, "bandwidth_GBps", GB),
                                b.get("beta", 1.0))
                     for b in buckets
                 ),

@@ -7,9 +7,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 from .basecost import PlanEvaluation
-from .errors import InputError
+from .errors import InfeasibleError, InputError
 from .fault import EttrReport
 from .tuner import Candidate, SweepResult, TuneResult
 
@@ -32,10 +33,16 @@ def to_payload(result) -> dict:
     raise InputError(f"cannot render object of type {type(result).__name__}")
 
 
+def _not_finite() -> InfeasibleError:
+    return InfeasibleError("the result is not finite: an input is too large for the model")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
+        if not abs(value) <= sys.float_info.max:
+            raise _not_finite()
         return f"{value:.6g}"
     return str(value)
 
@@ -91,7 +98,10 @@ def _tabular(result) -> tuple[tuple, list]:
 
 def render_report(result, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(to_payload(result), indent=2) + "\n"
+        try:
+            return json.dumps(to_payload(result), indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise _not_finite() from None
     if fmt == "csv":
         return _csv_text(*_tabular(result))
     if fmt == "markdown":

@@ -25,7 +25,7 @@ from .basecost import (
     MemoryReport,
     evaluate_plan,
 )
-from .errors import InfeasibleError, InputError, ShapeError, check_count, check_nonnegative
+from .errors import InfeasibleError, InputError, ShapeError, check_count, check_number
 from .fault import (
     CheckpointPolicy,
     FaultModel,
@@ -409,13 +409,13 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
     for value in values:
         f, s = fault, save_s
         if parameter == "r_f":
-            f = replace(fault, failures_per_node_day=check_nonnegative(parameter, value))
+            f = replace(fault, failures_per_node_day=check_number(parameter, value))
         elif parameter == "u_b":
-            f = replace(fault, mean_repair_s=check_nonnegative(parameter, value))
+            f = replace(fault, mean_repair_s=check_number(parameter, value))
         elif parameter == "N_nodes":
             f = replace(fault, nodes=check_count(parameter, value))
         elif parameter == "T_save":
-            s = check_nonnegative(parameter, value)
+            s = check_number(parameter, value)
         if parameter == "I_ckpt":
             interval = check_count(parameter, value)
         else:

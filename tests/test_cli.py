@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traincost.cli import main
 
@@ -182,7 +186,7 @@ class TestProfileInput:
         ({"profile": {**PROFILE, "comm_scaling": {"p2p": 0}}},
          "unknown profile key 'comm_scaling'"),
         ({"optimization": {"comm_scaling": {"p2p": 0}}},
-         "scaling factors must be positive"),
+         "comm_scaling 'p2p' value 0 is not a finite number > 0"),
     ], ids=["tflops-mode", "profile-scaling", "optimization-scaling"])
     def test_invalid_latency_input_exits_1_when_nothing_fits(self, tmp_path, capsys,
                                                              extra, message):
@@ -227,7 +231,7 @@ class TestConfigInput:
         ({"hardware": {**HARDWARE, "M_GPU": "80"}}, "hardware section invalid"),
         ({"optimization": {"pp_overlap": {"alpha": "x"}}},
          "optimization section invalid"),
-        ({"optimization": [1]}, "optimization entry must be a JSON object"),
+        ({"optimization": [1]}, "optimization must be a JSON object, got int"),
         ({"dtypes": []}, "dtypes must be a JSON object"),
         ({"model": {**MODEL, "r": 1536}}, "model section invalid"),
         *[({"dtypes": dtypes}, "dtypes section invalid") for dtypes in (
@@ -284,6 +288,12 @@ class TestConfigInput:
         ({"profile": {**PROFILE, "collectives": PROFILE["collectives"] + [
             {"kind": "all-reduce", "group_size": 2.5, "bandwidth_GBps": 1}]}},
          "profile section invalid: group_size value"),
+        ({"optimization": {"tp_overlap": False}},
+         "optimization section invalid: tp_overlap must be a JSON object, got bool"),
+        ({"optimization": {"dp_overlap": "off"}},
+         "optimization section invalid: dp_overlap must be a JSON object, got str"),
+        ({"schema_version": True}, "schema_version value True is not an integer >= 1"),
+        ({"schema_version": 1.0}, "schema_version value 1.0 is not an integer >= 1"),
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -303,10 +313,137 @@ class TestConfigInput:
             "space-key-tp",
             "dtypes-key-D_params", "config-key-optimisation", "fault-I_ckpt-float",
             "fault-N_nodes-float", "fault-S-bool", "hardware-N-float",
-            "collective-group_size-float"])
+            "collective-group_size-float", "tp-overlap-false", "dp-overlap-string",
+            "schema-version-bool", "schema-version-float"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+DROP = object()  # an edit that deletes the key
+
+
+def shipped_body(name):
+    """A shipped run config with its file-referenced sections inlined."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        body = json.load(fh)
+    for key, value in body.items():
+        if isinstance(value, str) and value.endswith(".json"):
+            with open(os.path.join(CONFIGS, value)) as fh:
+                body[key] = json.load(fh)
+    return body
+
+
+def write_shipped(directory, config, edits):
+    """Write a shipped run config, with each (key path, value) edit applied,
+    into `directory`; a DROP value deletes the key."""
+    body = shipped_body(config)
+    for path, value in edits:
+        *parents, last = path
+        node = body
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    path = directory / config
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def numeric_paths(node, path=()):
+    """Every number in a JSON tree (bools excluded), as a key path."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) \
+            else []
+    return [p for key, child in items for p in numeric_paths(child, (*path, key))]
+
+
+def run_quiet(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+EVAL, TUNE = "run_eval_llama2.json", "run_tune_llama2.json"
+NAN = float("nan")
+ETTR = ("ettr", "--t-step", "27.83")
+
+
+class TestInputBoundary:
+    """Every number read from a config or the command line passes one rule, so
+    a bad value exits 1 with one error line, never a traceback or a NaN."""
+
+    @pytest.mark.parametrize("config,edits,argv", [
+        (EVAL, [(("profile", "operators", 0, "fwd_TFLOPS"), NAN)], ("eval",)),
+        (EVAL, [(("optimization", "pp_overlap", "alpha"), NAN)], ("eval",)),
+        (EVAL, [(("hardware", "B_H2D"), True)], ("eval",)),
+        (EVAL, [(("model", "L"), 80.0)], ("eval",)),
+        (EVAL, [(("fault", "r_f_per_node_day"), "0.005")], ETTR),
+        (EVAL, [(("fault", "T_save"), True)], ETTR),
+        (EVAL, [(("fault", "tokens"), True)], ETTR),
+        (EVAL, [(("optimization", "tp_overlap"), {"splits": 2.5})], ("eval",)),
+        (EVAL, [(("profile", "operators", 0, "intensity"), NAN)], ("eval",)),
+        (EVAL, [(("fault", "mix"), [1.5, -0.6, 0.1]), (("fault", "u_b"), DROP)], ETTR),
+        (EVAL, [(("fault", "mix"), [0.5, 0.5]), (("fault", "u_b"), DROP)], ETTR),
+        (EVAL, [(("fault", "mix"), [0.25] * 4), (("fault", "u_b"), DROP)], ETTR),
+        (EVAL, [], ("ettr", "--t-step", "nan")),
+        (EVAL, [], ("interval", "--t-step", "nan")),
+        (EVAL, [], ("interval", "--t-step", "0")),
+        (TUNE, [], ("sweep", "--parameter", "r_f", "--values", "0.01",
+                    "--t-step", "nan")),
+        (TUNE, [], ("tune", "step", "--top-k", "-1")),
+        (TUNE, [], ("tune", "step", "--top-k", "0")),
+    ], ids=["profile-fwd-nan", "overlap-alpha-nan", "hardware-B_H2D-true",
+            "model-L-float", "fault-rate-string", "fault-T_save-true",
+            "fault-tokens-true", "overlap-splits-float", "profile-intensity-nan",
+            "fault-mix-negative", "fault-mix-two", "fault-mix-four",
+            "ettr-t-step-nan", "interval-t-step-nan", "interval-t-step-0",
+            "sweep-t-step-nan", "tune-top-k-negative", "tune-top-k-0"])
+    def test_bad_input_exits_1_with_one_line(self, tmp_path, config, edits, argv):
+        code, out, err = run_quiet(*argv, "--config",
+                                   write_shipped(tmp_path, config, edits))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["ettr", "interval"])
+    def test_overflowing_result_is_infeasible(self, tmp_path, command):
+        config = write_shipped(tmp_path, EVAL, [(("fault", "T_save"), 1e308)])
+        code, out, err = run_quiet(command, "--config", config)
+        assert (code, out) == (2, "")
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+    def test_tune_space_flag_needs_no_plan_or_space(self, tmp_path):
+        tune = shipped_body(TUNE)
+        space, body = tmp_path / "space.json", tmp_path / "run.json"
+        space.write_text(json.dumps(tune.pop("space")))
+        body.write_text(json.dumps(tune))
+        code, out, err = run_quiet("tune", "step", "--config", str(body),
+                                   "--space", str(space), "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["candidates"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(numeric_paths(shipped_body(EVAL))),
+           value=st.sampled_from([NAN, float("inf"), -float("inf"), -1, 0, 0.5, 2.5,
+                                  1e308, True, "1", []]))
+    def test_any_numeric_field_ends_cleanly(self, tmp_path_factory, path, value):
+        config = write_shipped(tmp_path_factory.mktemp("fuzz"), EVAL, [(path, value)])
+        for command in ("eval", "ettr"):
+            code, out, err = run_quiet(command, "--config", config)
+            assert code in (0, 1, 2)
+            if code:
+                assert err.count("\n") == 1 and "Traceback" not in err
+            else:
+                assert "NaN" not in out and "Infinity" not in out
 
 
 class TestFaultCommands:

@@ -66,6 +66,24 @@ class TestRepairTime:
         with pytest.raises(InputError, match="sum to 1"):
             FaultModel(nodes=1, failures_per_node_day=0.01, mix=(0.3, 0.5, 0.1))
 
+    @pytest.mark.parametrize("mix,message", [
+        ((1.5, -0.6, 0.1), "mix weight value -0.6 is not a finite number >= 0"),
+        ((0.5, 0.5), "list of 3 weights"),
+        ((0.25,) * 4, "list of 3 weights"),
+        ((float("nan"), 0.5, 0.5), "mix weight value nan"),
+    ], ids=["negative", "two", "four", "nan"])
+    def test_mix_is_three_weights_at_least_zero(self, mix, message):
+        with pytest.raises(InputError, match=message):
+            FaultModel(nodes=1, failures_per_node_day=0.01, mix=mix)
+
+    def test_values_stored_as_floats(self):
+        fault = FaultModel(nodes=2, failures_per_node_day=1, recovery_pod_s=262,
+                           mix=[0, 1, 0], mean_repair_s=134)
+        assert fault.mix == (0.0, 1.0, 0.0)
+        assert all(type(x) is float for x in (
+            fault.failures_per_node_day, fault.recovery_pod_s, fault.mean_repair_s,
+            *fault.mix))
+
     def test_rate_unit_conversion(self):
         fault = FaultModel(nodes=10, failures_per_node_day=0.00864)
         assert fault.failures_per_second == pytest.approx(10 * 0.00864 / 86400)

@@ -228,7 +228,7 @@ class TestOptimizationSet:
 
     @pytest.mark.parametrize("table", ["compute_scaling", "comm_scaling"])
     def test_rejects_non_positive_scaling(self, table):
-        with pytest.raises(InputError, match="scaling factors must be positive"):
+        with pytest.raises(InputError, match=r"scaling '\*' value 0.0 is not a finite number > 0"):
             OptimizationSet(**{table: {"*": 0.0}})
 
     def test_from_json_round_trip_features(self):
