@@ -22,9 +22,9 @@ only through per-module override entries supplied with the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .errors import InputError, ShapeError, check_count, check_keys, check_number
+from .errors import InputError, ShapeError, check_count, check_keys, check_number, check_object
 from .plan import ParallelPlan
 
 ATTENTION_KINDS = ("MHA", "GQA", "MLA-plugin")
@@ -97,7 +97,7 @@ class ModelArchitecture:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelArchitecture":
         """Accepts the short config keys (L, s, h, a, q, g_d, g_e, t_k,
-        n_experts, V, attention, structure)."""
+        n_experts, V, attention, structure) and module_overrides."""
         key_map = {
             "L": "num_layers", "s": "seq_len", "h": "hidden_size",
             "a": "num_heads", "q": "query_groups", "g_d": "dense_ffn_size",
@@ -105,15 +105,13 @@ class ModelArchitecture:
             "n_experts": "num_experts",
             "attention": "attention_kind", "structure": "structure_kind",
         }
-        check_keys(data, (*key_map, *(f.name for f in fields(cls))), "model")
-        kwargs = {}
-        for key, value in data.items():
-            field_name = key_map.get(key, key)
-            if field_name == "module_overrides" and value is not None:
-                value = {
-                    name: ModuleOverride(**entry) for name, entry in value.items()
-                }
-            kwargs[field_name] = value
+        check_keys(data, (*key_map, "module_overrides"), "model")
+        kwargs = {key_map.get(key, key): value for key, value in data.items()}
+        overrides = kwargs.get("module_overrides")
+        if overrides is not None:
+            kwargs["module_overrides"] = {
+                name: ModuleOverride(**entry)
+                for name, entry in check_object(overrides, "module_overrides").items()}
         if "structure_kind" not in kwargs:
             moe = kwargs.get("expert_ffn_size") and kwargs.get("num_experts")
             kwargs["structure_kind"] = "MoE" if moe else "Dense"

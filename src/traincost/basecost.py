@@ -15,6 +15,7 @@ what.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from .arch import (
     decompose,
     model_flops_total,
 )
-from .errors import InputError, ShapeError, check_keys, check_number
+from .errors import NOT_FINITE, InfeasibleError, InputError, ShapeError, check_keys, check_number
 from .optim import OptimizationSet
 from .plan import ParallelPlan
 from .profile import (
@@ -347,6 +348,8 @@ def step_time(t_pipeline: float, t_opt: float) -> float:
     total = t_pipeline + t_opt
     if total <= 0:
         raise InputError(f"step time must be positive, got {total}")
+    if not math.isfinite(total):
+        raise InfeasibleError(NOT_FINITE)
     return total
 
 

@@ -93,6 +93,12 @@ def _step_time(cfg: RunConfig, override: float | None) -> float:
     return result.cost.t_step
 
 
+def _run_batch(cfg: RunConfig) -> int:
+    """The global batch that turns a fault section's tokens into steps: the
+    plan's, whose step time the fault commands use, else the space's."""
+    return (cfg.plan or cfg.space).global_batch
+
+
 def _require_fault(cfg: RunConfig):
     if cfg.fault is None:
         raise ConfigError("this command needs a fault section in the config")
@@ -163,30 +169,27 @@ def _dispatch(args) -> int:
         return 0 if result.candidates else 2
 
     if args.command == "sweep":
+        if cfg.space is None:
+            raise ConfigError("sweep needs a space section")
         values = [_parse_value(v) for v in args.values.split(",") if v != ""]
         fault = cfg.fault
         kwargs = {}
         if fault is not None:
-            g_bs = cfg.space.global_batch if cfg.space else cfg.plan.global_batch
             kwargs = {
                 "fault": fault.model,
                 "save_s": fault.save_s,
-                "total_steps": fault.resolve_steps(g_bs, cfg.arch.seq_len),
+                "total_steps": fault.resolve_steps(_run_batch(cfg), cfg.arch.seq_len),
                 "step_s": args.t_step if args.t_step is not None
                           else _step_time(cfg, None) if cfg.plan else None,
             }
-        space = cfg.space
-        if space is None:
-            raise ConfigError("sweep needs a space section")
-        result = sweep(space, args.parameter, values, **kwargs)
+        result = sweep(cfg.space, args.parameter, values, **kwargs)
         _emit(render_report(result, fmt), args.out)
         return 0
 
     if args.command == "ettr":
         fault = _require_fault(cfg)
         t_step = _step_time(cfg, args.t_step)
-        g_bs = cfg.plan.global_batch if cfg.plan else cfg.space.global_batch
-        policy = fault.policy(t_step, g_bs, cfg.arch.seq_len)
+        policy = fault.policy(t_step, _run_batch(cfg), cfg.arch.seq_len)
         report = ettr_exact(fault.model, policy)
         payload = report.to_json_dict()
         payload["ETTR_closed_form"] = ettr_closed_form(fault.model, policy)
@@ -198,8 +201,7 @@ def _dispatch(args) -> int:
     if args.command == "interval":
         fault = _require_fault(cfg)
         t_step = _step_time(cfg, args.t_step)
-        g_bs = cfg.plan.global_batch if cfg.plan else cfg.space.global_batch
-        steps = fault.resolve_steps(g_bs, cfg.arch.seq_len)
+        steps = fault.resolve_steps(_run_batch(cfg), cfg.arch.seq_len)
         best, at_best = optimal_ckpt_interval(fault.model, fault.save_s,
                                               steps, t_step)
         policy = CheckpointPolicy(best, fault.save_s, steps, t_step)

@@ -14,9 +14,9 @@ from .basecost import Dtypes
 from .errors import ConfigError, InputError, ShapeError, check_count, check_keys, check_number
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
-from .plan import ParallelPlan
+from .plan import DIMS, ParallelPlan
 from .profile import HardwareSpec, ProfileDB
-from .tuner import SearchSpace
+from .tuner import CANDIDATE_FIELDS, SearchSpace
 
 SCHEMA_VERSION = 1
 
@@ -157,21 +157,12 @@ def _parse_fault(section: dict) -> FaultSection:
 def _parse_space(section: dict, arch: ModelArchitecture, db: ProfileDB,
                  combos: tuple[OptimizationSet, ...], dtypes: Dtypes,
                  tflops_mode: str) -> SearchSpace:
-    check_keys(section, ("g_n", "g_bs", "t", "c", "p", "e", "d", "m_bs", "v"), "space")
-
-    def cand(key):
-        return tuple(section.get(key, ()))
+    check_keys(section, ("g_n", "g_bs", *DIMS), "space")
     return SearchSpace(
         arch=arch, db=db,
         total_gpus=section["g_n"],
         global_batch=section["g_bs"],
-        tp_candidates=cand("t"),
-        cp_candidates=cand("c") or (1,),
-        pp_candidates=cand("p"),
-        ep_candidates=cand("e"),
-        dp_candidates=cand("d"),
-        micro_batch_candidates=cand("m_bs"),
-        chunk_candidates=cand("v"),
+        **{name: tuple(section.get(key, ())) for key, name in CANDIDATE_FIELDS.items()},
         opt_combos=combos, dtypes=dtypes, tflops_mode=tflops_mode,
     )
 

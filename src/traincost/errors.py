@@ -28,11 +28,21 @@ class ConfigError(TraincostError):
     """A configuration file failed to parse or validate."""
 
 
+# The InfeasibleError text for a result that overflows although its inputs passed.
+NOT_FINITE = "the result is not finite: an input is too large for the model"
+
+
+def check_object(data, where: str) -> dict:
+    """Reject a config value that is not a JSON object."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
     """Reject a config value that is not an object or sets a key outside
     `known`."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
+    check_object(data, where)
     unknown = [key for key in data if key not in known]
     if unknown:
         raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")

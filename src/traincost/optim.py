@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InputError, check_count, check_keys, check_number
+from .errors import ConfigError, InputError, check_count, check_keys, check_number, check_object
 from .plan import ParallelPlan
 from .profile import HardwareSpec
 
@@ -110,8 +110,8 @@ class OptimizationSet:
     def from_json_dict(cls, data: dict) -> "OptimizationSet":
         check_keys(data, tuple(f.name for f in fields(cls)), "optimization")
         kwargs: dict = {}
-        kwargs["compute_scaling"] = dict(data.get("compute_scaling", {}))
-        kwargs["comm_scaling"] = dict(data.get("comm_scaling", {}))
+        for table in ("compute_scaling", "comm_scaling"):
+            kwargs[table] = dict(check_object(data.get(table, {}), table))
         for key, coeffs in (("tp_overlap", OverlapCoeffs), ("cp_overlap", OverlapCoeffs),
                             ("ep_overlap", OverlapCoeffs), ("pp_overlap", OverlapCoeffs),
                             ("dp_overlap", DpOverlapCoeffs), ("offload_coeffs", OffloadCoeffs)):
@@ -271,11 +271,11 @@ def apply_activation_strategy(
     Recomputation variants keep the pipeline-depth retention factor;
     offloading retains a single layer's activations and turns each direction
     into a race between transfer and compute. r_pp is the pipeline stage
-    whose retention is returned: the warmup stacks (chunks*pp + pp - 2*r_pp - 1)
+    whose retention is returned: the warmup stacks plan.warmup_depth(r_pp) + 1
     live micro-batch activations there, stage 0 holding the most."""
     if not 0 <= r_pp < plan.pp:
         raise InputError(f"r_pp must be in [0, pp), got {r_pp}")
-    factor = plan.chunks * plan.pp + plan.pp - 2 * r_pp - 1
+    factor = plan.warmup_depth(r_pp) + 1
     if strategy == "none":
         return factor * act_bytes_per_layer, t_fwd, t_bwd
     if strategy == "selective-recompute":

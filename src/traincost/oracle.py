@@ -61,11 +61,11 @@ def _warmups(plan: ParallelPlan) -> list[int]:
     """Forwards each device runs before its first backward, for a plan the
     replays support.
 
-    The depth 2(p-r-1) + (v-1)p is the interleaved launch pattern and is
-    used for every chunk count, v=1 included: the deeper-than-classic warmup
-    only moves forwards into otherwise idle bubble time (single-chunk
-    makespans are unchanged; property-checked in the tests) while producing
-    the activation residency the memory model assumes."""
+    The depth is ParallelPlan.warmup_depth capped at the m_b*v forwards, for
+    every chunk count, v=1 included: the deeper-than-classic warmup only
+    moves forwards into otherwise idle bubble time (single-chunk makespans
+    are unchanged; property-checked in the tests) while producing the
+    activation residency the memory model assumes."""
     p, v, m_b = plan.pp, plan.chunks, plan.micro_batches
     if m_b < p:
         raise InputError(
@@ -76,7 +76,7 @@ def _warmups(plan: ParallelPlan) -> list[int]:
         raise InputError("interleaved schedule needs micro_batches divisible by pp")
     if v > 1 and m_b == p:
         return [m_b * v] * p  # all forwards first, then all backwards
-    return [min(2 * (p - r - 1) + (v - 1) * p, m_b * v) for r in range(p)]
+    return [min(plan.warmup_depth(r), m_b * v) for r in range(p)]
 
 
 def _in_device_order(fwd: list, bwd: list, warmup: int) -> list:

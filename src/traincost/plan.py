@@ -6,9 +6,24 @@ A plan is always tied to a concrete layer count so that derived quantities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .errors import ShapeError, check_count, check_keys
+
+# Config key -> ParallelPlan field. The order is the one plans are searched,
+# ranked (after step time) and printed in, and golden outputs depend on it.
+PLAN_KEYS = {
+    "t": "tp", "c": "cp", "p": "pp", "e": "ep", "d": "dp",
+    "m_bs": "micro_batch", "g_bs": "global_batch", "v": "chunks",
+    "L": "num_layers",
+}
+# The seven search dimensions; the first five are the parallel degrees, whose
+# product is the world size.
+DIMS = {key: name for key, name in PLAN_KEYS.items() if key not in ("g_bs", "L")}
+DEGREES = tuple(DIMS.values())[:5]
+# A plan's search-dimension values as a tuple, in DIMS order.
+dim_values = attrgetter(*DIMS.values())
 
 
 @dataclass(frozen=True)
@@ -36,11 +51,15 @@ class ParallelPlan:
     def layers_per_stage(self) -> int:
         return self.num_layers // (self.pp * self.chunks)
 
+    def warmup_depth(self, stage: int) -> int:
+        """Forwards `stage` runs before its first backward in interleaved 1F1B,
+        2(pp-stage-1) + (chunks-1)pp, uncapped by the forwards there are."""
+        return 2 * (self.pp - stage - 1) + (self.chunks - 1) * self.pp
+
     def validate(self) -> None:
         """Check integer/divisibility invariants; raises ShapeError on the
         first violated dimension."""
-        for name in ("tp", "cp", "pp", "ep", "dp", "micro_batch",
-                     "global_batch", "chunks", "num_layers"):
+        for name in PLAN_KEYS.values():
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_layers % (self.pp * self.chunks) != 0:
@@ -59,18 +78,10 @@ class ParallelPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict, num_layers: int | None = None) -> "ParallelPlan":
-        """Build from the short key convention used in config files
-        (t, c, p, e, d, m_bs, g_bs, v); long key names are accepted too.
-        Every value must be an integer >= 1."""
-        key_map = {
-            "t": "tp", "c": "cp", "p": "pp", "e": "ep", "d": "dp",
-            "m_bs": "micro_batch", "g_bs": "global_batch", "v": "chunks",
-            "L": "num_layers",
-        }
-        check_keys(data, (*key_map, *(f.name for f in fields(cls))), "plan")
-        kwargs = {}
-        for key, value in data.items():
-            kwargs[key_map.get(key, key)] = check_count(key, value)
+        """Build from the config keys of PLAN_KEYS; every value must be an
+        integer >= 1."""
+        check_keys(data, tuple(PLAN_KEYS), "plan")
+        kwargs = {PLAN_KEYS[key]: check_count(key, value) for key, value in data.items()}
         if num_layers is not None:
             kwargs.setdefault("num_layers", num_layers)
         plan = cls(**kwargs)
@@ -78,8 +89,4 @@ class ParallelPlan:
         return plan
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.tp, "c": self.cp, "p": self.pp, "e": self.ep,
-            "d": self.dp, "m_bs": self.micro_batch, "g_bs": self.global_batch,
-            "v": self.chunks, "L": self.num_layers,
-        }
+        return {key: getattr(self, name) for key, name in PLAN_KEYS.items()}

@@ -10,12 +10,13 @@ import json
 import sys
 
 from .basecost import PlanEvaluation
-from .errors import InfeasibleError, InputError
+from .errors import NOT_FINITE, InfeasibleError, InputError
 from .fault import EttrReport
+from .plan import DIMS, dim_values
 from .tuner import Candidate, SweepResult, TuneResult
 
 CANDIDATE_COLUMNS = (
-    "rank", "t", "c", "p", "e", "d", "m_bs", "v", "features",
+    "rank", *DIMS, "features",
     "Memory_GB", "TFLOPS", "T_step", "T_cal", "T_TP", "T_PP", "T_DP",
     "T_EP", "T_CP", "T_update", "I_ckpt", "ETTR", "T_e2e",
 )
@@ -33,25 +34,20 @@ def to_payload(result) -> dict:
     raise InputError(f"cannot render object of type {type(result).__name__}")
 
 
-def _not_finite() -> InfeasibleError:
-    return InfeasibleError("the result is not finite: an input is too large for the model")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         if not abs(value) <= sys.float_info.max:
-            raise _not_finite()
+            raise InfeasibleError(NOT_FINITE)
         return f"{value:.6g}"
     return str(value)
 
 
 def _candidate_row(rank: int, cand: Candidate) -> list:
-    p = cand.plan
     cost, mem = cand.cost, cand.memory
     return [
-        rank, p.tp, p.cp, p.pp, p.ep, p.dp, p.micro_batch, p.chunks,
+        rank, *dim_values(cand.plan),
         "+".join(cand.opts.feature_names()) or "base",
         mem.m_peak / 1e9, cost.tflops, cost.t_step, cost.t_cal, cost.t_tp,
         cost.t_pp, cost.t_dp, cost.t_ep, cost.t_cp, cost.t_update,
@@ -101,7 +97,7 @@ def render_report(result, fmt: str = "json") -> str:
         try:
             return json.dumps(to_payload(result), indent=2, allow_nan=False) + "\n"
         except ValueError:
-            raise _not_finite() from None
+            raise InfeasibleError(NOT_FINITE) from None
     if fmt == "csv":
         return _csv_text(*_tabular(result))
     if fmt == "markdown":

@@ -34,22 +34,17 @@ from .fault import (
     optimal_ckpt_interval,
 )
 from .optim import OptimizationSet, default_feature_combos
-from .plan import ParallelPlan
+from .plan import DEGREES, DIMS, ParallelPlan, dim_values
 from .profile import ProfileDB
 
 
 def _powers_of_two(limit: int) -> tuple[int, ...]:
-    values = []
-    x = 1
-    while x <= limit:
-        values.append(x)
-        x *= 2
-    return tuple(values)
+    return tuple(2 ** i for i in range(limit.bit_length()))
 
 
-_PLAN_DIMS = {"t": "tp_candidates", "c": "cp_candidates", "p": "pp_candidates",
-              "e": "ep_candidates", "d": "dp_candidates",
-              "m_bs": "micro_batch_candidates", "v": "chunk_candidates"}
+# Config key -> SearchSpace candidate field (chunks -> chunk_candidates).
+CANDIDATE_FIELDS = {key: f"{name.removesuffix('s')}_candidates"
+                    for key, name in DIMS.items()}
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class SearchSpace:
     total_gpus: int
     global_batch: int
     tp_candidates: tuple[int, ...] = ()
-    cp_candidates: tuple[int, ...] = (1,)
+    cp_candidates: tuple[int, ...] = ()
     pp_candidates: tuple[int, ...] = ()
     ep_candidates: tuple[int, ...] = ()
     dp_candidates: tuple[int, ...] = ()
@@ -71,7 +66,7 @@ class SearchSpace:
 
     def __post_init__(self):
         counts = [("total_gpus", self.total_gpus), ("global_batch", self.global_batch)]
-        counts += [(name, value) for name in _PLAN_DIMS.values()
+        counts += [(name, value) for name in CANDIDATE_FIELDS.values()
                    for value in getattr(self, name)]
         for name, value in counts:
             check_count(name, value)
@@ -82,25 +77,15 @@ class SearchSpace:
         """Fill empty candidate sets with the power-of-two defaults bounded
         by the resources they consume; an empty feature allowlist becomes the
         default one (all features, default coefficients)."""
-        arch, hw = self.arch, self.db.hardware
-        updates = {}
+        arch, gpus = self.arch, self.total_gpus
+        limits = {"t": min(self.db.hardware.gpus_per_node, gpus), "c": 1,
+                  "p": min(arch.num_layers, gpus),
+                  "e": min(arch.num_experts if arch.is_moe else 1, gpus),
+                  "d": gpus, "m_bs": self.global_batch, "v": arch.num_layers}
+        updates = {name: _powers_of_two(limits[key])
+                   for key, name in CANDIDATE_FIELDS.items() if not getattr(self, name)}
         if not self.opt_combos:
             updates["opt_combos"] = default_feature_combos()
-        if not self.tp_candidates:
-            updates["tp_candidates"] = _powers_of_two(
-                min(hw.gpus_per_node, self.total_gpus))
-        if not self.pp_candidates:
-            updates["pp_candidates"] = _powers_of_two(
-                min(arch.num_layers, self.total_gpus))
-        if not self.ep_candidates:
-            limit = arch.num_experts if arch.is_moe else 1
-            updates["ep_candidates"] = _powers_of_two(min(limit, self.total_gpus))
-        if not self.dp_candidates:
-            updates["dp_candidates"] = _powers_of_two(self.total_gpus)
-        if not self.micro_batch_candidates:
-            updates["micro_batch_candidates"] = _powers_of_two(self.global_batch)
-        if not self.chunk_candidates:
-            updates["chunk_candidates"] = _powers_of_two(arch.num_layers)
         return replace(self, **updates) if updates else self
 
 
@@ -118,9 +103,7 @@ class Candidate:
 
     @property
     def step_key(self) -> tuple:
-        p = self.plan
-        return (self.cost.t_step, p.tp, p.cp, p.pp, p.ep, p.dp,
-                p.micro_batch, p.chunks, self.opts_index)
+        return (self.cost.t_step, *dim_values(self.plan), self.opts_index)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -157,11 +140,11 @@ class TuneResult:
 
 def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
     """Apply the expert rules to a partial assignment; returns a rejection
-    reason or None. Dimensions are assigned in the order tp, cp, pp, ep, dp,
-    micro_batch, chunks; each rule fires as soon as its inputs exist."""
+    reason or None. Dimensions are assigned in plan.DIMS order; each rule
+    fires as soon as its inputs exist."""
     hw = space.db.hardware
     product = 1
-    for dim in ("tp", "cp", "pp", "ep", "dp"):
+    for dim in DEGREES:
         product *= assigned.get(dim, 1)
     if product > space.total_gpus:
         return "resource: parallel product exceeds total gpus"
@@ -183,28 +166,14 @@ def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
 
 def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]):
     """Depth-first walk over the candidate sets with early pruning."""
-    dims = (
-        ("tp", space.tp_candidates),
-        ("cp", space.cp_candidates),
-        ("pp", space.pp_candidates),
-        ("ep", space.ep_candidates),
-        ("dp", space.dp_candidates),
-        ("micro_batch", space.micro_batch_candidates),
-        ("chunks", space.chunk_candidates),
-    )
+    levels = [(DIMS[key], getattr(space, name)) for key, name in CANDIDATE_FIELDS.items()]
 
     def descend(level: int, assigned: dict[str, int]):
-        if level == len(dims):
-            yield ParallelPlan(
-                tp=assigned["tp"], cp=assigned["cp"], pp=assigned["pp"],
-                ep=assigned["ep"], dp=assigned["dp"],
-                micro_batch=assigned["micro_batch"],
-                global_batch=space.global_batch,
-                chunks=assigned["chunks"],
-                num_layers=space.arch.num_layers,
-            )
+        if level == len(levels):
+            yield ParallelPlan(**assigned, global_batch=space.global_batch,
+                               num_layers=space.arch.num_layers)
             return
-        name, values = dims[level]
+        name, values = levels[level]
         for value in values:
             assigned[name] = value
             reason = prune(space, assigned)
@@ -326,8 +295,7 @@ def sweep(
     if parameter in _FAULT_PARAMS:
         return _sweep_fault(parameter, values, fault, save_s, total_steps, step_s)
 
-    columns = ("value", "t", "c", "p", "e", "d", "m_bs", "v",
-               "T_step", "TFLOPS", "M_peak_GB")
+    columns = ("value", *DIMS, "T_step", "TFLOPS", "M_peak_GB")
     if parameter == "g_n":
         columns += ("linearity",)
     rows = []
@@ -339,9 +307,7 @@ def sweep(
             rows.append((value,) + ("",) * (len(columns) - 1))
             continue
         best = result.candidates[0]
-        p = best.plan
-        row = (value, p.tp, p.cp, p.pp, p.ep, p.dp, p.micro_batch,
-               p.chunks, best.cost.t_step, best.cost.tflops,
+        row = (value, *dim_values(best.plan), best.cost.t_step, best.cost.tflops,
                best.memory.m_peak / 1e9)
         if parameter == "g_n":
             # scaling efficiency: ideally-scaled reference time over actual
@@ -354,10 +320,10 @@ def sweep(
 
 
 def _pin_parameter(space: SearchSpace, parameter: str, value) -> SearchSpace:
-    if parameter in _PLAN_DIMS or parameter in ("g_bs", "g_n", "N"):
+    if parameter in CANDIDATE_FIELDS or parameter in ("g_bs", "g_n", "N"):
         check_count(parameter, value)
-    if parameter in _PLAN_DIMS:
-        return replace(space.resolved(), **{_PLAN_DIMS[parameter]: (value,)})
+    if parameter in CANDIDATE_FIELDS:
+        return replace(space.resolved(), **{CANDIDATE_FIELDS[parameter]: (value,)})
     if parameter == "g_bs":
         # candidate micro-batch sets depend on the batch; re-resolve
         return replace(space, global_batch=value,

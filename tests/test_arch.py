@@ -233,3 +233,9 @@ class TestOverridesAndValidation:
         assert arch.num_layers == 80
         assert arch.query_groups == 8
         assert arch.structure_kind == "Dense"
+
+    def test_from_json_rejects_field_names(self):
+        with pytest.raises(InputError, match="unknown model key 'num_layers'"):
+            ModelArchitecture.from_json_dict({
+                "L": 80, "num_layers": 40, "s": 4096, "h": 8192, "a": 64,
+                "g_d": 28672, "V": 32000})

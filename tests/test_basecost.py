@@ -14,7 +14,7 @@ from traincost.basecost import (
     step_time,
     tflops,
 )
-from traincost.errors import InputError, ProfileLookupError, ShapeError
+from traincost.errors import InfeasibleError, InputError, ProfileLookupError, ShapeError
 from traincost.optim import (
     OptimizationSet,
     OverlapCoeffs,
@@ -150,6 +150,12 @@ class TestStepAndTflops:
     def test_step_rejects_nonpositive(self):
         with pytest.raises(InputError):
             step_time(0.0, 0.0)
+
+    @pytest.mark.parametrize("t_pipeline,t_opt", [(1e308, 1e308), (float("inf"), 1.0),
+                                                  (float("nan"), 1.0)])
+    def test_step_rejects_non_finite(self, t_pipeline, t_opt):
+        with pytest.raises(InfeasibleError, match="^the result is not finite"):
+            step_time(t_pipeline, t_opt)
 
     def test_tflops_convention(self):
         assert tflops(6e12, simple_plan(), 18.0) == pytest.approx(1.0)

@@ -294,6 +294,18 @@ class TestConfigInput:
          "optimization section invalid: dp_overlap must be a JSON object, got str"),
         ({"schema_version": True}, "schema_version value True is not an integer >= 1"),
         ({"schema_version": 1.0}, "schema_version value 1.0 is not an integer >= 1"),
+        *[({"plan": {"t": 1, "c": 1, "p": 2, "e": 1, "d": 2, "m_bs": 1, "g_bs": 8,
+                     "v": 1} | extra}, f"plan section invalid: unknown plan key {key!r}")
+          for key, extra in (("tp", {"tp": 4}), ("tp", {"t": 1, "tp": 1}),
+                             ("num_layers", {"num_layers": 4}))],
+        ({"model": MODEL | {"num_layers": 4}},
+         "model section invalid: unknown model key 'num_layers'"),
+        ({"model": MODEL | {"module_overrides": [1]}},
+         "model section invalid: module_overrides must be a JSON object, got list"),
+        *[({"optimization": {table: value}},
+           f"optimization section invalid: {table} must be a JSON object, got list")
+          for table, value in (("compute_scaling", []), ("compute_scaling", [["qkv", 2]]),
+                               ("comm_scaling", [["p2p", 2]]))],
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -314,7 +326,10 @@ class TestConfigInput:
             "dtypes-key-D_params", "config-key-optimisation", "fault-I_ckpt-float",
             "fault-N_nodes-float", "fault-S-bool", "hardware-N-float",
             "collective-group_size-float", "tp-overlap-false", "dp-overlap-string",
-            "schema-version-bool", "schema-version-float"])
+            "schema-version-bool", "schema-version-float", "plan-key-tp",
+            "plan-key-tp-beside-t", "plan-key-num_layers", "model-key-num_layers",
+            "module-overrides-list",
+            "compute-scaling-empty-list", "compute-scaling-pairs", "comm-scaling-pairs"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)
@@ -421,6 +436,15 @@ class TestInputBoundary:
         assert (code, out) == (2, "")
         assert err.startswith("infeasible: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "ettr", "interval"])
+    def test_overflowing_step_time_is_named(self, tmp_path, command):
+        """Finite inputs whose step time overflows stop where it is computed,
+        not later in a fault formula under another cause."""
+        config = write_shipped(tmp_path, EVAL,
+                               [(("optimization", "compute_scaling"), {"*": 1e-308})])
+        assert run_quiet(command, "--config", config) == (
+            2, "", "infeasible: the result is not finite: an input is too large for the model\n")
+
     def test_tune_space_flag_needs_no_plan_or_space(self, tmp_path):
         tune = shipped_body(TUNE)
         space, body = tmp_path / "space.json", tmp_path / "run.json"
@@ -495,6 +519,20 @@ class TestFaultCommands:
         lines = captured.out.strip().split("\r\n")
         assert lines[0].split(",")[0] == "value"
         assert len(lines) == 4
+
+    def test_sweep_and_interval_agree_on_run_length(self, tmp_path):
+        """With a plan and a space of different batches, a token-count run
+        length is taken from the plan's batch by every fault command."""
+        fault = {k: v for k, v in FAULT.items() if k != "S"} | {"tokens": 1e7}
+        cfg = write_run_config(tmp_path, fault=fault, space={"g_n": 4, "g_bs": 16})
+        code, out, _ = run_quiet("interval", "--config", cfg)
+        assert code == 0
+        interval = json.loads(out)
+        code, out, _ = run_quiet("sweep", "--config", cfg, "--parameter", "r_f",
+                                 "--values", str(FAULT["r_f_per_node_day"]))
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row[1:] == [interval["ETTR"], interval["T_e2e"], interval["I_ckpt"]]
 
     @pytest.mark.parametrize("parameter,value", [("N_nodes", "16.7"), ("I_ckpt", "10.9")])
     def test_sweep_fault_count_rejects_non_integer(self, tmp_path, capsys,

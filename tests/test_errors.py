@@ -1,6 +1,6 @@
 import pytest
 
-from traincost.errors import InputError, check_count, check_number
+from traincost.errors import InputError, check_count, check_number, check_object
 
 
 class TestCheckNumber:
@@ -27,6 +27,18 @@ class TestCheckNumber:
         assert check_number("x", good, **kwargs) == good
         with pytest.raises(InputError, match=f"is not a finite number {domain}$"):
             check_number("x", bad, **kwargs)
+
+
+class TestCheckObject:
+    def test_returns_the_dict(self):
+        data = {"qkv": 2}
+        assert check_object(data, "x") is data
+
+    @pytest.mark.parametrize("value,kind", [([], "list"), ([["qkv", 2]], "list"),
+                                            (None, "NoneType"), ("{}", "str")])
+    def test_rejects_non_objects(self, value, kind):
+        with pytest.raises(InputError, match=f"^x must be a JSON object, got {kind}$"):
+            check_object(value, "x")
 
 
 class TestCheckCount:

@@ -1,10 +1,17 @@
 import pytest
 
-from traincost.errors import ShapeError
+from traincost.errors import InputError, ShapeError
 from traincost.plan import ParallelPlan
 
 
 class TestDerivedQuantities:
+    @pytest.mark.parametrize("pp,chunks", [(1, 1), (1, 3), (4, 1), (4, 2), (8, 5)])
+    def test_warmup_depth(self, pp, chunks):
+        plan = ParallelPlan(pp=pp, chunks=chunks, num_layers=pp * chunks)
+        for stage in range(pp):
+            assert plan.warmup_depth(stage) == 2 * (pp - stage - 1) + (chunks - 1) * pp
+            assert plan.warmup_depth(stage) + 1 == chunks * pp + pp - 2 * stage - 1
+
     def test_world_size_and_micro_batches(self):
         plan = ParallelPlan(tp=8, cp=1, pp=8, ep=1, dp=2, micro_batch=2,
                             global_batch=256, chunks=5, num_layers=80)
@@ -34,6 +41,18 @@ class TestDerivedQuantities:
              "g_bs": 256, "v": 5}, num_layers=80)
         assert plan.tp == 8 and plan.chunks == 5
         assert ParallelPlan.from_json_dict(plan.to_json_dict()) == plan
+
+    def test_json_keys_in_search_order(self):
+        plan = ParallelPlan(tp=2, cp=1, pp=4, ep=1, dp=8, micro_batch=1,
+                            global_batch=64, chunks=2, num_layers=8)
+        assert list(plan.to_json_dict().items()) == [
+            ("t", 2), ("c", 1), ("p", 4), ("e", 1), ("d", 8), ("m_bs", 1),
+            ("g_bs", 64), ("v", 2), ("L", 8)]
+
+    @pytest.mark.parametrize("data", [{"tp": 8}, {"t": 8, "tp": 4}, {"num_layers": 80}])
+    def test_json_rejects_field_names(self, data):
+        with pytest.raises(InputError, match="unknown plan key"):
+            ParallelPlan.from_json_dict(data, num_layers=80)
 
     def test_with_updates_field(self):
         plan = ParallelPlan(num_layers=4)

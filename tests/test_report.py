@@ -33,6 +33,10 @@ class TestRendering:
         text = render_report(tune_result, "csv")
         lines = text.split("\r\n")
         assert lines[0] == ",".join(CANDIDATE_COLUMNS)
+        assert lines[0].startswith("rank,t,c,p,e,d,m_bs,v,features,Memory_GB,")
+        best = tune_result.candidates[0].plan
+        assert lines[1].split(",")[1:8] == [str(x) for x in (
+            best.tp, best.cp, best.pp, best.ep, best.dp, best.micro_batch, best.chunks)]
         assert len(lines) == len(tune_result.candidates) + 2  # header + trailing
 
     def test_empty_tune_result_is_header_only(self, tune_result):

@@ -171,8 +171,12 @@ class TestTuneStep:
                             db=make_db(), total_gpus=16, global_batch=8)
         resolved = space.resolved()
         assert resolved.tp_candidates == (1, 2, 4, 8)
+        assert resolved.cp_candidates == (1,)
+        assert resolved.pp_candidates == (1, 2, 4)
         assert resolved.dp_candidates == (1, 2, 4, 8, 16)
         assert resolved.ep_candidates == (1,)
+        assert resolved.micro_batch_candidates == (1, 2, 4, 8)
+        assert resolved.chunk_candidates == (1, 2, 4)
 
     def test_default_allowlist_covers_strategy_cross(self):
         from traincost.optim import default_feature_combos
@@ -337,8 +341,10 @@ class TestSweep:
     def test_chunk_sweep_rows(self):
         space = small_space(chunk_candidates=(1, 2, 4))
         result = sweep(space, "v", [1, 2, 4])
-        assert result.columns[0] == "value"
+        assert result.columns == ("value", "t", "c", "p", "e", "d", "m_bs", "v",
+                                  "T_step", "TFLOPS", "M_peak_GB")
         assert [row[0] for row in result.rows] == [1, 2, 4]
+        assert [row[7] for row in result.rows] == [1, 2, 4]  # the plan's v
         assert all(row[8] > 0 for row in result.rows)  # T_step column
 
     def test_cluster_size_sweep_carries_linearity(self):
