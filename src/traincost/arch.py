@@ -22,7 +22,7 @@ only through per-module override entries supplied with the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InputError, ShapeError, check_count, check_keys, check_number, check_object
 from .plan import ParallelPlan
@@ -109,9 +109,11 @@ class ModelArchitecture:
         kwargs = {key_map.get(key, key): value for key, value in data.items()}
         overrides = kwargs.get("module_overrides")
         if overrides is not None:
-            kwargs["module_overrides"] = {
-                name: ModuleOverride(**entry)
-                for name, entry in check_object(overrides, "module_overrides").items()}
+            known = tuple(f.name for f in fields(ModuleOverride))
+            kwargs["module_overrides"] = {}
+            for name, entry in check_object(overrides, "module_overrides").items():
+                check_keys(entry, known, "module override")
+                kwargs["module_overrides"][name] = ModuleOverride(**entry)
         if "structure_kind" not in kwargs:
             moe = kwargs.get("expert_ffn_size") and kwargs.get("num_experts")
             kwargs["structure_kind"] = "MoE" if moe else "Dense"

@@ -16,7 +16,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, TraincostError, check_count, check_number
 from .fault import CheckpointPolicy, ettr_exact, ettr_closed_form, optimal_ckpt_interval
 from .report import render_report
-from .tuner import sweep, tune_e2e, tune_step
+from .tuner import FAULT_PARAMS, sweep, tune_e2e, tune_step
 
 # Kept so that existing command lines still parse.
 _WORKERS_HELP = "ignored: candidates are evaluated serially"
@@ -174,7 +174,7 @@ def _dispatch(args) -> int:
         values = [_parse_value(v) for v in args.values.split(",") if v != ""]
         fault = cfg.fault
         kwargs = {}
-        if fault is not None:
+        if fault is not None and args.parameter in FAULT_PARAMS:
             kwargs = {
                 "fault": fault.model,
                 "save_s": fault.save_s,

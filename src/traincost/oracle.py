@@ -13,7 +13,7 @@ package (and the CLI) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -36,10 +36,36 @@ class TraceEvent(NamedTuple):
     end: float
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
-    events: tuple[TraceEvent, ...]
+class PipelineTrace(NamedTuple):
+    """A replay's op times as flat columns, laid out by device, then kind
+    (bwd, fwd), then virtual slot; `micros` and the two chunk lists give
+    each slot's (micro_batch, chunk) for its kind, on every device."""
     makespan: float
+    starts: array
+    ends: array
+    micros: list[int]
+    fwd_chunks: list[int]
+    bwd_chunks: list[int]
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """One TraceEvent per op, sorted by (start, device, kind).
+
+        Built afresh on every read and not kept, so a held trace stays
+        small; keep the tuple rather than re-reading in a loop."""
+        slots, i = len(self.micros), 0
+        events: list[TraceEvent] = []
+        for dev in range(len(self.starts) // (2 * slots)):
+            for kind, chunks in (("bwd", self.bwd_chunks), ("fwd", self.fwd_chunks)):
+                events += map(tuple.__new__, repeat(TraceEvent), zip(
+                    repeat(kind), self.micros, chunks, repeat(dev),
+                    self.starts[i:i + slots], self.ends[i:i + slots]))
+                i += slots
+        # columns run by device, then kind, then slot (each kind runs its
+        # slots in order), so a stable sort on start alone leaves them in
+        # (start, device, kind) order with ties in run order
+        events.sort(key=itemgetter(4))
+        return tuple(events)
 
     def to_chrome_trace(self) -> list[dict]:
         """Chrome trace-event list (microsecond timestamps) for inspection."""
@@ -116,8 +142,9 @@ def simulate_pipeline(
 
     t_fwd/t_bwd are per-layer times; each slot runs layers_per_stage of them.
     Transfers between adjacent stages cost t_pp of latency without occupying
-    either device. Events are sorted by (start, device, kind); the makespan
-    is the last device clock. Every time must be finite and >= 0."""
+    either device. The trace keeps each op's start and end in flat columns;
+    the makespan is the last device clock. Every time must be finite and
+    >= 0."""
     for name, value in (("t_fwd", t_fwd), ("t_bwd", t_bwd), ("t_pp", t_pp),
                         ("t_embed", t_embed), ("t_embed_bwd", t_embed_bwd),
                         ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
@@ -183,19 +210,13 @@ def simulate_pipeline(
     makespan = max(end[js[-1]] for js in op_ids)
     del op_ids, runs
 
-    # Events go in by device, then kind, then slot (each kind runs its slots
-    # in order), so a stable sort on start alone leaves them in (start,
-    # device, kind) order with ties in run order.
-    events: list[TraceEvent] = []
+    starts, ends = array("d"), array("d")
     for dev in range(p):
-        for kind, chunks, ids in (("bwd", bwd_chunks, bwd_ids), ("fwd", fwd_chunks, fwd_ids)):
+        for ids in (bwd_ids, fwd_ids):
             js = [j + dev for j in ids]
-            events += map(tuple.__new__, repeat(TraceEvent), zip(
-                repeat(kind), micros, chunks, repeat(dev),
-                map(start.__getitem__, js), map(end.__getitem__, js)))
-    del start, end, duration, js
-    events.sort(key=itemgetter(4))
-    return makespan, PipelineTrace(tuple(events), makespan)
+            starts.extend(map(start.__getitem__, js))
+            ends.extend(map(end.__getitem__, js))
+    return makespan, PipelineTrace(makespan, starts, ends, micros, fwd_chunks, bwd_chunks)
 
 
 def simulate_activation_ledger(

@@ -274,7 +274,7 @@ class SweepResult:
         }
 
 
-_FAULT_PARAMS = ("r_f", "u_b", "T_save", "N_nodes", "I_ckpt")
+FAULT_PARAMS = ("r_f", "u_b", "T_save", "N_nodes", "I_ckpt")
 _ON_OFF = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
@@ -292,7 +292,7 @@ def sweep(
     Plan dimensions and cluster knobs re-run the step tuner with the swept
     value pinned; fault parameters hold the plan fixed and recompute the
     closed-form ETTR, which needs the fault config and step time."""
-    if parameter in _FAULT_PARAMS:
+    if parameter in FAULT_PARAMS:
         return _sweep_fault(parameter, values, fault, save_s, total_steps, step_s)
 
     columns = ("value", *DIMS, "T_step", "TFLOPS", "M_peak_GB")

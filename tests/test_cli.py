@@ -302,6 +302,10 @@ class TestConfigInput:
          "model section invalid: unknown model key 'num_layers'"),
         ({"model": MODEL | {"module_overrides": [1]}},
          "model section invalid: module_overrides must be a JSON object, got list"),
+        ({"model": MODEL | {"module_overrides": {"qkv": 3}}},
+         "model section invalid: module override must be a JSON object, got int"),
+        ({"model": MODEL | {"module_overrides": {"qkv": {"bogus": 1}}}},
+         "model section invalid: unknown module override key 'bogus'"),
         *[({"optimization": {table: value}},
            f"optimization section invalid: {table} must be a JSON object, got list")
           for table, value in (("compute_scaling", []), ("compute_scaling", [["qkv", 2]]),
@@ -328,7 +332,7 @@ class TestConfigInput:
             "collective-group_size-float", "tp-overlap-false", "dp-overlap-string",
             "schema-version-bool", "schema-version-float", "plan-key-tp",
             "plan-key-tp-beside-t", "plan-key-num_layers", "model-key-num_layers",
-            "module-overrides-list",
+            "module-overrides-list", "module-override-int", "module-override-key-bogus",
             "compute-scaling-empty-list", "compute-scaling-pairs", "comm-scaling-pairs"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
@@ -533,6 +537,22 @@ class TestFaultCommands:
         assert code == 0
         (row,) = json.loads(out)["rows"]
         assert row[1:] == [interval["ETTR"], interval["T_e2e"], interval["I_ckpt"]]
+
+    def test_plan_sweep_needs_no_run_length_or_step_time(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """A fault section without S or tokens, and a plan, play no part in
+        a sweep over a plan dimension; only a fault-parameter sweep needs
+        the run length."""
+        monkeypatch.setattr("traincost.cli.evaluate_plan", None)  # calling it fails
+        fault = {k: v for k, v in FAULT.items() if k != "S"}
+        cfg = write_run_config(tmp_path, fault=fault, space={"g_n": 4, "g_bs": 4})
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter", "v",
+                             "--values", "1")
+        assert (code, captured.err) == (0, "")
+        assert len(json.loads(captured.out)["rows"]) == 1
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter", "r_f",
+                             "--values", "0.01", "--t-step", "28")
+        assert (code, captured.err) == (1, "error: fault config needs either S or tokens\n")
 
     @pytest.mark.parametrize("parameter,value", [("N_nodes", "16.7"), ("I_ckpt", "10.9")])
     def test_sweep_fault_count_rejects_non_integer(self, tmp_path, capsys,

@@ -1,4 +1,7 @@
+import gc
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +122,36 @@ class TestPipelineSim:
                   "t_head": 0.9, "t_head_bwd": 1.3}
         _, trace = simulate_pipeline(t_f, t_b, plan_of(p=p, v=v, m_b=m_b, l=l), **extras)
         assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest
+
+    def test_pinned_chrome_trace_digest(self):
+        """The Chrome export of the hop-embed-head replay, as JSON, hashes
+        to a recorded digest."""
+        _, trace = simulate_pipeline(
+            1.0, 2.0, plan_of(p=4, v=3, m_b=8), t_pp=0.25, t_embed=0.5,
+            t_embed_bwd=0.75, t_head=0.5, t_head_bwd=1.0)
+        assert hashlib.sha256(json.dumps(trace.to_chrome_trace()).encode()).hexdigest() \
+            == "f9f9b2aa52c54fedfa891b38496a3c3aad9c6b521ef76ee54dcb268930820ce5"
+
+    def test_events_built_afresh_on_each_read(self):
+        p, v, m_b = 4, 3, 8
+        _, trace = simulate_pipeline(1.0, 2.0, plan_of(p=p, v=v, m_b=m_b), t_pp=0.25)
+        first, second = trace.events, trace.events
+        assert first == second and first is not second
+        assert len(first) == 2 * m_b * v * p
+
+    def test_held_trace_stays_small(self):
+        """A held p=16, v=5, m_b=256 trace keeps its op times as columns,
+        not one event object per op (about 5 MB)."""
+        plan = plan_of(p=16, v=5, m_b=256)
+        simulate_pipeline(1.0, 2.0, plan)  # warm any one-off allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = simulate_pipeline(1.0, 2.0, plan)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held[0] == 3885.0 and retained <= 1_000_000
 
     def test_trace_event_is_a_tuple(self):
         _, trace = simulate_pipeline(1.0, 2.0, plan_of(p=2, m_b=2))
