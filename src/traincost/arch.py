@@ -22,7 +22,7 @@ only through per-module override entries supplied with the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import InputError, ShapeError, check_count, check_keys, check_number, check_object
 from .plan import ParallelPlan
@@ -33,6 +33,15 @@ STRUCTURE_KINDS = ("Dense", "MoE")
 # Module-name groups used by activation strategies and overlap pairing.
 ATTENTION_CORE_MODULES = ("attention-map", "softmax", "attention-on-value")
 EXPERT_MODULES = ("mlp-linear-1", "swiglu", "mlp-linear-2")
+
+# Config key -> ModelArchitecture field, in the order the config echo prints
+# them; module_overrides is the one other model key.
+MODEL_KEYS = {
+    "L": "num_layers", "s": "seq_len", "h": "hidden_size", "a": "num_heads",
+    "q": "query_groups", "V": "vocab_size", "g_d": "dense_ffn_size",
+    "g_e": "expert_ffn_size", "t_k": "top_k", "n_experts": "num_experts",
+    "attention": "attention_kind", "structure": "structure_kind",
+}
 
 
 @dataclass(frozen=True)
@@ -96,17 +105,9 @@ class ModelArchitecture:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelArchitecture":
-        """Accepts the short config keys (L, s, h, a, q, g_d, g_e, t_k,
-        n_experts, V, attention, structure) and module_overrides."""
-        key_map = {
-            "L": "num_layers", "s": "seq_len", "h": "hidden_size",
-            "a": "num_heads", "q": "query_groups", "g_d": "dense_ffn_size",
-            "g_e": "expert_ffn_size", "t_k": "top_k", "V": "vocab_size",
-            "n_experts": "num_experts",
-            "attention": "attention_kind", "structure": "structure_kind",
-        }
-        check_keys(data, (*key_map, "module_overrides"), "model")
-        kwargs = {key_map.get(key, key): value for key, value in data.items()}
+        """Accepts the config keys of MODEL_KEYS and module_overrides."""
+        check_keys(data, (*MODEL_KEYS, "module_overrides"), "model")
+        kwargs = {MODEL_KEYS.get(key, key): value for key, value in data.items()}
         overrides = kwargs.get("module_overrides")
         if overrides is not None:
             known = tuple(f.name for f in fields(ModuleOverride))
@@ -118,6 +119,15 @@ class ModelArchitecture:
             moe = kwargs.get("expert_ffn_size") and kwargs.get("num_experts")
             kwargs["structure_kind"] = "MoE" if moe else "Dense"
         return cls(**kwargs)
+
+    def to_json_dict(self) -> dict:
+        """The config keys of every field that is set; from_json_dict reads
+        it back to an equal architecture."""
+        out = {key: getattr(self, name) for key, name in MODEL_KEYS.items()
+               if getattr(self, name) is not None}
+        overrides = {name: {k: v for k, v in asdict(ov).items() if v is not None}
+                     for name, ov in self.module_overrides.items()}
+        return out | ({"module_overrides": overrides} if overrides else {})
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,7 @@ def _apply_override(shape: ModuleShape, arch: ModelArchitecture,
 def model_flops_total(arch: ModelArchitecture, plan: ParallelPlan) -> float:
     """Unsharded forward FLOPs for one global batch: embedding + head +
     num_layers * layer, scaled from micro-batch to global batch."""
-    neutral = plan.with_(tp=1, cp=1, ep=1)
+    neutral = replace(plan, tp=1, cp=1, ep=1)
     d = decompose(arch, neutral)
     scale = plan.micro_batches * plan.dp
     return (d.embedding.flops_fwd + d.head.flops_fwd

@@ -1,6 +1,6 @@
-"""Base cost model: layer times, interleaved-1F1B pipeline phases, optimizer
-time, memory, step time and achieved TFLOPS, plus the plan evaluator that
-overlays the optimization features.
+"""Base cost model: layer times, interleaved-1F1B pipeline phases, memory,
+step time and achieved TFLOPS, plus the plan evaluator that adds the
+optimizer terms and overlays the optimization features.
 
 Latency is tracked per exposure channel (compute, tp, cp, ep, pp) so
 step-level breakdowns stay consistent with the phase totals: the pipeline
@@ -34,10 +34,14 @@ from .profile import (
     HardwareSpec,
     ProfileDB,
     comm_time,
-    comm_volume,
     op_time,
     roofline_bound,
 )
+
+
+# Config key -> Dtypes field.
+DTYPE_KEYS = {"D_para": "param_bytes", "D_grad": "grad_bytes", "D_opt": "opt_bytes",
+              "D_act": "act_bytes"}
 
 
 @dataclass(frozen=True)
@@ -48,18 +52,16 @@ class Dtypes:
     act_bytes: float = 2.0
 
     def __post_init__(self):
-        for name in ("param_bytes", "grad_bytes", "opt_bytes", "act_bytes"):
+        for name in DTYPE_KEYS.values():
             check_number(name, getattr(self, name))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dtypes":
-        check_keys(data, ("D_para", "D_grad", "D_opt", "D_act"), "dtypes")
-        return cls(
-            param_bytes=data.get("D_para", 2.0),
-            grad_bytes=data.get("D_grad", 2.0),
-            opt_bytes=data.get("D_opt", 4.0),
-            act_bytes=data.get("D_act", 2.0),
-        )
+        check_keys(data, tuple(DTYPE_KEYS), "dtypes")
+        return cls(**{DTYPE_KEYS[key]: value for key, value in data.items()})
+
+    def to_json_dict(self) -> dict:
+        return {key: getattr(self, name) for key, name in DTYPE_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,8 @@ def _module_time(shape, db: ProfileDB, opts: OptimizationSet,
     work = shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0)
     cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
            if entry.intensity is not None else db.hardware.gpu_peak_flops)
-    return op_time(work, _optim.apply_scaling(
-        entry.throughput(backward), opts.compute_lambda(shape.name), cap))
+    return op_time(work, min(entry.throughput(backward)
+                             * opts.compute_lambda(shape.name), cap))
 
 
 def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
@@ -187,7 +189,7 @@ def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
     if volume == 0:
         return 0.0
     bw, beta = db.comm.effective_bandwidth(kind, group, volume)
-    return comm_time(volume, _optim.apply_scaling(bw, opts.comm_lambda(kind)), beta)
+    return comm_time(volume, bw * opts.comm_lambda(kind), beta)
 
 
 @dataclass(frozen=True)
@@ -257,18 +259,21 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     comp_fwd = {i: _module_time(m, db, opts, False) for i, m in enumerate(decomp.layer)}
     comp_bwd = {i: _module_time(m, db, opts, True) for i, m in enumerate(decomp.layer)}
 
+    # Message bytes: a full activation per tp collective, a context-sharded
+    # one per cp ring hop and its top-k routed copies per ep all-to-all.
+    b, s, h, d_act = plan.micro_batch, arch.seq_len, arch.hidden_size, dtypes.act_bytes
     tp_times: dict[str, float] = {}
     if plan.tp > 1:
-        vol = comm_volume("tp", plan, arch, dtypes.act_bytes)
+        vol = b * s * h * d_act
         tp_times = {kind: _collective_time(db, opts, kind, plan.tp, vol)
                     for kind in ("all-gather", "reduce-scatter")}
     cp_total = 0.0
     if plan.cp > 1:
-        vol = comm_volume("cp", plan, arch, dtypes.act_bytes)
+        vol = b * (s / plan.cp) * h * d_act
         cp_total = (plan.cp - 1) * _collective_time(db, opts, "p2p", 2, vol)
     ep_total = 0.0
     if plan.ep > 1:
-        vol = comm_volume("ep", plan, arch, dtypes.act_bytes)
+        vol = b * (s / plan.cp) * arch.top_k * h * d_act
         # dispatch + combine
         ep_total = 2 * _collective_time(db, opts, "all-to-all", plan.ep, vol)
 
@@ -287,9 +292,9 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 # Pipeline level
 
 
-def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan,
+def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan, *,
                   t_pp: float = 0.0, t_embed: float = 0.0,
-                  t_head: float = 0.0, t_embed_bwd: float | None = None,
+                  t_embed_bwd: float | None = None, t_head: float = 0.0,
                   t_head_bwd: float | None = None,
                   t_pp_steady: float | None = None) -> PipelinePhases:
     """Interleaved 1F1B phase times from per-layer forward/backward latency.
@@ -315,29 +320,6 @@ def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan,
         notes = (f"degenerate pipeline: micro_batches={m_b} < pp={p}; "
                  "phase formulas evaluated as defined",)
     return PipelinePhases(warmup, steady, cooldown, warmup + steady + cooldown, notes)
-
-
-# ---------------------------------------------------------------------------
-# Optimizer level
-
-
-def optimizer_time(plan: ParallelPlan, params_per_layer: float, db: ProfileDB,
-                   dtypes: Dtypes = Dtypes(),
-                   opts: OptimizationSet | None = None,
-                   memo: "EvalMemo | None" = None) -> tuple[float, float, float]:
-    """(t_dp, t_update, t_opt): gradient exchange plus parameter update.
-
-    Base form only; strategy and overlap adjustments happen in evaluate_plan.
-    The all-reduce goes through memo's collective times when memo is given."""
-    opts = opts or OptimizationSet()
-    params_total = plan.chunks * plan.layers_per_stage * params_per_layer
-    vol = comm_volume("dp", plan, params_per_layer=params_per_layer,
-                      grad_dtype_bytes=dtypes.grad_bytes)
-    collective = memo.collective if memo else _collective_time
-    t_dp = collective(db, opts, "all-reduce", plan.dp, vol)
-    p_opt = db.hardware.optimizer_throughput * opts.compute_lambda("optimizer")
-    t_update = params_total / p_opt if params_total else 0.0
-    return t_dp, t_update, t_dp + t_update
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +512,12 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if shape is None:
         shape = memo.shapes[shape_key] = (
             layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
-            _module_time(decomp.embedding, db, opts, False),
-            _module_time(decomp.embedding, db, opts, True),
-            _module_time(decomp.head, db, opts, False),
-            _module_time(decomp.head, db, opts, True),
+            {"t_embed": _module_time(decomp.embedding, db, opts, False),
+             "t_embed_bwd": _module_time(decomp.embedding, db, opts, True),
+             "t_head": _module_time(decomp.head, db, opts, False),
+             "t_head_bwd": _module_time(decomp.head, db, opts, True)},
         )
-    lc, t_embed, t_embed_bwd, t_head, t_head_bwd = shape
+    lc, ends = shape   # ends: the embedding and head times pipeline_time takes
 
     # Activation strategy: scalar result from the strategy op, then the delta
     # mirrored onto the channel split so totals stay consistent.
@@ -554,7 +536,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     # Pipeline hop and its steady-phase overlap.
     t_pp_hop = 0.0
     if plan.pp > 1:
-        vol = comm_volume("pp", plan, arch, dtypes.act_bytes)
+        vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
         t_pp_hop = memo.collective(db, opts, "p2p", 2, vol)
     t_pp_steady = t_pp_hop
     if opts.pp_overlap is not None and t_pp_hop > 0:
@@ -564,20 +546,22 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         hide = plan.layers_per_stage * (fwd_parts.total + bwd_parts.total) / 2.0
         t_pp_steady = _optim.pp_overlap(t_pp_hop, hide, ov.alpha, ov.beta)
 
-    phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp_hop,
-                           t_embed, t_head, t_embed_bwd, t_head_bwd, t_pp_steady)
+    phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp=t_pp_hop,
+                           t_pp_steady=t_pp_steady, **ends)
     # The phase formulas are linear in their inputs, so each exposure channel
     # is pipeline_time on that channel's terms alone.
-    t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, 0.0, t_embed,
-                          t_head, t_embed_bwd, t_head_bwd).total
+    t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, **ends).total
     t_tp = pipeline_time(fwd_parts.tp, bwd_parts.tp, plan).total
     t_cp = pipeline_time(fwd_parts.cp, bwd_parts.cp, plan).total
     t_ep = pipeline_time(fwd_parts.ep, bwd_parts.ep, plan).total
-    t_pp = pipeline_time(0.0, 0.0, plan, t_pp_hop, t_pp_steady=t_pp_steady).total
+    t_pp = pipeline_time(0.0, 0.0, plan, t_pp=t_pp_hop, t_pp_steady=t_pp_steady).total
 
-    # Optimizer: base, then strategy, then overlap.
-    t_dp, t_update, _ = optimizer_time(plan, memo.terms.params, db, dtypes, opts, memo)
-    t_update = _optimizer(opts, plan, memo, dtypes, hw, t_update)[1]
+    # Optimizer: the held gradients' all-reduce and the base update, then the
+    # strategy, then the dp overlap.
+    vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * memo.terms.params
+    t_dp = memo.collective(db, opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
+    p_opt = hw.optimizer_throughput * opts.compute_lambda("optimizer")
+    t_update = _optimizer(opts, plan, memo, dtypes, hw, memo.params_held / p_opt)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
         per_chunk_params = plan.layers_per_stage * memo.terms.params
         rs = [memo.collective(db, opts, "reduce-scatter", plan.dp,

@@ -70,17 +70,8 @@ class RunConfig:
         out: dict = {"schema_version": self.schema_version,
                      "output_format": self.output_format,
                      "tflops_mode": self.tflops_mode}
-        out["model"] = {
-            "L": self.arch.num_layers, "s": self.arch.seq_len,
-            "h": self.arch.hidden_size, "a": self.arch.num_heads,
-            "V": self.arch.vocab_size, "g_d": self.arch.dense_ffn_size,
-            "attention": self.arch.attention_kind,
-            "structure": self.arch.structure_kind,
-        }
-        out["dtypes"] = {"D_para": self.dtypes.param_bytes,
-                         "D_grad": self.dtypes.grad_bytes,
-                         "D_opt": self.dtypes.opt_bytes,
-                         "D_act": self.dtypes.act_bytes}
+        out["model"] = self.arch.to_json_dict()
+        out["dtypes"] = self.dtypes.to_json_dict()
         if self.plan is not None:
             out["plan"] = self.plan.to_json_dict()
         first = self.opt_combos[0]
@@ -198,7 +189,7 @@ def load_config(path: str, space_path: str | None = None) -> RunConfig:
 
     with _section("optimization"):
         opt_raw = raw.get("optimization")
-        if opt_raw is None:
+        if opt_raw is None or opt_raw == []:
             combos = (OptimizationSet(),)
             declared_combos = ()   # a space without a declared allowlist gets
             # the default one (all features) when it resolves

@@ -1,5 +1,5 @@
-"""Optimization-feature overlays: scaling, overlap equations, and the
-optimizer/activation memory strategies.
+"""Optimization-feature overlays: the scaling tables, overlap equations, and
+the optimizer/activation memory strategies.
 
 Every overlap follows the same pattern: two latencies that the runtime can
 execute concurrently collapse into a residual term plus a max of the two,
@@ -116,8 +116,9 @@ class OptimizationSet:
                             ("ep_overlap", OverlapCoeffs), ("pp_overlap", OverlapCoeffs),
                             ("dp_overlap", DpOverlapCoeffs), ("offload_coeffs", OffloadCoeffs)):
             raw = data.get(key)
-            if raw is not None:
-                check_keys(raw, tuple(f.name for f in fields(coeffs)), key)
+            if raw is not None:  # splits pipelines the tp collectives only
+                check_keys(raw, tuple(f.name for f in fields(coeffs)
+                                      if key == "tp_overlap" or f.name != "splits"), key)
                 kwargs[key] = coeffs(**raw)
         kwargs["optimizer_strategy"] = data.get("optimizer_strategy", "none")
         kwargs["activation_strategy"] = data.get("activation_strategy", "none")
@@ -140,17 +141,6 @@ def default_feature_combos() -> tuple[OptimizationSet, ...]:
         for opt in OPTIMIZER_STRATEGIES
         for act in ACTIVATION_STRATEGIES
     )
-
-
-def apply_scaling(value: float, scale: float, cap: float | None = None) -> float:
-    """Scale a profiled throughput or bandwidth, optionally clamping at an
-    attainability bound (roofline)."""
-    if scale <= 0:
-        raise InputError("scaling factor must be positive")
-    scaled = value * scale
-    if cap is not None:
-        scaled = min(scaled, cap)
-    return scaled
 
 
 def tp_overlap(t_comp: float, t_tp: float, splits: int = 1,

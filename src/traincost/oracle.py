@@ -132,6 +132,7 @@ def simulate_pipeline(
     t_fwd: float,
     t_bwd: float,
     plan: ParallelPlan,
+    *,
     t_pp: float = 0.0,
     t_embed: float = 0.0,
     t_embed_bwd: float = 0.0,

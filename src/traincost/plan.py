@@ -6,7 +6,7 @@ A plan is always tied to a concrete layer count so that derived quantities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ShapeError, check_count, check_keys
@@ -72,9 +72,6 @@ class ParallelPlan:
                 f"global_batch={self.global_batch} not divisible by "
                 f"micro_batch*dp={self.micro_batch * self.dp}"
             )
-
-    def with_(self, **kwargs) -> "ParallelPlan":
-        return replace(self, **kwargs)
 
     @classmethod
     def from_json_dict(cls, data: dict, num_layers: int | None = None) -> "ParallelPlan":

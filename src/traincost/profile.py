@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arch import ModelArchitecture
 from .errors import (ConfigError, InputError, ProfileLookupError, check_count,
                      check_keys, check_number)
-from .plan import ParallelPlan
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
 
@@ -270,49 +268,3 @@ def roofline_bound(work_flops: float, traffic_bytes: float,
     if traffic_bytes == 0:
         return hw.gpu_peak_flops
     return min(work_flops / traffic_bytes * hw.hbm_bw, hw.gpu_peak_flops)
-
-
-def comm_volume(
-    kind: str,
-    plan: ParallelPlan,
-    arch: ModelArchitecture | None = None,
-    dtype_bytes: float = 2.0,
-    grad_dtype_bytes: float | None = None,
-    params_per_layer: float | None = None,
-) -> float:
-    """Bytes moved per collective invocation under the plan.
-
-    'tp' covers one all-gather or reduce-scatter of a full activation;
-    'pp' and 'cp' are one point-to-point hop of the context-sharded
-    activation; 'ep' is one dispatch (or combine) all-to-all; 'dp' is the
-    whole per-step gradient exchange of one device's parameters."""
-    b = plan.micro_batch
-    if kind == "tp":
-        if plan.tp == 1:
-            return 0.0
-        if arch is None:
-            raise InputError("tp volume requires the architecture")
-        return b * arch.seq_len * arch.hidden_size * dtype_bytes
-    if kind in ("pp", "cp"):
-        if (plan.pp if kind == "pp" else plan.cp) == 1:
-            return 0.0
-        if arch is None:
-            raise InputError(f"{kind} volume requires the architecture")
-        return b * (arch.seq_len / plan.cp) * arch.hidden_size * dtype_bytes
-    if kind == "ep":
-        if plan.ep == 1:
-            return 0.0
-        if arch is None:
-            raise InputError("ep volume requires the architecture")
-        if not arch.is_moe:
-            raise InputError("ep volume requires an MoE architecture")
-        return (b * (arch.seq_len / plan.cp) * arch.top_k
-                * arch.hidden_size * dtype_bytes)
-    if kind == "dp":
-        if plan.dp == 1:
-            return 0.0
-        if params_per_layer is None:
-            raise InputError("dp volume requires params_per_layer")
-        grad_bytes = grad_dtype_bytes if grad_dtype_bytes is not None else dtype_bytes
-        return grad_bytes * plan.chunks * plan.layers_per_stage * params_per_layer
-    raise InputError(f"unknown communication kind {kind!r}")

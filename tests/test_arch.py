@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,7 +152,7 @@ class TestAggregates:
 
     def test_model_flops_scaling(self, dense_arch):
         plan = plan_for(dense_arch, micro_batch=2, global_batch=16, dp=2)
-        d = decompose(dense_arch, plan.with_(tp=1, cp=1, ep=1))
+        d = decompose(dense_arch, replace(plan, tp=1, cp=1, ep=1))
         expected = (d.embedding.flops_fwd + d.head.flops_fwd
                     + dense_arch.num_layers * d.layer_flops)
         # 16/(2*2) micro-batches x dp 2 = global scale 8

@@ -9,7 +9,6 @@ from traincost.basecost import (
     Dtypes,
     evaluate_plan,
     layer_cost,
-    optimizer_time,
     pipeline_time,
     step_time,
     tflops,
@@ -27,7 +26,6 @@ from traincost.profile import (
     ComputeEntry,
     ComputeProfile,
     ProfileDB,
-    comm_volume,
 )
 
 
@@ -106,7 +104,7 @@ class TestLayerTimes:
         arch = tiny_dense(h=8, a=2)
         plan = simple_plan(tp=2, num_layers=arch.num_layers)
         db = make_db(tflops=1e-9, bandwidth_gbps=1e-9)
-        vol = comm_volume("tp", plan, arch, 2.0)
+        vol = 1 * 8 * 8 * 2.0  # b*s*h*D_act
         comm_expected = 4 * vol / 1.0  # 2 ag + 2 rs at 1 B/s
         d = decompose(arch, plan)
         comp = sum(m.flops_fwd / 1000.0 for m in d.layer)
@@ -123,24 +121,35 @@ class TestLayerTimes:
 
 
 class TestOptimizerTime:
+    """The gradient all-reduce and the base parameter update, as evaluate_plan
+    computes them. tiny_dense holds 168 parameters per layer."""
+
     def test_direct_evaluation(self):
-        # grad bytes 2 x 10 params = 20 B over 20 B/s; update 10 params at 5/s
-        hw = make_hardware(optimizer_throughput=5.0)
-        db = make_db(hw, per_kind_gbps={"all-reduce": 20e-9})
-        plan = simple_plan(dp=2, global_batch=2)
-        t_dp, t_update, t_opt = optimizer_time(plan, 10.0, db)
-        assert t_dp == pytest.approx(1.0)
-        assert t_update == pytest.approx(2.0)
-        assert t_opt == pytest.approx(3.0)
+        # 2 layers x 168 params: 672 grad bytes over 336 B/s; update at 168/s
+        hw = make_hardware(optimizer_throughput=168.0)
+        db = make_db(hw, per_kind_gbps={"all-reduce": 336e-9})
+        arch = tiny_dense(l=2)
+        plan = simple_plan(dp=2, global_batch=2, num_layers=2)
+        cost = evaluate_plan(arch, plan, db).cost
+        assert cost.t_dp == pytest.approx(2.0, rel=1e-12)
+        assert cost.t_update == 2.0
+        assert cost.t_opt == pytest.approx(4.0, rel=1e-12)
+        scaled = evaluate_plan(arch, plan, db,
+                               OptimizationSet(compute_scaling={"optimizer": 4.0})).cost
+        assert (scaled.t_dp, scaled.t_update) == (cost.t_dp, 0.5)
 
     def test_no_data_parallelism_no_exchange(self, flat_db):
-        t_dp, _, _ = optimizer_time(simple_plan(dp=1), 10.0, flat_db)
-        assert t_dp == 0.0
+        cost = evaluate_plan(tiny_dense(l=1), simple_plan(dp=1), flat_db).cost
+        assert cost.t_dp == 0.0
+        assert cost.t_opt == cost.t_update > 0
 
     def test_zero_params(self, flat_db):
-        t_dp, t_update, t_opt = optimizer_time(simple_plan(dp=2, global_batch=2),
-                                               0.0, flat_db)
-        assert (t_dp, t_update, t_opt) == (0.0, 0.0, 0.0)
+        arch = tiny_dense(l=1, module_overrides={
+            name: ModuleOverride(params=0.0)
+            for name in ("norm", "qkv", "o-projection", "mlp-linear-1",
+                         "mlp-linear-2")})
+        cost = evaluate_plan(arch, simple_plan(dp=2, global_batch=2), flat_db).cost
+        assert (cost.t_dp, cost.t_update, cost.t_opt) == (0.0, 0.0, 0.0)
 
 
 class TestStepAndTflops:

@@ -70,6 +70,20 @@ class TestEval:
         _, second = run(capsys, "eval", "--config", cfg)
         assert first.out == second.out
 
+    @pytest.mark.parametrize("argv", [
+        ("eval",), ("eval", "--echo-config"), ("ettr",), ("interval",),
+        ("tune", "step"), ("tune", "e2e")], ids=" ".join)
+    def test_empty_optimization_list_is_an_absent_section(self, tmp_path, capsys, argv):
+        space = {"g_n": 4, "g_bs": 8, "t": [1], "c": [1], "p": [1, 2], "e": [1],
+                 "d": [1, 2], "m_bs": [1], "v": [1]}
+        outputs = []
+        for name, extra in (("absent.json", {}), ("empty.json", {"optimization": []})):
+            code, captured = run(capsys, *argv, "--config",
+                                 write_run_config(tmp_path, name, space=space, **extra))
+            assert code == 0, captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -310,6 +324,9 @@ class TestConfigInput:
            f"optimization section invalid: {table} must be a JSON object, got list")
           for table, value in (("compute_scaling", []), ("compute_scaling", [["qkv", 2]]),
                                ("comm_scaling", [["p2p", 2]]))],
+        *[({"optimization": {key: {"splits": 4}}},
+           f"optimization section invalid: unknown {key} key 'splits'")
+          for key in ("cp_overlap", "ep_overlap", "pp_overlap")],
     ], ids=["string-hardware-number", "string-overlap-alpha",
             "non-object-optimization", "non-object-dtypes", "model-key-r",
             "dtype-string", "dtype-null", "dtype-bool", "dtype-negative",
@@ -333,7 +350,8 @@ class TestConfigInput:
             "schema-version-bool", "schema-version-float", "plan-key-tp",
             "plan-key-tp-beside-t", "plan-key-num_layers", "model-key-num_layers",
             "module-overrides-list", "module-override-int", "module-override-key-bogus",
-            "compute-scaling-empty-list", "compute-scaling-pairs", "comm-scaling-pairs"])
+            "compute-scaling-empty-list", "compute-scaling-pairs", "comm-scaling-pairs",
+            "cp-overlap-splits", "ep-overlap-splits", "pp-overlap-splits"])
     def test_malformed_value(self, tmp_path, capsys, extra, message):
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from traincost.arch import ModelArchitecture
+from traincost.basecost import Dtypes
 from traincost.config import load_config
 from traincost.errors import ConfigError
 
@@ -128,6 +130,18 @@ class TestShippedConfigs:
             body[key] = os.path.abspath(os.path.join(configs_dir, f"{name}.json"))
         cfg = load_config(write_config(tmp_path, body))
         assert cfg.arch.num_layers > 0 and cfg.fault is not None
+
+    @pytest.mark.parametrize("model", ["llama2_70b", "llama3_405b", "deepseek_v3"])
+    def test_echoed_model_and_dtypes_parse_back_equal(self, tmp_path, configs_dir, model):
+        body = minimal_body(model=os.path.abspath(os.path.join(configs_dir, f"{model}.json")),
+                            dtypes={"D_para": 4.0, "D_act": 1.0},
+                            space={"g_n": 8, "g_bs": 8})
+        del body["plan"]
+        cfg = load_config(write_config(tmp_path, body))
+        echo = json.loads(json.dumps(cfg.describe()))
+        assert ModelArchitecture.from_json_dict(echo["model"]) == cfg.arch
+        assert Dtypes.from_json_dict(echo["dtypes"]) == cfg.dtypes
+        assert cfg.dtypes == Dtypes(param_bytes=4.0, act_bytes=1.0)
 
     @pytest.mark.parametrize("path", sorted(
         glob.glob(os.path.join(ROOT, "configs", "run_*.json"))

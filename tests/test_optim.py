@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_hardware
+from helpers import make_db, make_hardware, tiny_dense
+from traincost.basecost import layer_cost
 from traincost.errors import ConfigError, InputError
 from traincost.optim import (
     DpOverlapCoeffs,
     OptimizationSet,
     apply_activation_strategy,
     apply_optimizer_strategy,
-    apply_scaling,
     cp_overlap,
     dp_overlap,
     ep_overlap,
@@ -17,23 +17,44 @@ from traincost.optim import (
     tp_overlap,
 )
 from traincost.plan import ParallelPlan
+from traincost.profile import ComputeEntry
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 class TestScaling:
+    """Scaled throughput and bandwidth in layer_cost. The tp=2 layer of
+    ARCH runs 1856 forward FLOPs and moves 4 x 64 tp bytes per direction."""
+
+    ARCH = tiny_dense(s=8, h=4, a=2, g_d=8)
+    PLAN = ParallelPlan(tp=2, num_layers=2)
+
     def test_product(self):
-        assert apply_scaling(100.0, 1.2) == pytest.approx(120.0)
+        db = make_db(tflops=1e-9, bandwidth_gbps=1e-9)  # 1000 FLOPs/s, 1 B/s
+        lc = layer_cost(self.ARCH, self.PLAN, db, OptimizationSet(
+            compute_scaling={"*": 1.25}, comm_scaling={"all-gather": 2.0}))
+        assert lc.fwd.cal == pytest.approx(1856 / 1250, rel=1e-12)
+        assert lc.fwd.tp == pytest.approx(2 * 64 / 2 + 2 * 64, rel=1e-12)
 
     def test_identity(self):
-        assert apply_scaling(7.5, 1.0) == 7.5
+        db = make_db(tflops=1e-9, bandwidth_gbps=1e-9)
+        unit = OptimizationSet(compute_scaling={"*": 1.0}, comm_scaling={"*": 1.0})
+        assert layer_cost(self.ARCH, self.PLAN, db, unit) == \
+            layer_cost(self.ARCH, self.PLAN, db)
 
     def test_roofline_clamp(self):
-        assert apply_scaling(100.0, 5.0, cap=150.0) == 150.0
+        # intensity 20 FLOPs/B at 100 B/s HBM caps throughput at 2000 FLOPs/s
+        db = make_db(make_hardware(hbm_bw=100.0),
+                     entries=[ComputeEntry("*", 1000.0, intensity=20.0)])
+        for scale, throughput in ((1.5, 1500.0), (5.0, 2000.0)):
+            lc = layer_cost(self.ARCH, self.PLAN, db,
+                            OptimizationSet(compute_scaling={"*": scale}))
+            assert lc.fwd.cal == pytest.approx(1856 / throughput, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            apply_scaling(1.0, 0.0)
+        for table in ("compute_scaling", "comm_scaling"):
+            with pytest.raises(InputError, match="not a finite number > 0"):
+                OptimizationSet(**{table: {"*": 0.0}})
 
 
 class TestOverlapOps:

@@ -228,6 +228,16 @@ class TestPipelineSim:
                                         t_embed=0.5, t_head=0.5)[0]
         assert with_extras > plain
 
+    @pytest.mark.parametrize("func", [pipeline_time, simulate_pipeline],
+                             ids=["pipeline_time", "simulate_pipeline"])
+    @pytest.mark.parametrize("times", [(0.5,), (0.0, 0.5)], ids=["hop", "embedding"])
+    def test_times_after_plan_are_keyword_only(self, func, times):
+        plan = plan_of(p=2, m_b=4)
+        with pytest.raises(TypeError):
+            func(1.0, 2.0, plan, *times)
+        func(1.0, 2.0, plan, t_pp=0.1, t_embed=0.2, t_embed_bwd=0.3, t_head=0.4,
+             t_head_bwd=0.5)
+
 
 class TestActivationLedger:
     def test_no_pipelining_single_live_batch(self):

@@ -53,8 +53,3 @@ class TestDerivedQuantities:
     def test_json_rejects_field_names(self, data):
         with pytest.raises(InputError, match="unknown plan key"):
             ParallelPlan.from_json_dict(data, num_layers=80)
-
-    def test_with_updates_field(self):
-        plan = ParallelPlan(num_layers=4)
-        assert plan.with_(chunks=2).chunks == 2
-        assert plan.chunks == 1

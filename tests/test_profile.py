@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import make_db, make_hardware, tiny_dense, tiny_moe
+from traincost.basecost import evaluate_plan, layer_cost, pipeline_time
 from traincost.errors import ConfigError, InputError, ProfileLookupError
 from traincost.plan import ParallelPlan
 from traincost.profile import (
@@ -11,7 +12,6 @@ from traincost.profile import (
     ComputeProfile,
     HardwareSpec,
     comm_time,
-    comm_volume,
     op_time,
     roofline_bound,
 )
@@ -73,44 +73,62 @@ class TestRoofline:
             assert roofline_bound(intensity, 1.0, hw) <= hw.gpu_peak_flops
 
 
+def one_byte_per_s_db():
+    """A flat profile whose every link moves 1 B/s, so each collective's time
+    equals the bytes it moves."""
+    return make_db(bandwidth_gbps=1e-9)
+
+
 class TestCommVolume:
+    """The bytes each collective moves, read from layer_cost and
+    evaluate_plan on 1 B/s links."""
+
     def test_pp_hop_bytes(self):
+        # one context-sharded activation, b*(s/cp)*h*D_act
         arch = tiny_dense(s=4096, h=8192)
-        plan = ParallelPlan(pp=2, micro_batch=1, global_batch=2,
-                            num_layers=arch.num_layers)
-        assert comm_volume("pp", plan, arch, 2.0) == 67_108_864
+        for cp, hop in ((1, 67_108_864.0), (2, 33_554_432.0)):
+            plan = ParallelPlan(pp=2, cp=cp, micro_batch=1, global_batch=2,
+                                num_layers=arch.num_layers)
+            cost = evaluate_plan(arch, plan, one_byte_per_s_db()).cost
+            assert cost.t_pp == pipeline_time(0.0, 0.0, plan, t_pp=hop).total
 
     def test_dp_from_params(self):
-        plan = ParallelPlan(dp=2, micro_batch=1, global_batch=2, num_layers=1)
-        assert comm_volume("dp", plan, params_per_layer=10,
-                           grad_dtype_bytes=2.0) == 20.0
-
-    def test_dp_requires_params(self, dense_arch):
-        plan = ParallelPlan(dp=2, micro_batch=1, global_batch=2,
-                            num_layers=dense_arch.num_layers)
-        with pytest.raises(InputError, match="params_per_layer"):
-            comm_volume("dp", plan, dense_arch, 2.0)
+        # D_grad * chunks * layers per stage * params per layer: 2*2*1*168
+        arch = tiny_dense(l=4)
+        plan = ParallelPlan(pp=2, chunks=2, dp=2, micro_batch=1, global_batch=4,
+                            num_layers=arch.num_layers)
+        cost = evaluate_plan(arch, plan, one_byte_per_s_db()).cost
+        assert cost.t_dp == pytest.approx(672.0, rel=1e-12)
 
     def test_tp_volume_zero_when_unsharded(self, dense_arch):
         plan = ParallelPlan(num_layers=dense_arch.num_layers)
-        assert comm_volume("tp", plan, dense_arch, 2.0) == 0.0
+        lc = layer_cost(dense_arch, plan, one_byte_per_s_db())
+        assert (lc.fwd.tp, lc.bwd.tp) == (0.0, 0.0)
+
+    def test_tp_bytes(self):
+        # a full activation b*s*h*D_act = 2*8*8*2 per collective, 2 all-gathers
+        # and 2 reduce-scatters per direction
+        arch = tiny_dense(s=8, h=8, a=2)
+        plan = ParallelPlan(tp=2, micro_batch=2, global_batch=2,
+                            num_layers=arch.num_layers)
+        lc = layer_cost(arch, plan, one_byte_per_s_db())
+        assert lc.fwd.tp == lc.bwd.tp == pytest.approx(4 * 256.0, rel=1e-12)
 
     def test_ep_uses_topk(self):
+        # b*(s/cp)*t_k*h*D_act = 1*8*2*4*2 per all-to-all, dispatch and combine
         arch = tiny_moe(s=8, h=4, t_k=2)
         plan = ParallelPlan(ep=2, micro_batch=1, global_batch=2,
                             num_layers=arch.num_layers)
-        assert comm_volume("ep", plan, arch, 2.0) == 1 * 8 * 2 * 4 * 2.0
+        lc = layer_cost(arch, plan, one_byte_per_s_db())
+        assert lc.fwd.ep == pytest.approx(2 * 128.0, rel=1e-12)
 
-    def test_cp_shards_sequence(self, dense_arch):
-        plan = ParallelPlan(cp=2, micro_batch=1, global_batch=2,
-                            num_layers=dense_arch.num_layers)
-        expected = 1 * (dense_arch.seq_len / 2) * dense_arch.hidden_size * 2.0
-        assert comm_volume("cp", plan, dense_arch, 2.0) == expected
-
-    def test_unknown_kind(self, dense_arch):
-        plan = ParallelPlan(num_layers=dense_arch.num_layers)
-        with pytest.raises(InputError, match="unknown"):
-            comm_volume("broadcast", plan, dense_arch, 2.0)
+    def test_cp_shards_sequence(self):
+        # b*(s/cp)*h*D_act = 1*2*8*2 per ring hop, cp-1 hops
+        arch = tiny_dense(s=8, h=8)
+        plan = ParallelPlan(cp=4, micro_batch=1, global_batch=1,
+                            num_layers=arch.num_layers)
+        lc = layer_cost(arch, plan, one_byte_per_s_db())
+        assert lc.fwd.cp == pytest.approx(3 * 32.0, rel=1e-12)
 
 
 class TestProfiles:
