@@ -76,10 +76,10 @@ class ModelArchitecture:
     module_overrides: dict[str, ModuleOverride] = field(default_factory=dict)
 
     def __post_init__(self):
+        optional = ("query_groups", "expert_ffn_size", "top_k", "num_experts")
         for name in ("num_layers", "hidden_size", "seq_len", "num_heads", "vocab_size",
-                     "dense_ffn_size", "query_groups", "expert_ffn_size", "top_k",
-                     "num_experts"):
-            if getattr(self, name) is not None:
+                     "dense_ffn_size", *optional):
+            if name not in optional or getattr(self, name) is not None:
                 check_count(name, getattr(self, name))
         if self.attention_kind not in ATTENTION_KINDS:
             raise InputError(f"unknown attention_kind {self.attention_kind!r}")

@@ -200,52 +200,6 @@ class LayerCost:
     t_attention_fwd: float
 
 
-def _assemble_direction(comp: dict[int, float], names: list[str],
-                        tp_times: dict[str, float], cp_total: float,
-                        ep_total: float, plan: ParallelPlan,
-                        opts: OptimizationSet) -> TimeParts:
-    cal = sum(comp.values())
-    consumed: set[int] = set()
-    tp_exposed = cp_exposed = ep_exposed = 0.0
-
-    if plan.tp > 1 and tp_times:
-        if opts.tp_overlap is not None:
-            ov = opts.tp_overlap
-            for kind, partner in _TP_PAIRS:
-                idx = next((i for i in comp if names[i] == partner and i not in consumed),
-                           None)
-                t_comp = comp.get(idx, 0.0) if idx is not None else 0.0
-                result = _optim.tp_overlap(t_comp, tp_times[kind], ov.splits,
-                                           ov.alpha, ov.beta)
-                tp_exposed += result - t_comp
-                if idx is not None:
-                    consumed.add(idx)
-        else:
-            tp_exposed = sum(tp_times[kind] for kind, _ in _TP_PAIRS)
-
-    if plan.cp > 1 and cp_total > 0:
-        if opts.cp_overlap is not None:
-            ov = opts.cp_overlap
-            att_idx = [i for i in comp if names[i] in ATTENTION_CORE_MODULES]
-            t_att = sum(comp[i] for i in att_idx)
-            result = _optim.cp_overlap(t_att, cp_total, plan.cp, ov.alpha, ov.beta)
-            cp_exposed = result - t_att
-            consumed.update(att_idx)
-        else:
-            cp_exposed = cp_total
-
-    if plan.ep > 1 and ep_total > 0:
-        if opts.ep_overlap is not None:
-            ov = opts.ep_overlap
-            remaining = sum(t for i, t in comp.items() if i not in consumed)
-            result = _optim.ep_overlap(remaining, ep_total, ov.alpha, ov.beta)
-            ep_exposed = result - remaining
-        else:
-            ep_exposed = ep_total
-
-    return TimeParts(cal=cal, tp=tp_exposed, cp=cp_exposed, ep=ep_exposed)
-
-
 def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                opts: OptimizationSet | None = None, dtypes: Dtypes = Dtypes(),
                decomp: Decomposition | None = None) -> LayerCost:
@@ -254,10 +208,6 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     opts = opts or OptimizationSet()
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
-    names = [m.name for m in decomp.layer]
-
-    comp_fwd = {i: _module_time(m, db, opts, False) for i, m in enumerate(decomp.layer)}
-    comp_bwd = {i: _module_time(m, db, opts, True) for i, m in enumerate(decomp.layer)}
 
     # Message bytes: a full activation per tp collective, a context-sharded
     # one per cp ring hop and its top-k routed copies per ep all-to-all.
@@ -277,14 +227,47 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         # dispatch + combine
         ep_total = 2 * _collective_time(db, opts, "all-to-all", plan.ep, vol)
 
-    fwd = _assemble_direction(comp_fwd, names, tp_times, cp_total, ep_total, plan, opts)
-    bwd = _assemble_direction(comp_bwd, names, tp_times, cp_total, ep_total, plan, opts)
+    # Each direction sums its module times in layer order; each tp partner
+    # and attention-core name occurs once per layer.
+    names = [m.name for m in decomp.layer]
+
+    def attention(times: list[float]) -> float:
+        return sum(t for name, t in zip(names, times) if name in ATTENTION_CORE_MODULES)
+
+    def exposed(times: list[float]) -> TimeParts:
+        hidden: tuple[str, ...] = ()   # modules a tp or cp overlap hides comm behind
+        tp = cp = ep = 0.0
+        if tp_times:
+            if opts.tp_overlap is not None:
+                ov, hidden = opts.tp_overlap, tuple(partner for _, partner in _TP_PAIRS)
+                for kind, partner in _TP_PAIRS:
+                    t_comp = times[names.index(partner)]
+                    tp += _optim.tp_overlap(t_comp, tp_times[kind], ov.splits,
+                                            ov.alpha, ov.beta) - t_comp
+            else:
+                tp = sum(tp_times[kind] for kind, _ in _TP_PAIRS)
+        if cp_total > 0:
+            if opts.cp_overlap is not None:
+                ov, hidden = opts.cp_overlap, hidden + ATTENTION_CORE_MODULES
+                t_att = attention(times)
+                cp = _optim.cp_overlap(t_att, cp_total, plan.cp, ov.alpha, ov.beta) - t_att
+            else:
+                cp = cp_total
+        if ep_total > 0:
+            if opts.ep_overlap is not None:
+                ov = opts.ep_overlap
+                remaining = sum(t for name, t in zip(names, times) if name not in hidden)
+                ep = _optim.ep_overlap(remaining, ep_total, ov.alpha, ov.beta) - remaining
+            else:
+                ep = ep_total
+        return TimeParts(sum(times), tp, cp, ep)
+
+    fwd_times = [_module_time(m, db, opts, False) for m in decomp.layer]
     return LayerCost(
-        fwd=fwd,
-        bwd=bwd,
-        t_qkv_fwd=sum(t for i, t in comp_fwd.items() if names[i] == "qkv"),
-        t_attention_fwd=sum(t for i, t in comp_fwd.items()
-                            if names[i] in ATTENTION_CORE_MODULES),
+        fwd=exposed(fwd_times),
+        bwd=exposed([_module_time(m, db, opts, True) for m in decomp.layer]),
+        t_qkv_fwd=fwd_times[names.index("qkv")],
+        t_attention_fwd=attention(fwd_times),
     )
 
 
@@ -293,9 +276,8 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
 
 def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan, *,
-                  t_pp: float = 0.0, t_embed: float = 0.0,
-                  t_embed_bwd: float | None = None, t_head: float = 0.0,
-                  t_head_bwd: float | None = None,
+                  t_pp: float = 0.0, t_embed: float = 0.0, t_embed_bwd: float = 0.0,
+                  t_head: float = 0.0, t_head_bwd: float = 0.0,
                   t_pp_steady: float | None = None) -> PipelinePhases:
     """Interleaved 1F1B phase times from per-layer forward/backward latency.
 
@@ -303,10 +285,8 @@ def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan, *,
     hop t_pp; t_pp_steady substitutes an overlapped hop cost in the steady
     phase only."""
     p, v, l, m_b = plan.pp, plan.chunks, plan.layers_per_stage, plan.micro_batches
-    e_f = t_embed
-    e_b = t_embed if t_embed_bwd is None else t_embed_bwd
-    h_f = t_head
-    h_b = t_head if t_head_bwd is None else t_head_bwd
+    e_f, e_b = t_embed, t_embed_bwd
+    h_f, h_b = t_head, t_head_bwd
     pp_s = t_pp if t_pp_steady is None else t_pp_steady
 
     warmup = p * (e_f + l * t_fwd + t_pp) + (v * p - p - 1) * (l * t_fwd + t_pp)

@@ -68,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--t-step")
 
     p_verify = sub.add_parser("verify", help="run the oracle-vs-closed-form suites")
-    p_verify.add_argument("--trials", type=int, default=4000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", default="4000")
+    p_verify.add_argument("--seed", default="0")
     p_verify.add_argument("--out", help="write the report to this file")
 
     return parser
@@ -125,14 +125,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "verify":
-        from .verification import run_all  # loads numpy, which nothing else here needs
-        report = run_all(trials=args.trials, seed=args.seed)
-        _emit(render_report(report, "json"), args.out)
-        return 0 if report.passed else 1
-
     # The numeric flags parse here, not in argparse, so that a bad value ends
     # in one error line under the same rule as the config's numbers.
+    if args.command == "verify":
+        from .verification import run_all  # loads numpy, which nothing else here needs
+        report = run_all(trials=check_count("--trials", _parse_value(args.trials)),
+                         seed=check_count("--seed", _parse_value(args.seed), low=0))
+        _emit(render_report(report, "json"), args.out)
+        return 0 if report.passed else 1
     if getattr(args, "t_step", None) is not None:
         args.t_step = check_number("--t-step", _parse_value(args.t_step), strict=True)
     if args.command == "tune":
@@ -208,7 +208,7 @@ def _dispatch(args) -> int:
         payload = {"I_ckpt": best, "ETTR": at_best, "T_step": t_step,
                    "T_e2e": steps * t_step / at_best,
                    "T_save": fault.save_s, "S": steps}
-        _emit(render_report(payload, fmt if fmt == "json" else "json"), args.out)
+        _emit(render_report(payload, fmt), args.out)
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

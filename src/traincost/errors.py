@@ -48,10 +48,10 @@ def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
         raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
-def check_count(name: str, value) -> int:
-    """Reject a count that is not an int >= 1 (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{name} value {value!r} is not an integer >= 1")
+def check_count(name: str, value, low: int = 1) -> int:
+    """Reject a count that is not an int >= `low` (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InputError(f"{name} value {value!r} is not an integer >= {low}")
     return value
 
 

@@ -39,11 +39,11 @@ class FaultModel:
     mean_repair_s: float | None = None  # overrides the mixture when given
 
     def __post_init__(self):
-        """Check each value under its config key; rates and times are stored
-        as floats."""
+        """Check each value under its config key, where only u_b may be None
+        (the recovery mix then sets the repair time); store them as floats."""
         check_count("N_nodes", self.nodes)
         for name, key in (("failures_per_node_day", "r_f_per_node_day"), *_TIME_KEYS.items()):
-            if getattr(self, name) is not None:
+            if key != "u_b" or self.mean_repair_s is not None:
                 object.__setattr__(self, name, check_number(key, getattr(self, name)))
         if not isinstance(self.mix, (list, tuple)) or len(self.mix) != 3:
             raise InputError(f"fault mix must be a list of 3 weights, got {self.mix!r}")

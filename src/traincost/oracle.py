@@ -2,7 +2,8 @@
 
 Nothing here reuses the analytic formulas it checks: the pipeline simulator
 is a discrete-event replay of the interleaved 1F1B schedule, the activation
-ledger walks the same schedule counting live allocations, the fault
+ledger walks the same schedule counting live allocations (both execute the
+op order plan.py defines, which basecost's phase formulas count), the fault
 simulator draws actual failure arrival times, and the interval search is an
 exhaustive scan of the end-to-end objective.
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import InputError, check_count, check_number
 from .fault import CheckpointPolicy, FaultModel, mean_repair_time
-from .plan import ParallelPlan
+from .plan import ParallelPlan, in_device_order
 
 
 # ---------------------------------------------------------------------------
@@ -83,51 +84,6 @@ class PipelineTrace(NamedTuple):
         ]
 
 
-def _warmups(plan: ParallelPlan) -> list[int]:
-    """Forwards each device runs before its first backward, for a plan the
-    replays support.
-
-    The depth is ParallelPlan.warmup_depth capped at the m_b*v forwards, for
-    every chunk count, v=1 included: the deeper-than-classic warmup only
-    moves forwards into otherwise idle bubble time (single-chunk makespans
-    are unchanged; property-checked in the tests) while producing the
-    activation residency the memory model assumes."""
-    p, v, m_b = plan.pp, plan.chunks, plan.micro_batches
-    if m_b < p:
-        raise InputError(
-            f"unsupported regime: micro_batches={m_b} < pp={p}; "
-            "the analytic formula remains usable"
-        )
-    if v > 1 and m_b % p != 0:
-        raise InputError("interleaved schedule needs micro_batches divisible by pp")
-    if v > 1 and m_b == p:
-        return [m_b * v] * p  # all forwards first, then all backwards
-    return [min(plan.warmup_depth(r), m_b * v) for r in range(p)]
-
-
-def _in_device_order(fwd: list, bwd: list, warmup: int) -> list:
-    """Merge per-slot forward and backward columns into one device's op
-    order: `warmup` forwards, one-forward-one-backward pairs, trailing
-    backwards."""
-    out, paired = fwd + bwd, len(fwd) - warmup
-    out[warmup:warmup + 2 * paired:2], out[warmup + 1:warmup + 2 * paired:2] = \
-        fwd[warmup:], bwd[:paired]
-    return out
-
-
-def _slot_ids(plan: ParallelPlan, slot: int, forward: bool) -> tuple[int, int]:
-    """(micro_batch, chunk) for a virtual slot index, processing micro-batches
-    in groups of pp and cycling chunks per group; backwards run chunks in
-    reverse."""
-    p, v = plan.pp, plan.chunks
-    in_group = slot % (p * v)
-    chunk = in_group // p
-    if not forward:
-        chunk = v - 1 - chunk
-    micro = (slot // (p * v)) * p + slot % p
-    return micro, chunk
-
-
 def simulate_pipeline(
     t_fwd: float,
     t_bwd: float,
@@ -151,7 +107,7 @@ def simulate_pipeline(
                         ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
         check_number(name, value)
     p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
-    warmups = _warmups(plan)
+    warmups = plan.warmups()
     n_stages = p * v
     hop = t_pp if p > 1 else 0.0  # adjacent stages sit on different devices
     fwd_d, bwd_d = [l * t_fwd] * n_stages, [l * t_bwd] * n_stages
@@ -190,11 +146,10 @@ def simulate_pipeline(
 
     # per virtual slot, shared by all devices: (micro, chunk) and the end-list
     # index of its forward and backward on device 0
-    micros, fwd_chunks = map(list, zip(*(_slot_ids(plan, s, True) for s in range(m_b * v))))
-    bwd_chunks = [v - 1 - c for c in fwd_chunks]
+    micros, fwd_chunks, bwd_chunks = plan.slots()
     fwd_ids = [m * row + c * p + 1 for m, c in zip(micros, fwd_chunks)]
     bwd_ids = [bwd_at + m * row + c * p + 1 for m, c in zip(micros, bwd_chunks)]
-    op_ids = [_in_device_order([j + dev for j in fwd_ids], [j + dev for j in bwd_ids], w)
+    op_ids = [in_device_order([j + dev for j in fwd_ids], [j + dev for j in bwd_ids], w)
               for dev, w in enumerate(warmups)]
     runs = [replay(js) for js in op_ids]
 
@@ -228,8 +183,8 @@ def simulate_activation_ledger(
     backward frees it, so stage r's peak is the running sum's maximum."""
     slots = plan.micro_batches * plan.chunks
     allocs, frees = [1] * slots, [-1] * slots
-    return [max(accumulate(_in_device_order(allocs, frees, w))) * act_bytes_per_layer
-            for w in _warmups(plan)]
+    return [max(accumulate(in_device_order(allocs, frees, w))) * act_bytes_per_layer
+            for w in plan.warmups()]
 
 
 # ---------------------------------------------------------------------------

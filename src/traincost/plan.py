@@ -1,7 +1,12 @@
-"""Parallel execution plan: the (tp, cp, pp, ep, dp, micro batch, chunks) tuple.
+"""Parallel execution plan: the (tp, cp, pp, ep, dp, micro batch, chunks) tuple,
+and the interleaved-1F1B schedule order it runs.
 
 A plan is always tied to a concrete layer count so that derived quantities
 (layers per stage, micro-batches per step, world size) are well defined.
+The schedule (each stage's warmup, each virtual slot's micro-batch and
+chunks, and the merge of forwards and backwards into one device's order) is
+defined here once: the replays in oracle.py execute it, while basecost's
+phase formulas and optim's retention factor count it.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import ShapeError, check_count, check_keys
+from .errors import InputError, ShapeError, check_count, check_keys
 
 # Config key -> ParallelPlan field. The order is the one plans are searched,
 # ranked (after step time) and printed in, and golden outputs depend on it.
@@ -56,6 +61,36 @@ class ParallelPlan:
         2(pp-stage-1) + (chunks-1)pp, uncapped by the forwards there are."""
         return 2 * (self.pp - stage - 1) + (self.chunks - 1) * self.pp
 
+    def warmups(self) -> list[int]:
+        """Forwards each stage runs before its first backward in the schedule
+        the replays execute; raises InputError outside the regime they support.
+
+        The depth is warmup_depth capped at the m_b*v forwards, for every
+        chunk count, v=1 included: the deeper-than-classic warmup only moves
+        forwards into otherwise idle bubble time (single-chunk makespans are
+        unchanged; property-checked in the tests) while producing the
+        activation residency the memory model assumes."""
+        p, v, m_b = self.pp, self.chunks, self.micro_batches
+        if m_b < p:
+            raise InputError(
+                f"unsupported regime: micro_batches={m_b} < pp={p}; "
+                "the analytic formula remains usable"
+            )
+        if v > 1 and m_b % p != 0:
+            raise InputError("interleaved schedule needs micro_batches divisible by pp")
+        if v > 1 and m_b == p:
+            return [m_b * v] * p  # all forwards first, then all backwards
+        return [min(self.warmup_depth(r), m_b * v) for r in range(p)]
+
+    def slots(self) -> tuple[list[int], list[int], list[int]]:
+        """Each virtual slot's micro-batch, forward chunk and backward chunk,
+        the same on every stage: micro-batches go in groups of pp, each group
+        cycling through the chunks, and backwards run the chunks in reverse."""
+        p, v = self.pp, self.chunks
+        every = range(self.micro_batches * v)
+        fwd = [s % (p * v) // p for s in every]
+        return [s // (p * v) * p + s % p for s in every], fwd, [v - 1 - c for c in fwd]
+
     def validate(self) -> None:
         """Check integer/divisibility invariants; raises ShapeError on the
         first violated dimension."""
@@ -87,3 +122,13 @@ class ParallelPlan:
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in PLAN_KEYS.items()}
+
+
+def in_device_order(fwd: list, bwd: list, warmup: int) -> list:
+    """Merge per-slot forward and backward columns into one device's op
+    order: `warmup` forwards, one-forward-one-backward pairs, trailing
+    backwards."""
+    out, paired = fwd + bwd, len(fwd) - warmup
+    out[warmup:warmup + 2 * paired:2], out[warmup + 1:warmup + 2 * paired:2] = \
+        fwd[warmup:], bwd[:paired]
+    return out

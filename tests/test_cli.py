@@ -439,12 +439,22 @@ class TestInputBoundary:
                     "--t-step", "nan")),
         (TUNE, [], ("tune", "step", "--top-k", "-1")),
         (TUNE, [], ("tune", "step", "--top-k", "0")),
+        *[(EVAL, [(("model", key), None)], ("eval",)) for key in ("s", "h", "g_d", "V")],
+        (TUNE, [(("model", "s"), None)], ("tune", "step")),
+        (EVAL, [(("fault", "r_f_per_node_day"), None)], ETTR),
+        (EVAL, [(("fault", "r_f_per_node_day"), None)], ("interval",)),
+        (EVAL, [(("fault", "u0"), None)], ETTR),
+        *[(EVAL, [(("fault", key), None), (("fault", "u_b"), DROP)], ETTR)
+          for key in ("u_bc", "u_bp", "u_bj")],
     ], ids=["profile-fwd-nan", "overlap-alpha-nan", "hardware-B_H2D-true",
             "model-L-float", "fault-rate-string", "fault-T_save-true",
             "fault-tokens-true", "overlap-splits-float", "profile-intensity-nan",
             "fault-mix-negative", "fault-mix-two", "fault-mix-four",
             "ettr-t-step-nan", "interval-t-step-nan", "interval-t-step-0",
-            "sweep-t-step-nan", "tune-top-k-negative", "tune-top-k-0"])
+            "sweep-t-step-nan", "tune-top-k-negative", "tune-top-k-0",
+            "model-s-null", "model-h-null", "model-g_d-null", "model-V-null",
+            "tune-model-s-null", "fault-rate-null", "interval-fault-rate-null",
+            "fault-u0-null", "fault-u_bc-null", "fault-u_bp-null", "fault-u_bj-null"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, config, edits, argv):
         code, out, err = run_quiet(*argv, "--config",
                                    write_shipped(tmp_path, config, edits))
@@ -510,6 +520,22 @@ class TestFaultCommands:
         payload = json.loads(captured.out)
         assert payload["I_ckpt"] == 37
         assert payload["ETTR"] == pytest.approx(0.9959, abs=1e-4)
+
+    @pytest.mark.parametrize("fmt,lines", [
+        ("csv", ["I_ckpt,ETTR,T_step,T_e2e,T_save,S", "37,"]),
+        ("markdown", ["| I_ckpt | ETTR | T_step | T_e2e | T_save | S |",
+                      "| --- | --- | --- | --- | --- | --- |", "| 37 | "]),
+    ])
+    def test_interval_renders_requested_format(self, tmp_path, fmt, lines):
+        """The flat interval payload, one header and one row, in the asked
+        format rather than JSON."""
+        cfg = write_run_config(tmp_path)
+        code, out, err = run_quiet("interval", "--config", cfg, "--t-step", "28",
+                                   "--output", fmt)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == len(lines)
+        assert rows[:-1] == lines[:-1] and rows[-1].startswith(lines[-1])
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path, fault={
@@ -607,6 +633,16 @@ class TestVerify:
         assert {"pipeline-vs-des", "activation-ledger",
                 "interval-closed-form-vs-grid", "fault-monte-carlo",
                 "overlap-bounds"} <= names
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--seed", "-1"), "--seed value -1 is not an integer >= 0"),
+        (("--seed", "1.5"), "--seed value 1.5 is not an integer >= 0"),
+        (("--trials", "abc"), "--trials value 'abc' is not an integer >= 1"),
+        (("--trials", "0"), "--trials value 0 is not an integer >= 1"),
+    ], ids=["seed-negative", "seed-float", "trials-string", "trials-0"])
+    def test_bad_flag_exits_1_with_one_line(self, argv, message):
+        assert run_quiet("verify", *argv) == (1, "", f"error: {message}\n")
 
 
 class TestSampleConfigs:

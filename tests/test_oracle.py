@@ -12,8 +12,6 @@ from traincost.basecost import pipeline_time
 from traincost.errors import InputError
 from traincost.fault import CheckpointPolicy, FaultModel, ettr_closed_form, ettr_exact
 from traincost.oracle import (
-    _slot_ids,
-    _warmups,
     grid_search_interval,
     simulate_activation_ledger,
     simulate_faults,
@@ -31,7 +29,7 @@ def device_op_order(plan, device):
     """(kind, virtual slot) order one device runs, written out one op at a
     time: the warmup forwards, then a forward and a backward in turn while
     forwards remain, then the remaining backwards."""
-    slots, warmup = plan.micro_batches * plan.chunks, _warmups(plan)[device]
+    slots, warmup = plan.micro_batches * plan.chunks, plan.warmups()[device]
     order = [("fwd", s) for s in range(warmup)]
     for s in range(warmup, slots):
         order += [("fwd", s), ("bwd", s - warmup)]
@@ -66,6 +64,8 @@ class TestPipelineSim:
         assert len(trace.events) == 2 * m_b * v * p
         last = p * v - 1
         by_op = {(e.kind, e.micro_batch, e.chunk * p + e.device): e for e in trace.events}
+        micros, fwd_chunks, bwd_chunks = plan.slots()
+        chunks = {"fwd": fwd_chunks, "bwd": bwd_chunks}
 
         def arrival(kind, micro, gs, device):
             dep = by_op[kind, micro, gs]
@@ -74,7 +74,7 @@ class TestPipelineSim:
         for dev in range(p):
             ran = [e for e in trace.events if e.device == dev]
             assert [(e.kind, e.micro_batch, e.chunk) for e in ran] == [
-                (kind, *_slot_ids(plan, slot, kind == "fwd"))
+                (kind, micros[slot], chunks[kind][slot])
                 for kind, slot in device_op_order(plan, dev)]
             previous_end = 0.0
             for e in ran:

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from traincost.errors import InputError, ShapeError
-from traincost.plan import ParallelPlan
+from traincost.plan import ParallelPlan, in_device_order
 
 
 class TestDerivedQuantities:
@@ -53,3 +55,63 @@ class TestDerivedQuantities:
     def test_json_rejects_field_names(self, data):
         with pytest.raises(InputError, match="unknown plan key"):
             ParallelPlan.from_json_dict(data, num_layers=80)
+
+
+def schedule_plan(pp, chunks, micro_batches):
+    return ParallelPlan(pp=pp, chunks=chunks, global_batch=micro_batches,
+                        num_layers=pp * chunks)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("pp", [1, 2, 3, 4, 8])
+    def test_warmups_cap_warmup_depth(self, pp):
+        """Each stage's warmup is its depth capped at the forwards there are,
+        except that an interleaved schedule with one micro-batch per stage
+        runs every forward first."""
+        for chunks, groups in itertools.product(range(1, 5), range(1, 4)):
+            plan = schedule_plan(pp, chunks, pp * groups)
+            forwards = plan.micro_batches * chunks
+            if chunks > 1 and groups == 1:
+                assert plan.warmups() == [forwards] * pp
+            else:
+                assert plan.warmups() == [min(plan.warmup_depth(r), forwards)
+                                          for r in range(pp)]
+
+    def test_single_chunk_allows_any_micro_batch_count_from_pp(self):
+        assert schedule_plan(4, 1, 5).warmups() == [5, 4, 2, 0]
+
+    @pytest.mark.parametrize("pp,chunks,micro_batches,match", [
+        (4, 1, 3, "micro_batches=3 < pp=4"),
+        (4, 2, 2, "micro_batches=2 < pp=4"),
+        (4, 2, 6, "divisible by pp"),
+    ])
+    def test_warmups_reject_unsupported_regimes(self, pp, chunks, micro_batches, match):
+        with pytest.raises(InputError, match=match):
+            schedule_plan(pp, chunks, micro_batches).warmups()
+
+    @pytest.mark.parametrize("pp,chunks,micro_batches", [(1, 1, 3), (2, 3, 4), (4, 2, 8)])
+    def test_slots(self, pp, chunks, micro_batches):
+        """Every (micro-batch, chunk) pair runs once per direction, and a
+        backward runs the chunk v-1-c of its slot's forward chunk c."""
+        micros, fwd, bwd = schedule_plan(pp, chunks, micro_batches).slots()
+        slots = micro_batches * chunks
+        assert len(micros) == len(fwd) == len(bwd) == slots
+        assert all(b == chunks - 1 - f for f, b in zip(fwd, bwd))
+        for chunk_of in (fwd, bwd):
+            assert sorted(zip(micros, chunk_of)) == [
+                (m, c) for m in range(micro_batches) for c in range(chunks)]
+
+    def test_slots_pinned(self):
+        """Micro-batches go in groups of pp, each group cycling through the
+        chunks."""
+        assert schedule_plan(2, 2, 4).slots() == (
+            [0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 1, 1, 0, 0, 1, 1], [1, 1, 0, 0, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("warmup,order", [
+        (0, ["f0", "b0", "f1", "b1", "f2", "b2"]),
+        (1, ["f0", "f1", "b0", "f2", "b1", "b2"]),
+        (3, ["f0", "f1", "f2", "b0", "b1", "b2"]),
+    ])
+    def test_in_device_order(self, warmup, order):
+        fwd, bwd = ["f0", "f1", "f2"], ["b0", "b1", "b2"]
+        assert in_device_order(fwd, bwd, warmup) == order
