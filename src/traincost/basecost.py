@@ -5,8 +5,10 @@ optimizer terms and overlays the optimization features.
 Latency is tracked per exposure channel (compute, tp, cp, ep, pp) so
 step-level breakdowns stay consistent with the phase totals: the pipeline
 phase formulas are linear in their inputs, so each channel is the same
-pipeline_time formula evaluated on that channel's terms alone, and the
-channels sum to the scalar result up to rounding.
+phase expression evaluated on that channel's terms alone, and the
+channels sum to the scalar result up to rounding. The expression lives in
+_phases, on integer counts computed once per plan; pipeline_time wraps it.
+A channel whose inputs are all zero is +0.0 for every plan and is skipped.
 
 evaluate_plan takes an optional EvalMemo that shares terms between the
 evaluations of one tune; its docstring says what is shared and keyed on
@@ -275,6 +277,38 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 # Pipeline level
 
 
+def _phase_counts(plan: ParallelPlan) -> tuple:
+    """The integer factors of the phase formula, and the m_b < p note."""
+    p, v, l, m_b = plan.pp, plan.chunks, plan.layers_per_stage, plan.micro_batches
+    notes: tuple[str, ...] = ()
+    if m_b < p:
+        notes = (f"degenerate pipeline: micro_batches={m_b} < pp={p}; "
+                 "phase formulas evaluated as defined",)
+    return p, l, v * p - p - 1, m_b - p, v * l, 4 * m_b * v - 2 * m_b + 2 * p - 2, notes
+
+
+def _phases(counts: tuple, t_fwd: float, t_bwd: float, t_pp: float, pp_s: float,
+            e_f: float, e_b: float, h_f: float, h_b: float) -> tuple:
+    """The phase expression on _phase_counts: (warmup, steady, cooldown, total)."""
+    p, l, fill, extra, vl, hops, _ = counts
+    warmup = p * (e_f + l * t_fwd + t_pp) + fill * (l * t_fwd + t_pp)
+    steady = (p * (l * t_fwd + h_f + h_b + l * t_bwd)
+              + extra * (vl * t_fwd + h_f + h_b + l * t_bwd)
+              + hops * pp_s)
+    cooldown = p * (e_b + l * t_bwd + t_pp) + fill * (l * t_bwd + t_pp)
+    return warmup, steady, cooldown, warmup + steady + cooldown
+
+
+def _channel(counts: tuple, t_fwd: float, t_bwd: float, t_pp: float = 0.0,
+             pp_s: float = 0.0) -> float:
+    """One exposure channel's phase total. With every input zero it is +0.0
+    for any plan (each term is an integer times +-0.0, added to +0.0), so
+    that case returns 0.0 without evaluating."""
+    if t_fwd or t_bwd or t_pp or pp_s:
+        return _phases(counts, t_fwd, t_bwd, t_pp, pp_s, 0.0, 0.0, 0.0, 0.0)[3]
+    return 0.0
+
+
 def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan, *,
                   t_pp: float = 0.0, t_embed: float = 0.0, t_embed_bwd: float = 0.0,
                   t_head: float = 0.0, t_head_bwd: float = 0.0,
@@ -284,22 +318,10 @@ def pipeline_time(t_fwd: float, t_bwd: float, plan: ParallelPlan, *,
     All times are per layer except the embedding/head terms and the pipeline
     hop t_pp; t_pp_steady substitutes an overlapped hop cost in the steady
     phase only."""
-    p, v, l, m_b = plan.pp, plan.chunks, plan.layers_per_stage, plan.micro_batches
-    e_f, e_b = t_embed, t_embed_bwd
-    h_f, h_b = t_head, t_head_bwd
+    counts = _phase_counts(plan)
     pp_s = t_pp if t_pp_steady is None else t_pp_steady
-
-    warmup = p * (e_f + l * t_fwd + t_pp) + (v * p - p - 1) * (l * t_fwd + t_pp)
-    steady = (p * (l * t_fwd + h_f + h_b + l * t_bwd)
-              + (m_b - p) * (v * l * t_fwd + h_f + h_b + l * t_bwd)
-              + (4 * m_b * v - 2 * m_b + 2 * p - 2) * pp_s)
-    cooldown = p * (e_b + l * t_bwd + t_pp) + (v * p - p - 1) * (l * t_bwd + t_pp)
-
-    notes: tuple[str, ...] = ()
-    if m_b < p:
-        notes = (f"degenerate pipeline: micro_batches={m_b} < pp={p}; "
-                 "phase formulas evaluated as defined",)
-    return PipelinePhases(warmup, steady, cooldown, warmup + steady + cooldown, notes)
+    return PipelinePhases(*_phases(counts, t_fwd, t_bwd, t_pp, pp_s, t_embed,
+                                   t_embed_bwd, t_head, t_head_bwd), counts[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +381,9 @@ class EvalMemo:
       raised, raised again for every later plan of that shape.
     * Per plan (the last one seen, by identity): validation, the held
       parameter and gradient bytes, the static bytes of each optimizer
-      strategy and the activation bytes of each activation strategy. A
-      plan's feature combos differ in these only through the two strategies.
+      strategy, the activation bytes of each activation strategy, and the
+      integer counts of the phase expression (_phase_counts). A plan's
+      feature combos differ in these only through the two strategies.
     * Per shape and the combo fields they read (compute and comm scaling and
       the tp/cp/ep overlap coefficients): the layer cost and the
       embedding/head module times.
@@ -409,6 +432,7 @@ class EvalMemo:
         self.params_held = plan.chunks * plan.layers_per_stage * terms.params
         self.param_bytes = dtypes.param_bytes * self.params_held
         self.grad_bytes = dtypes.grad_bytes * self.params_held
+        self.counts = _phase_counts(plan)
         self.static.clear()
         self.activation.clear()
 
@@ -479,11 +503,13 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if m_act is None:
         m_act = memo.activation[opts.activation_strategy] = _activation(
             opts, plan, memo, hw, t_fwd=0.0, t_bwd=0.0)[0]
-    memory = MemoryReport(m_static, m_act, m_static + m_act, memo.param_bytes,
-                          memo.grad_bytes, opt_bytes)
+    # tuple.__new__ skips the NamedTuples' Python-level __new__, a large part
+    # of a memory rejection's cost.
+    memory = tuple.__new__(MemoryReport, (m_static, m_act, m_static + m_act,
+                                         memo.param_bytes, memo.grad_bytes, opt_bytes, ()))
     over_limit = memory_limit is not None and memory.m_peak > memory_limit
     if over_limit and memo.complete:
-        return PlanEvaluation(None, memory)  # no lookup below can fail
+        return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
 
     shape_key = (memo.shape, tuple(opts.compute_scaling.items()),
                  tuple(opts.comm_scaling.items()),
@@ -492,12 +518,12 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if shape is None:
         shape = memo.shapes[shape_key] = (
             layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
-            {"t_embed": _module_time(decomp.embedding, db, opts, False),
-             "t_embed_bwd": _module_time(decomp.embedding, db, opts, True),
-             "t_head": _module_time(decomp.head, db, opts, False),
-             "t_head_bwd": _module_time(decomp.head, db, opts, True)},
+            (_module_time(decomp.embedding, db, opts, False),
+             _module_time(decomp.embedding, db, opts, True),
+             _module_time(decomp.head, db, opts, False),
+             _module_time(decomp.head, db, opts, True)),
         )
-    lc, ends = shape   # ends: the embedding and head times pipeline_time takes
+    lc, ends = shape   # ends: the embedding and head forward/backward times
 
     # Activation strategy: scalar result from the strategy op, then the delta
     # mirrored onto the channel split so totals stay consistent.
@@ -526,15 +552,16 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         hide = plan.layers_per_stage * (fwd_parts.total + bwd_parts.total) / 2.0
         t_pp_steady = _optim.pp_overlap(t_pp_hop, hide, ov.alpha, ov.beta)
 
-    phases = pipeline_time(fwd_parts.total, bwd_parts.total, plan, t_pp=t_pp_hop,
-                           t_pp_steady=t_pp_steady, **ends)
+    counts = memo.counts
+    warmup, steady, cooldown, t_pipeline = _phases(
+        counts, fwd_parts.total, bwd_parts.total, t_pp_hop, t_pp_steady, *ends)
     # The phase formulas are linear in their inputs, so each exposure channel
-    # is pipeline_time on that channel's terms alone.
-    t_cal = pipeline_time(fwd_parts.cal, bwd_parts.cal, plan, **ends).total
-    t_tp = pipeline_time(fwd_parts.tp, bwd_parts.tp, plan).total
-    t_cp = pipeline_time(fwd_parts.cp, bwd_parts.cp, plan).total
-    t_ep = pipeline_time(fwd_parts.ep, bwd_parts.ep, plan).total
-    t_pp = pipeline_time(0.0, 0.0, plan, t_pp=t_pp_hop, t_pp_steady=t_pp_steady).total
+    # is the same expression on that channel's terms alone.
+    t_cal = _phases(counts, fwd_parts.cal, bwd_parts.cal, 0.0, 0.0, *ends)[3]
+    t_tp = _channel(counts, fwd_parts.tp, bwd_parts.tp)
+    t_cp = _channel(counts, fwd_parts.cp, bwd_parts.cp)
+    t_ep = _channel(counts, fwd_parts.ep, bwd_parts.ep)
+    t_pp = _channel(counts, 0.0, 0.0, t_pp_hop, t_pp_steady)
 
     # Optimizer: the held gradients' all-reduce and the base update, then the
     # strategy, then the dp overlap.
@@ -552,7 +579,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                                  plan, opts.dp_overlap)
     t_opt = t_dp + t_update
 
-    t_step = step_time(phases.total, t_opt)
+    t_step = step_time(t_pipeline, t_opt)
     split = (plan.micro_batch, plan.micro_batches * plan.dp)
     flops = memo.flops.get(split)
     if flops is None:
@@ -561,11 +588,10 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
     cost = CostReport(
         t_fwd=fwd_parts.total, t_bwd=bwd_parts.total,
-        t_warmup=phases.warmup, t_steady=phases.steady,
-        t_cooldown=phases.cooldown, t_pipeline=phases.total,
+        t_warmup=warmup, t_steady=steady, t_cooldown=cooldown, t_pipeline=t_pipeline,
         t_dp=t_dp, t_update=t_update, t_opt=t_opt, t_step=t_step,
         tflops=achieved,
         t_cal=t_cal, t_tp=t_tp, t_pp=t_pp, t_ep=t_ep, t_cp=t_cp,
-        warnings=phases.warnings,
+        warnings=counts[-1],
     )
     return PlanEvaluation(None if over_limit else cost, memory)

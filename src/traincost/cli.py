@@ -47,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--space", help="JSON file overriding the config's "
                         "space section")
     p_tune.add_argument("--top-k", default="4")
-    p_tune.add_argument("--workers", type=int, default=None,
-                        help=_WORKERS_HELP)
+    p_tune.add_argument("--workers", help=_WORKERS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="re-tune or re-evaluate over one parameter")
     add_common(p_sweep)
@@ -56,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 1,2,4,8")
     p_sweep.add_argument("--t-step", help="step time for fault-parameter sweeps")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help=_WORKERS_HELP)
+    p_sweep.add_argument("--workers", help=_WORKERS_HELP)
 
     p_ettr = sub.add_parser("ettr", help="effective-training-time ratio for a plan")
     add_common(p_ettr)
@@ -135,6 +133,8 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 1
     if getattr(args, "t_step", None) is not None:
         args.t_step = check_number("--t-step", _parse_value(args.t_step), strict=True)
+    if getattr(args, "workers", None) is not None:
+        check_count("--workers", _parse_value(args.workers))
     if args.command == "tune":
         args.top_k = check_count("--top-k", _parse_value(args.top_k))
     cfg = load_config(args.config, getattr(args, "space", None))

@@ -26,7 +26,6 @@ PLAN_KEYS = {
 # The seven search dimensions; the first five are the parallel degrees, whose
 # product is the world size.
 DIMS = {key: name for key, name in PLAN_KEYS.items() if key not in ("g_bs", "L")}
-DEGREES = tuple(DIMS.values())[:5]
 # A plan's search-dimension values as a tuple, in DIMS order.
 dim_values = attrgetter(*DIMS.values())
 

@@ -34,7 +34,7 @@ from .fault import (
     optimal_ckpt_interval,
 )
 from .optim import OptimizationSet, default_feature_combos
-from .plan import DEGREES, DIMS, ParallelPlan, dim_values
+from .plan import DIMS, ParallelPlan, dim_values
 from .profile import ProfileDB
 
 
@@ -142,11 +142,10 @@ def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
     """Apply the expert rules to a partial assignment; returns a rejection
     reason or None. Dimensions are assigned in plan.DIMS order; each rule
     fires as soon as its inputs exist."""
-    hw = space.db.hardware
-    product = 1
-    for dim in DEGREES:
-        product *= assigned.get(dim, 1)
-    if product > space.total_gpus:
+    hw, get = space.db.hardware, assigned.get
+    # the five parallel degrees of plan.DIMS, spelt out: prune runs per tried value
+    world = get("tp", 1) * get("cp", 1) * get("pp", 1) * get("ep", 1) * get("dp", 1)
+    if world > space.total_gpus:
         return "resource: parallel product exceeds total gpus"
     if "tp" in assigned and assigned["tp"] > hw.gpus_per_node:
         return "tp exceeds gpus per node"
@@ -164,26 +163,29 @@ def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
     return None
 
 
-def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]):
-    """Depth-first walk over the candidate sets with early pruning."""
+def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[ParallelPlan]:
+    """Depth-first walk over the candidate sets with early pruning; returns
+    the plans that pass every rule, in walk order."""
     levels = [(DIMS[key], getattr(space, name)) for key, name in CANDIDATE_FIELDS.items()]
+    plans: list[ParallelPlan] = []
+    assigned: dict[str, int] = {}
 
-    def descend(level: int, assigned: dict[str, int]):
-        if level == len(levels):
-            yield ParallelPlan(**assigned, global_batch=space.global_batch,
-                               num_layers=space.arch.num_layers)
-            return
+    def descend(level: int) -> None:
         name, values = levels[level]
         for value in values:
             assigned[name] = value
             reason = prune(space, assigned)
-            if reason is None:
-                yield from descend(level + 1, assigned)
-            else:
+            if reason is not None:
                 rejections[reason] = rejections.get(reason, 0) + 1
-            del assigned[name]
+            elif level + 1 < len(levels):
+                descend(level + 1)
+            else:
+                plans.append(ParallelPlan(**assigned, global_batch=space.global_batch,
+                                          num_layers=space.arch.num_layers))
+        assigned.pop(name, None)
 
-    yield from descend(0, {})
+    descend(0)
+    return plans
 
 
 def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:

@@ -72,6 +72,30 @@ def tiny_moe(l: int = 2, s: int = 8, h: int = 4, a: int = 2, v: int = 16,
                              num_experts=n_experts, structure_kind="MoE")
 
 
+def reference_pipeline_time(t_fwd, t_bwd, plan, t_pp=0.0, t_embed=0.0,
+                            t_embed_bwd=0.0, t_head=0.0, t_head_bwd=0.0,
+                            t_pp_steady=None):
+    """The interleaved-1F1B phase expression written out on the plan's fields,
+    with the float operations in the order basecost must keep bit for bit:
+    (warmup, steady, cooldown, total, notes)."""
+    p, v, l, m_b = plan.pp, plan.chunks, plan.layers_per_stage, plan.micro_batches
+    e_f, e_b = t_embed, t_embed_bwd
+    h_f, h_b = t_head, t_head_bwd
+    pp_s = t_pp if t_pp_steady is None else t_pp_steady
+
+    warmup = p * (e_f + l * t_fwd + t_pp) + (v * p - p - 1) * (l * t_fwd + t_pp)
+    steady = (p * (l * t_fwd + h_f + h_b + l * t_bwd)
+              + (m_b - p) * (v * l * t_fwd + h_f + h_b + l * t_bwd)
+              + (4 * m_b * v - 2 * m_b + 2 * p - 2) * pp_s)
+    cooldown = p * (e_b + l * t_bwd + t_pp) + (v * p - p - 1) * (l * t_bwd + t_pp)
+
+    notes = ()
+    if m_b < p:
+        notes = (f"degenerate pipeline: micro_batches={m_b} < pp={p}; "
+                 "phase formulas evaluated as defined",)
+    return warmup, steady, cooldown, warmup + steady + cooldown, notes
+
+
 def exhaustive_tune_reference(space, top_k):
     """Brute-force tuner oracle: raw Cartesian product, full-candidate
     filtering with the printed rules applied at the end, same ranking key as

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_db, make_hardware, tiny_dense, tiny_moe
+from helpers import make_db, make_hardware, reference_pipeline_time, tiny_dense, tiny_moe
 from traincost.arch import ModuleOverride, decompose
 from traincost.basecost import (
     Dtypes,
+    _channel,
+    _phase_counts,
     evaluate_plan,
     layer_cost,
     pipeline_time,
@@ -77,6 +81,59 @@ class TestPipeline:
             fractions.append(1.0 - m_b * 2.0 / total)
         assert fractions == sorted(fractions, reverse=True)
         assert all(f > 0 for f in fractions)
+
+
+# Signed zeros, awkward magnitudes and ratios with a full mantissa: a
+# reordered sum or product shows up in the last bit or the sign of a zero.
+phase_time = (st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+              | st.builds(lambda n, d: n / d, st.integers(-10**6, 10**6),
+                          st.integers(1, 9999)))
+zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def pipeline_plans(draw):
+    """p 1-16, v 1-5, m_b 1-4p (m_b < p included), 1-3 layers per stage."""
+    p, v = draw(st.integers(1, 16)), draw(st.integers(1, 5))
+    return ParallelPlan(pp=p, chunks=v, micro_batch=1,
+                        global_batch=draw(st.integers(1, 4 * p)),
+                        num_layers=p * v * draw(st.integers(1, 3)))
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+class TestPhaseExpression:
+    """pipeline_time and evaluate_plan's per-plan counts keep the phase
+    expression's float operations, so every phase is bit-identical to the
+    expression written out on the plan's fields (helpers.reference_pipeline_time)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(plan=pipeline_plans(), times=st.lists(phase_time, min_size=8, max_size=8),
+           steady_hop=st.booleans())
+    def test_phases_bit_identical_to_reference(self, plan, times, steady_hop):
+        t_fwd, t_bwd, t_pp, pp_s, e_f, e_b, h_f, h_b = times
+        kwargs = dict(t_pp=t_pp, t_embed=e_f, t_embed_bwd=e_b, t_head=h_f,
+                      t_head_bwd=h_b, t_pp_steady=pp_s if steady_hop else None)
+        *expected, notes = reference_pipeline_time(t_fwd, t_bwd, plan, **kwargs)
+        phases = pipeline_time(t_fwd, t_bwd, plan, **kwargs)
+        assert hexes(phases[:4]) == hexes(expected)
+        assert phases.warnings == notes
+        # evaluate_plan's channel path, on the counts its memo keeps per plan
+        channel = reference_pipeline_time(t_fwd, t_bwd, plan, t_pp=t_pp,
+                                          t_pp_steady=pp_s)[3]
+        assert _channel(_phase_counts(plan), t_fwd, t_bwd, t_pp, pp_s).hex() == channel.hex()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(plan=pipeline_plans(), zeros=st.lists(zero, min_size=4, max_size=4))
+    def test_zero_channel_is_positive_zero(self, plan, zeros):
+        # why evaluate_plan may skip a channel whose inputs are all zero
+        t_fwd, t_bwd, t_pp, pp_s = zeros
+        total = reference_pipeline_time(t_fwd, t_bwd, plan, t_pp=t_pp,
+                                        t_pp_steady=pp_s)[3]
+        assert total.hex() == (0.0).hex()
+        assert _channel(_phase_counts(plan), t_fwd, t_bwd, t_pp, pp_s).hex() == (0.0).hex()
 
 
 class TestLayerTimes:

@@ -141,6 +141,13 @@ class TestTune:
         _, two = run(capsys, "tune", "step", "--config", cfg, "--workers", "2")
         assert one.out == two.out
 
+    def test_sweep_accepts_and_ignores_workers(self, tmp_path, capsys):
+        cfg = self.space_config(tmp_path)
+        argv = ("sweep", "--config", cfg, "--parameter", "v", "--values", "1,2")
+        _, plain = run(capsys, *argv)
+        code, ignored = run(capsys, *argv, "--workers", "4")
+        assert code == 0 and ignored.out == plain.out
+
     def test_space_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path)  # no space section
         space = tmp_path / "space.json"
@@ -439,6 +446,9 @@ class TestInputBoundary:
                     "--t-step", "nan")),
         (TUNE, [], ("tune", "step", "--top-k", "-1")),
         (TUNE, [], ("tune", "step", "--top-k", "0")),
+        (TUNE, [], ("tune", "step", "--workers", "abc")),
+        (TUNE, [], ("tune", "e2e", "--workers", "0")),
+        (TUNE, [], ("sweep", "--parameter", "v", "--values", "1", "--workers", "-3")),
         *[(EVAL, [(("model", key), None)], ("eval",)) for key in ("s", "h", "g_d", "V")],
         (TUNE, [(("model", "s"), None)], ("tune", "step")),
         (EVAL, [(("fault", "r_f_per_node_day"), None)], ETTR),
@@ -452,6 +462,7 @@ class TestInputBoundary:
             "fault-mix-negative", "fault-mix-two", "fault-mix-four",
             "ettr-t-step-nan", "interval-t-step-nan", "interval-t-step-0",
             "sweep-t-step-nan", "tune-top-k-negative", "tune-top-k-0",
+            "tune-workers-string", "tune-e2e-workers-0", "sweep-workers-negative",
             "model-s-null", "model-h-null", "model-g_d-null", "model-V-null",
             "tune-model-s-null", "fault-rate-null", "interval-fault-rate-null",
             "fault-u0-null", "fault-u_bc-null", "fault-u_bp-null", "fault-u_bj-null"])

@@ -20,6 +20,7 @@ Order, counts, keys and strings must match exactly; floats to a relative
 1e-12, so a refactor that reorders floating-point sums still passes while a
 change of model or ranking does not."""
 
+import hashlib
 import json
 import math
 import os
@@ -120,6 +121,29 @@ def test_default_space_at_scale_matches_golden(configs_dir, tmp_path, golden):
     args, mode = SCALED_CASES[golden]
     cfg = scaled_config(configs_dir, tmp_path, *args)
     assert_matches(scaled_projection(cfg, mode), load_golden(golden))
+
+
+# sha256 of json.dumps(tune_step(space, top_k=None).to_json_dict(),
+# sort_keys=True): every feasible candidate, `evaluated` and `rejections`,
+# byte for byte. The goldens above compare floats to 1e-12; these pin a
+# speed-up that must not move a single bit. A change of model or ranking
+# updates them together with the goldens.
+FULL_LIST_SHA256 = {
+    "run_tune_llama2.json":
+        "674f12ba1fd7ad85241e42668da9847e7d5210f7fd5ca2038c75e21f28f50c31",
+    "tune_step_llama2_128.json":
+        "068b41e6704c2eb0bdf87427dc9eb8c810d8602cac68fdfabf92ef4ee927e4fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LIST_SHA256))
+def test_full_feasible_list_is_byte_identical(configs_dir, tmp_path, name):
+    if name in SCALED_CASES:
+        cfg = scaled_config(configs_dir, tmp_path, *SCALED_CASES[name][0])
+    else:
+        cfg = load_config(os.path.join(configs_dir, name))
+    payload = json.dumps(tune_step(cfg.space, top_k=None).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == FULL_LIST_SHA256[name]
 
 
 def test_eval_report_matches_golden(configs_dir, capsys):

@@ -23,6 +23,7 @@ from traincost.optim import (
     OverlapCoeffs,
 )
 from traincost.tuner import (
+    CANDIDATE_FIELDS,
     Candidate,
     SearchSpace,
     TuneResult,
@@ -149,6 +150,45 @@ class TestTuneStep:
         assert result.candidates and result.rejections["memory"] > 0
         assert len(calls) == result.evaluated
         assert len(no_cost) == result.rejections["memory"]
+
+    def test_prune_runs_once_per_tried_value(self, monkeypatch):
+        # the benchmark's traced accounting reads prune's results at this
+        # binding: every rejection it returns must be one counted rejection
+        import traincost.tuner as tuner
+        calls = []
+        original = tuner.prune
+
+        def recording(space, assigned):
+            reason = original(space, assigned)
+            calls.append((tuple(assigned.items()), reason))
+            return reason
+
+        monkeypatch.setattr(tuner, "prune", recording)
+        # every rule fires, and the evaluations add memory and shape rejections
+        space = small_space(db=make_db(make_hardware(gpu_memory=3e4)), total_gpus=16,
+                            tp_candidates=(1, 2, 3, 16), pp_candidates=(1, 2, 4),
+                            dp_candidates=(1, 2, 3), micro_batch_candidates=(1, 2, 8, 32),
+                            chunk_candidates=(1, 2, 3))
+        result = tune_step(space, top_k=None)
+        resolved = space.resolved()
+        sizes = [len(getattr(resolved, name)) for name in CANDIDATE_FIELDS.values()]
+        assigned = [a for a, _ in calls]
+        assert len(set(assigned)) == len(assigned)   # no value tried twice
+        # each surviving prefix tries every value of the next dimension once
+        survivors = 1
+        for depth, size in enumerate(sizes, start=1):
+            at_depth = [reason for a, reason in calls if len(a) == depth]
+            assert len(at_depth) == survivors * size
+            survivors = at_depth.count(None)
+        assert result.evaluated == survivors * len(resolved.opt_combos)
+        reasons = {}
+        for _, reason in calls:
+            if reason is not None:
+                reasons[reason] = reasons.get(reason, 0) + 1
+        assert len(reasons) == 6
+        assert {key: result.rejections[key] for key in reasons} == reasons
+        after_evaluation = sum(result.rejections.values()) - sum(reasons.values())
+        assert result.evaluated == len(result.candidates) + after_evaluation
 
     def test_shape_rejection_counted_for_every_candidate(self):
         # the memo keeps a shape's ShapeError and raises it for every combo
