@@ -23,6 +23,7 @@ only through per-module override entries supplied with the model.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 from .errors import InputError, ShapeError, check_count, check_keys, check_number, check_object
 from .plan import ParallelPlan
@@ -141,20 +142,25 @@ class ModuleShape:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """One layer's module list plus the embedding and head shapes."""
+    """One layer's module list plus the embedding and head shapes. The
+    per-layer sums are computed on first read and kept."""
     layer: tuple[ModuleShape, ...]
     embedding: ModuleShape
     head: ModuleShape
 
-    @property
+    @cached_property
     def layer_flops(self) -> float:
         return sum(m.flops_fwd for m in self.layer)
 
-    @property
+    @cached_property
     def layer_act_bytes(self) -> float:
         return sum(m.act_bytes for m in self.layer)
 
-    @property
+    @cached_property
+    def attention_act_bytes(self) -> float:
+        return sum(m.act_bytes for m in self.layer if m.name in ATTENTION_CORE_MODULES)
+
+    @cached_property
     def layer_params(self) -> float:
         return sum(m.param_count for m in self.layer)
 

@@ -10,9 +10,9 @@ channels sum to the scalar result up to rounding. The expression lives in
 _phases, on integer counts computed once per plan; pipeline_time wraps it.
 A channel whose inputs are all zero is +0.0 for every plan and is skipped.
 
-evaluate_plan takes an optional EvalMemo that shares terms between the
-evaluations of one tune; its docstring says what is shared and keyed on
-what.
+evaluate_plan runs in an EvalMemo, the context of one (arch, db, dtypes):
+a fresh one per call, or the caller's, which the tuner shares between the
+evaluations of a tune; its docstring says what is shared and keyed on what.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from .arch import (
 from .errors import NOT_FINITE, InfeasibleError, InputError, ShapeError, check_keys, check_number
 from .optim import OptimizationSet
 from .plan import ParallelPlan
-from .profile import (
-    HardwareSpec,
-    ProfileDB,
-    comm_time,
-    op_time,
-    roofline_bound,
-)
+from .profile import ProfileDB, comm_time, op_time, roofline_bound
 
 
 # Config key -> Dtypes field.
@@ -360,28 +354,19 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 # Full evaluation
 
 
-class ShapeTerms(NamedTuple):
-    """A shape's decomposition and the byte terms start_plan scales."""
-    decomp: Decomposition
-    params: float               # per layer
-    layer_act_bytes: float
-    attention_act_bytes: float  # attention-core modules
-    input_act_bytes: float      # the first norm retains the layer input
-
-
 class EvalMemo:
-    """Work evaluate_plan shares between calls that evaluate plans of one
-    (arch, db, dtypes), as the tuner does for every candidate of a tune.
+    """The context of the evaluations of one (arch, db, dtypes), and the work
+    they share, as the tuner's are for every candidate of a tune.
 
     * Once: whether the profile is complete, so that no lookup can fail and
       a plan over the memory limit may skip latency.
     * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
-      reads: its ShapeTerms (the decomposition and its per-layer parameter
-      and activation byte terms), or the ShapeError message decompose
-      raised, raised again for every later plan of that shape.
+      reads: its Decomposition, which keeps its own per-layer sums, or the
+      ShapeError message decompose raised, raised again for every later
+      plan of that shape.
     * Per plan (the last one seen, by identity): validation, the held
-      parameter and gradient bytes, the static bytes of each optimizer
-      strategy, the activation bytes of each activation strategy, and the
+      parameter and gradient bytes, the static bytes of every optimizer
+      strategy, the activation bytes of every activation strategy, and the
       integer counts of the phase expression (_phase_counts). A plan's
       feature combos differ in these only through the two strategies.
     * Per shape and the combo fields they read (compute and comm scaling and
@@ -396,75 +381,68 @@ class EvalMemo:
     evaluate_plan without a memo uses a fresh one, so shared and unshared
     evaluations compute every term through the same functions."""
 
-    def __init__(self) -> None:
+    def __init__(self, arch: ModelArchitecture, db: ProfileDB, dtypes: Dtypes) -> None:
+        self.arch, self.db, self.dtypes, self.hw = arch, db, dtypes, db.hardware
+        self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         self.plan: ParallelPlan | None = None
-        self.complete: bool | None = None
-        self.static: dict[str, tuple[float, float]] = {}
-        self.activation: dict[str, float] = {}
-        self.decomps: dict[tuple, ShapeTerms | str] = {}
+        self.decomps: dict[tuple, Decomposition | str] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.collectives: dict[tuple, float] = {}
         self.flops: dict[tuple[int, int], float] = {}
 
-    def start_plan(self, arch: ModelArchitecture, plan: ParallelPlan,
-                   db: ProfileDB, dtypes: Dtypes) -> None:
+    def start_plan(self, plan: ParallelPlan) -> None:
         """Validate `plan` and set its decomposition and byte terms; raises
         ShapeError for an invalid plan or shape."""
-        if self.complete is None:
-            self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         plan.validate()
         shape = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
-        terms = self.decomps.get(shape)
-        if terms is None:
+        decomp = self.decomps.get(shape)
+        if decomp is None:
             try:
-                d = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
+                decomp = decompose(self.arch, plan, act_dtype_bytes=self.dtypes.act_bytes)
             except ShapeError as exc:
-                terms = str(exc)
-            else:
-                terms = ShapeTerms(d, d.layer_params, d.layer_act_bytes,
-                                   sum(m.act_bytes for m in d.layer
-                                       if m.name in ATTENTION_CORE_MODULES),
-                                   d.layer[0].act_bytes)
-            self.decomps[shape] = terms
-        if isinstance(terms, str):
-            raise ShapeError(terms)
-        self.plan, self.shape, self.terms = plan, shape, terms
-        self.params_held = plan.chunks * plan.layers_per_stage * terms.params
-        self.param_bytes = dtypes.param_bytes * self.params_held
-        self.grad_bytes = dtypes.grad_bytes * self.params_held
+                decomp = str(exc)
+            self.decomps[shape] = decomp
+        if isinstance(decomp, str):
+            raise ShapeError(decomp)
+        dt = self.dtypes
+        self.plan, self.shape, self.decomp = plan, shape, decomp
+        self.params_held = plan.chunks * plan.layers_per_stage * decomp.layer_params
+        self.param_bytes = dt.param_bytes * self.params_held
+        self.grad_bytes = dt.grad_bytes * self.params_held
         self.counts = _phase_counts(plan)
-        self.static.clear()
-        self.activation.clear()
+        # The strategy ops return the same bytes for any times.
+        self.static: dict[str, tuple[float, float]] = {}
+        for strategy in _optim.OPTIMIZER_STRATEGIES:
+            opt_bytes = self.optimizer(strategy, 0.0)[0]
+            self.static[strategy] = (
+                (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes)
+        self.act_bytes = {strategy: self.activation(strategy, t_fwd=0.0, t_bwd=0.0)[0]
+                          for strategy in _optim.ACTIVATION_STRATEGIES}
 
-    def collective(self, db: ProfileDB, opts: OptimizationSet, kind: str,
-                   group: int, volume: float) -> float:
+    def collective(self, opts: OptimizationSet, kind: str, group: int,
+                   volume: float) -> float:
         """_collective_time, memoised on the inputs it reads."""
         key = (kind, group, volume, opts.comm_lambda(kind))
         t = self.collectives.get(key)
         if t is None:
-            t = self.collectives[key] = _collective_time(db, opts, kind, group, volume)
+            t = self.collectives[key] = _collective_time(self.db, opts, kind, group, volume)
         return t
 
+    def activation(self, strategy: str, **times) -> tuple[float, float, float]:
+        """The activation strategy op on the current plan's byte terms; the
+        first norm retains the layer input."""
+        d = self.decomp
+        return _optim.apply_activation_strategy(
+            strategy, self.plan, act_bytes_per_layer=d.layer_act_bytes,
+            attention_act_bytes=d.attention_act_bytes,
+            input_act_bytes=d.layer[0].act_bytes, hw=self.hw, **times)
 
-def _activation(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
-                hw: HardwareSpec, **times) -> tuple[float, float, float]:
-    """The activation strategy op on the memo's byte terms of `plan`."""
-    return _optim.apply_activation_strategy(
-        opts.activation_strategy, plan,
-        act_bytes_per_layer=memo.terms.layer_act_bytes,
-        attention_act_bytes=memo.terms.attention_act_bytes,
-        input_act_bytes=memo.terms.input_act_bytes,
-        hw=hw, coeffs=opts.offload_coeffs, **times)
-
-
-def _optimizer(opts: OptimizationSet, plan: ParallelPlan, memo: EvalMemo,
-               dtypes: Dtypes, hw: HardwareSpec,
-               t_update: float) -> tuple[float, float]:
-    """The optimizer strategy op on the memo's parameter terms of `plan`."""
-    return _optim.apply_optimizer_strategy(
-        opts.optimizer_strategy, plan, 4 * dtypes.opt_bytes * memo.params_held,
-        t_update, params_total=memo.terms.params, grad_bytes_total=memo.grad_bytes,
-        param_bytes_total=memo.param_bytes, hw=hw)
+    def optimizer(self, strategy: str, t_update: float) -> tuple[float, float]:
+        """The optimizer strategy op on the current plan's parameter terms."""
+        return _optim.apply_optimizer_strategy(
+            strategy, self.plan, 4 * self.dtypes.opt_bytes * self.params_held, t_update,
+            params_total=self.decomp.layer_params, grad_bytes_total=self.grad_bytes,
+            param_bytes_total=self.param_bytes, hw=self.hw)
 
 
 def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
@@ -480,29 +458,17 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     on latency. When its peak exceeds memory_limit, cost is None. The latency
     terms are then skipped if the profile is complete; otherwise they still
     run, so a missing profile entry raises as it would without the limit.
-    memo, when given, must only have served evaluations of this arch, db and
-    dtypes (see EvalMemo)."""
+    memo, when given, is the EvalMemo of this arch, db and dtypes."""
     opts = opts or OptimizationSet()
     if memo is None:
-        memo = EvalMemo()
+        memo = EvalMemo(arch, db, dtypes)
     if memo.plan is not plan:
-        memo.start_plan(arch, plan, db, dtypes)
-    decomp, hw = memo.terms.decomp, db.hardware
+        memo.start_plan(plan)
+    decomp = memo.decomp
 
-    # Memory. The strategy ops return the same bytes for any times, so each
-    # runs once per plan with zero times, and again below with the layer
-    # times. Activation bytes depend on the strategy alone.
-    static = memo.static.get(opts.optimizer_strategy)
-    if static is None:
-        opt_bytes = _optimizer(opts, plan, memo, dtypes, hw, 0.0)[0]
-        static = memo.static[opts.optimizer_strategy] = (
-            (dtypes.param_bytes + dtypes.grad_bytes) * memo.params_held + opt_bytes,
-            opt_bytes)
-    m_static, opt_bytes = static
-    m_act = memo.activation.get(opts.activation_strategy)
-    if m_act is None:
-        m_act = memo.activation[opts.activation_strategy] = _activation(
-            opts, plan, memo, hw, t_fwd=0.0, t_bwd=0.0)[0]
+    # Memory: every strategy's bytes are kept per plan.
+    m_static, opt_bytes = memo.static[opts.optimizer_strategy]
+    m_act = memo.act_bytes[opts.activation_strategy]
     # tuple.__new__ skips the NamedTuples' Python-level __new__, a large part
     # of a memory rejection's cost.
     memory = tuple.__new__(MemoryReport, (m_static, m_act, m_static + m_act,
@@ -527,9 +493,9 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
     # Activation strategy: scalar result from the strategy op, then the delta
     # mirrored onto the channel split so totals stay consistent.
-    _, fwd_total, bwd_total = _activation(
-        opts, plan, memo, hw, t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
-        t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd)
+    _, fwd_total, bwd_total = memo.activation(
+        opts.activation_strategy, t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
+        t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd, coeffs=opts.offload_coeffs)
     fwd_parts, bwd_parts = lc.fwd, lc.bwd
     if opts.activation_strategy == "full-recompute":
         bwd_parts = bwd_parts + fwd_parts
@@ -543,7 +509,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     t_pp_hop = 0.0
     if plan.pp > 1:
         vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
-        t_pp_hop = memo.collective(db, opts, "p2p", 2, vol)
+        t_pp_hop = memo.collective(opts, "p2p", 2, vol)
     t_pp_steady = t_pp_hop
     if opts.pp_overlap is not None and t_pp_hop > 0:
         ov = opts.pp_overlap
@@ -565,15 +531,15 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
 
     # Optimizer: the held gradients' all-reduce and the base update, then the
     # strategy, then the dp overlap.
-    vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * memo.terms.params
-    t_dp = memo.collective(db, opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
-    p_opt = hw.optimizer_throughput * opts.compute_lambda("optimizer")
-    t_update = _optimizer(opts, plan, memo, dtypes, hw, memo.params_held / p_opt)[1]
+    vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
+    t_dp = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
+    p_opt = memo.hw.optimizer_throughput * opts.compute_lambda("optimizer")
+    t_update = memo.optimizer(opts.optimizer_strategy, memo.params_held / p_opt)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
-        per_chunk_params = plan.layers_per_stage * memo.terms.params
-        rs = [memo.collective(db, opts, "reduce-scatter", plan.dp,
+        per_chunk_params = plan.layers_per_stage * decomp.layer_params
+        rs = [memo.collective(opts, "reduce-scatter", plan.dp,
                               dtypes.grad_bytes * per_chunk_params)] * plan.chunks
-        ag = [memo.collective(db, opts, "all-gather", plan.dp,
+        ag = [memo.collective(opts, "all-gather", plan.dp,
                               dtypes.param_bytes * per_chunk_params)] * plan.chunks
         t_dp = _optim.dp_overlap(rs, ag, fwd_parts.total, bwd_parts.total,
                                  plan, opts.dp_overlap)

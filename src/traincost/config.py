@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .arch import ModelArchitecture
-from .basecost import Dtypes
+from .basecost import TFLOPS_MODES, Dtypes
 from .errors import ConfigError, InputError, ShapeError, check_count, check_keys, check_number
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
@@ -186,6 +186,8 @@ def load_config(path: str, space_path: str | None = None) -> RunConfig:
     with _section("dtypes"):
         dtypes = Dtypes.from_json_dict(raw.get("dtypes", {}))
     tflops_mode = raw.get("tflops_mode", "fwd-bwd-per-device")
+    if tflops_mode not in TFLOPS_MODES:
+        raise ConfigError(f"unknown tflops mode {tflops_mode!r}")
 
     with _section("optimization"):
         opt_raw = raw.get("optimization")
@@ -196,6 +198,9 @@ def load_config(path: str, space_path: str | None = None) -> RunConfig:
         elif isinstance(opt_raw, list):
             combos = tuple(OptimizationSet.from_json_dict(o) for o in opt_raw)
             declared_combos = combos
+            for i, combo in enumerate(combos):
+                if combos.index(combo) < i:
+                    raise InputError(f"entry {i} repeats entry {combos.index(combo)}")
         else:
             combos = (OptimizationSet.from_json_dict(opt_raw),)
             declared_combos = combos

@@ -70,6 +70,10 @@ class SearchSpace:
                    for value in getattr(self, name)]
         for name, value in counts:
             check_count(name, value)
+        for name in CANDIDATE_FIELDS.values():
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise InputError(f"{name} repeats a value: {list(values)}")
         if self.tflops_mode not in TFLOPS_MODES:
             raise InputError(f"unknown tflops mode {self.tflops_mode!r}")
 
@@ -199,7 +203,7 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     combos = space.opt_combos
     limit = space.db.hardware.gpu_memory
     rejections: dict[str, int] = {}
-    memo = EvalMemo()
+    memo = EvalMemo(space.arch, space.db, space.dtypes)
     feasible: list[Candidate] = []
     evaluated = 0
     for plan in _enumerate_plans(space, rejections):

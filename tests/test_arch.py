@@ -146,9 +146,19 @@ class TestSharding:
 
 class TestAggregates:
     def test_layer_total_is_module_sum(self, moe_arch):
-        plan = plan_for(moe_arch)
-        d = decompose(moe_arch, plan)
-        assert d.layer_flops == sum(m.flops_fwd for m in d.layer)
+        d = decompose(moe_arch, plan_for(moe_arch))
+        attention = ("attention-map", "softmax", "attention-on-value")
+        expected = {
+            "layer_flops": sum(m.flops_fwd for m in d.layer),
+            "layer_act_bytes": sum(m.act_bytes for m in d.layer),
+            "layer_params": sum(m.param_count for m in d.layer),
+            "attention_act_bytes": sum(m.act_bytes for m in d.layer if m.name in attention),
+        }
+        assert 0 < expected["attention_act_bytes"] < expected["layer_act_bytes"]
+        for name, total in expected.items():
+            first = getattr(d, name)
+            assert first == total
+            assert getattr(d, name) is first   # kept, not summed again
 
     def test_model_flops_scaling(self, dense_arch):
         plan = plan_for(dense_arch, micro_batch=2, global_batch=16, dp=2)

@@ -9,6 +9,7 @@ from helpers import make_db, make_hardware, reference_pipeline_time, tiny_dense,
 from traincost.arch import ModuleOverride, decompose
 from traincost.basecost import (
     Dtypes,
+    EvalMemo,
     _channel,
     _phase_counts,
     evaluate_plan,
@@ -19,9 +20,12 @@ from traincost.basecost import (
 )
 from traincost.errors import InfeasibleError, InputError, ProfileLookupError, ShapeError
 from traincost.optim import (
+    ACTIVATION_STRATEGIES,
+    OPTIMIZER_STRATEGIES,
     OptimizationSet,
     OverlapCoeffs,
     apply_activation_strategy,
+    apply_optimizer_strategy,
     default_feature_combos,
 )
 from traincost.plan import ParallelPlan
@@ -289,6 +293,37 @@ class TestMemory:
     def test_activation_linear_in_bytes(self):
         plan = simple_plan(pp=2, chunks=2, global_batch=4, num_layers=4)
         assert retained(plan, 2e9) == 2 * retained(plan, 1e9)
+
+
+class TestEvalMemo:
+    def test_start_plan_keeps_each_strategy_op_bytes(self):
+        """The per-plan bytes of every strategy are the bytes a direct call of
+        the strategy op gives on the plan's decomposition."""
+        arch = tiny_moe(l=4)
+        plan = simple_plan(pp=2, chunks=2, dp=2, global_batch=8, num_layers=4)
+        dt = Dtypes(param_bytes=2.0, grad_bytes=4.0, opt_bytes=8.0, act_bytes=3.0)
+        hw = make_hardware(cpu_memory=100.0)   # the cpu optimizer overflows onto the device
+        memo = EvalMemo(arch, make_db(hw), dt)
+        memo.start_plan(plan)
+        d = decompose(arch, plan, act_dtype_bytes=dt.act_bytes)
+        held = plan.chunks * plan.layers_per_stage * d.layer_params
+        for strategy in OPTIMIZER_STRATEGIES:
+            opt_bytes = apply_optimizer_strategy(
+                strategy, plan, 4 * dt.opt_bytes * held, 0.0, params_total=d.layer_params,
+                grad_bytes_total=dt.grad_bytes * held, param_bytes_total=dt.param_bytes * held,
+                hw=hw)[0]
+            assert memo.static[strategy] == (
+                (dt.param_bytes + dt.grad_bytes) * held + opt_bytes, opt_bytes)
+        attention = sum(m.act_bytes for m in d.layer
+                        if m.name in ("attention-map", "softmax", "attention-on-value"))
+        for strategy in ACTIVATION_STRATEGIES:
+            assert memo.act_bytes[strategy] == apply_activation_strategy(
+                strategy, plan, act_bytes_per_layer=d.layer_act_bytes,
+                attention_act_bytes=attention, input_act_bytes=d.layer[0].act_bytes,
+                t_fwd=0.0, t_bwd=0.0, hw=hw)[0]
+        # every strategy keeps different bytes, so a swapped key would show
+        assert len(set(memo.static.values())) == len(OPTIMIZER_STRATEGIES)
+        assert len(set(memo.act_bytes.values())) == len(ACTIVATION_STRATEGIES)
 
 
 def _invariant_cases():

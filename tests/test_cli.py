@@ -472,6 +472,33 @@ class TestInputBoundary:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edits,message", [
+        ([(("space", "t"), [8, 8])],
+         "space section invalid: tp_candidates repeats a value: [8, 8]"),
+        ([(("space", "v"), [1, 2, 5, 2])],
+         "space section invalid: chunk_candidates repeats a value: [1, 2, 5, 2]"),
+        ([(("optimization",), [{"pp_overlap": {}}, {}, {"pp_overlap": {}}])],
+         "optimization section invalid: entry 2 repeats entry 0"),
+        # equal once parsed: the default strategy spelt out
+        ([(("optimization",), [{}, {"optimizer_strategy": "none"}])],
+         "optimization section invalid: entry 1 repeats entry 0"),
+    ], ids=["t-repeated", "v-repeated", "optimization-repeated",
+            "optimization-repeated-default"])
+    def test_repeated_search_entry_exits_1(self, tmp_path, edits, message):
+        config = write_shipped(tmp_path, TUNE, edits)
+        for mode in ("step", "e2e"):
+            assert run_quiet("tune", mode, "--config", config) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("config,argv", [
+        (EVAL, ("eval",)), (EVAL, ETTR), (EVAL, ("interval", "--t-step", "27.83")),
+        (TUNE, ("tune", "step")), (TUNE, ("tune", "e2e")),
+        (TUNE, ("sweep", "--parameter", "v", "--values", "1")),
+    ], ids=["eval", "ettr", "interval", "tune-step", "tune-e2e", "sweep"])
+    def test_unknown_tflops_mode_is_one_error_for_every_command(self, tmp_path, config, argv):
+        path = write_shipped(tmp_path, config, [(("tflops_mode",), "bogus")])
+        assert run_quiet(*argv, "--config", path) == (
+            1, "", "error: unknown tflops mode 'bogus'\n")
+
     @pytest.mark.parametrize("command", ["ettr", "interval"])
     def test_overflowing_result_is_infeasible(self, tmp_path, command):
         config = write_shipped(tmp_path, EVAL, [(("fault", "T_save"), 1e308)])

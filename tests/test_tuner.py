@@ -90,6 +90,11 @@ class TestTuneStep:
         with pytest.raises(InputError, match="unknown tflops mode 'bogus'"):
             small_space(tflops_mode="bogus")
 
+    @pytest.mark.parametrize("field", sorted(CANDIDATE_FIELDS.values()))
+    def test_space_rejects_a_repeated_candidate_value(self, field):
+        with pytest.raises(InputError, match=f"^{field} repeats a value"):
+            small_space(**{field: (2, 1, 2)})
+
     def test_matches_exhaustive_enumeration(self):
         space = small_space()
         mine = tune_step(space, top_k=5)
