@@ -22,10 +22,10 @@ only through per-module override entries supplied with the model.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from typing import NamedTuple
 
-from .errors import InputError, ShapeError, check_count, check_keys, check_number, check_object
+from .errors import (InputError, ShapeError, check_count, check_keys, check_number,
+                     check_object, record)
 from .plan import ParallelPlan
 
 ATTENTION_KINDS = ("MHA", "GQA", "MLA-plugin")
@@ -45,60 +45,55 @@ MODEL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ModuleOverride:
     """Per-module replacement for the built-in polynomials (used for attention
     variants the table does not cover). Values are per token of the full,
     unsharded model; the standard sharding divisors still apply."""
-    flops_per_token: float | None = None
-    act_elems_per_token: float | None = None
-    params: float | None = None
 
-    def __post_init__(self):
-        for name in ("flops_per_token", "act_elems_per_token", "params"):
-            if getattr(self, name) is not None:
-                check_number(name, getattr(self, name))
+    def __new__(cls, flops_per_token: float | None = None,
+                act_elems_per_token: float | None = None, params: float | None = None):
+        values = (flops_per_token, act_elems_per_token, params)
+        for name, value in zip(cls._fields, values):
+            if value is not None:
+                check_number(name, value)
+        return tuple.__new__(cls, values)
 
 
-@dataclass(frozen=True)
+@record
 class ModelArchitecture:
-    num_layers: int
-    hidden_size: int
-    seq_len: int
-    num_heads: int
-    vocab_size: int
-    dense_ffn_size: int
-    query_groups: int | None = None
-    expert_ffn_size: int | None = None
-    top_k: int | None = None
-    num_experts: int | None = None
-    attention_kind: str = "MHA"
-    structure_kind: str = "Dense"
-    module_overrides: dict[str, ModuleOverride] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __new__(cls, num_layers: int, hidden_size: int, seq_len: int, num_heads: int,
+                vocab_size: int, dense_ffn_size: int, query_groups: int | None = None,
+                expert_ffn_size: int | None = None, top_k: int | None = None,
+                num_experts: int | None = None, attention_kind: str = "MHA",
+                structure_kind: str = "Dense",
+                module_overrides: dict[str, ModuleOverride] | None = None):
+        """module_overrides=None stands for no overrides, {}."""
         optional = ("query_groups", "expert_ffn_size", "top_k", "num_experts")
-        for name in ("num_layers", "hidden_size", "seq_len", "num_heads", "vocab_size",
-                     "dense_ffn_size", *optional):
-            if name not in optional or getattr(self, name) is not None:
-                check_count(name, getattr(self, name))
-        if self.attention_kind not in ATTENTION_KINDS:
-            raise InputError(f"unknown attention_kind {self.attention_kind!r}")
-        if self.structure_kind not in STRUCTURE_KINDS:
-            raise InputError(f"unknown structure_kind {self.structure_kind!r}")
-        if self.attention_kind == "GQA":
-            if not self.query_groups:
+        values = (num_layers, hidden_size, seq_len, num_heads, vocab_size, dense_ffn_size,
+                  query_groups, expert_ffn_size, top_k, num_experts)
+        for name, value in zip(cls._fields, values):
+            if name not in optional or value is not None:
+                check_count(name, value)
+        if attention_kind not in ATTENTION_KINDS:
+            raise InputError(f"unknown attention_kind {attention_kind!r}")
+        if structure_kind not in STRUCTURE_KINDS:
+            raise InputError(f"unknown structure_kind {structure_kind!r}")
+        if attention_kind == "GQA":
+            if not query_groups:
                 raise InputError("GQA requires query_groups")
-            if self.num_heads % self.query_groups != 0:
+            if num_heads % query_groups != 0:
                 raise InputError(
-                    f"num_heads={self.num_heads} not divisible by "
-                    f"query_groups={self.query_groups}"
+                    f"num_heads={num_heads} not divisible by "
+                    f"query_groups={query_groups}"
                 )
-        if self.is_moe:
-            if not (self.expert_ffn_size and self.top_k and self.num_experts):
+        if structure_kind == "MoE":
+            if not (expert_ffn_size and top_k and num_experts):
                 raise InputError("MoE requires expert_ffn_size, top_k and num_experts")
-            if self.top_k > self.num_experts:
+            if top_k > num_experts:
                 raise InputError("top_k cannot exceed num_experts")
+        return tuple.__new__(cls, (*values, attention_kind, structure_kind,
+                                   {} if module_overrides is None else module_overrides))
 
     @property
     def is_moe(self) -> bool:
@@ -111,7 +106,7 @@ class ModelArchitecture:
         kwargs = {MODEL_KEYS.get(key, key): value for key, value in data.items()}
         overrides = kwargs.get("module_overrides")
         if overrides is not None:
-            known = tuple(f.name for f in fields(ModuleOverride))
+            known = ModuleOverride._fields
             kwargs["module_overrides"] = {}
             for name, entry in check_object(overrides, "module_overrides").items():
                 check_keys(entry, known, "module override")
@@ -126,13 +121,12 @@ class ModelArchitecture:
         it back to an equal architecture."""
         out = {key: getattr(self, name) for key, name in MODEL_KEYS.items()
                if getattr(self, name) is not None}
-        overrides = {name: {k: v for k, v in asdict(ov).items() if v is not None}
+        overrides = {name: {k: v for k, v in ov._asdict().items() if v is not None}
                      for name, ov in self.module_overrides.items()}
         return out | ({"module_overrides": overrides} if overrides else {})
 
 
-@dataclass(frozen=True)
-class ModuleShape:
+class ModuleShape(NamedTuple):
     name: str
     flops_fwd: float
     act_bytes: float
@@ -140,29 +134,21 @@ class ModuleShape:
     is_expert: bool = False
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """One layer's module list plus the embedding and head shapes. The
-    per-layer sums are computed on first read and kept."""
+class Decomposition(NamedTuple):
+    """One layer's module list plus the embedding and head shapes, and the
+    per-layer sums decompose computes once. The repr shows the shapes only,
+    as the sums follow from them."""
     layer: tuple[ModuleShape, ...]
     embedding: ModuleShape
     head: ModuleShape
+    layer_flops: float
+    layer_act_bytes: float
+    attention_act_bytes: float
+    layer_params: float
 
-    @cached_property
-    def layer_flops(self) -> float:
-        return sum(m.flops_fwd for m in self.layer)
-
-    @cached_property
-    def layer_act_bytes(self) -> float:
-        return sum(m.act_bytes for m in self.layer)
-
-    @cached_property
-    def attention_act_bytes(self) -> float:
-        return sum(m.act_bytes for m in self.layer if m.name in ATTENTION_CORE_MODULES)
-
-    @cached_property
-    def layer_params(self) -> float:
-        return sum(m.param_count for m in self.layer)
+    def __repr__(self) -> str:
+        return (f"Decomposition(layer={self.layer!r}, embedding={self.embedding!r}, "
+                f"head={self.head!r})")
 
 
 def _check_divisibility(arch: ModelArchitecture, plan: ParallelPlan) -> None:
@@ -248,7 +234,11 @@ def decompose(
         modules = [_apply_override(m, arch, plan, b, s, dt) for m in modules]
         embedding = _apply_override(embedding, arch, plan, b, s, dt)
         head = _apply_override(head, arch, plan, b, s, dt)
-    return Decomposition(tuple(modules), embedding, head)
+    return Decomposition(
+        tuple(modules), embedding, head, sum(m.flops_fwd for m in modules),
+        sum(m.act_bytes for m in modules),
+        sum(m.act_bytes for m in modules if m.name in ATTENTION_CORE_MODULES),
+        sum(m.param_count for m in modules))
 
 
 def _apply_override(shape: ModuleShape, arch: ModelArchitecture,
@@ -273,7 +263,7 @@ def _apply_override(shape: ModuleShape, arch: ModelArchitecture,
 def model_flops_total(arch: ModelArchitecture, plan: ParallelPlan) -> float:
     """Unsharded forward FLOPs for one global batch: embedding + head +
     num_layers * layer, scaled from micro-batch to global batch."""
-    neutral = replace(plan, tp=1, cp=1, ep=1)
+    neutral = plan._replace(tp=1, cp=1, ep=1)
     d = decompose(arch, neutral)
     scale = plan.micro_batches * plan.dp
     return (d.embedding.flops_fwd + d.head.flops_fwd

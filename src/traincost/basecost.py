@@ -18,7 +18,6 @@ evaluations of a tune; its docstring says what is shared and keyed on what.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import optim as _optim
@@ -29,7 +28,8 @@ from .arch import (
     decompose,
     model_flops_total,
 )
-from .errors import NOT_FINITE, InfeasibleError, InputError, ShapeError, check_keys, check_number
+from .errors import (NOT_FINITE, InfeasibleError, InputError, ShapeError, check_keys,
+                     check_number, record)
 from .optim import OptimizationSet
 from .plan import ParallelPlan
 from .profile import ProfileDB, comm_time, op_time, roofline_bound
@@ -40,16 +40,14 @@ DTYPE_KEYS = {"D_para": "param_bytes", "D_grad": "grad_bytes", "D_opt": "opt_byt
               "D_act": "act_bytes"}
 
 
-@dataclass(frozen=True)
+@record
 class Dtypes:
-    param_bytes: float = 2.0
-    grad_bytes: float = 2.0
-    opt_bytes: float = 4.0
-    act_bytes: float = 2.0
-
-    def __post_init__(self):
-        for name in DTYPE_KEYS.values():
-            check_number(name, getattr(self, name))
+    def __new__(cls, param_bytes: float = 2.0, grad_bytes: float = 2.0,
+                opt_bytes: float = 4.0, act_bytes: float = 2.0):
+        values = (param_bytes, grad_bytes, opt_bytes, act_bytes)
+        for name, value in zip(cls._fields, values):
+            check_number(name, value)
+        return tuple.__new__(cls, values)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dtypes":
@@ -60,8 +58,7 @@ class Dtypes:
         return {key: getattr(self, name) for key, name in DTYPE_KEYS.items()}
 
 
-@dataclass(frozen=True)
-class TimeParts:
+class TimeParts(NamedTuple):
     """One latency split into exposure channels; `total` is their sum."""
     cal: float = 0.0
     tp: float = 0.0
@@ -188,8 +185,7 @@ def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
     return comm_time(volume, bw * opts.comm_lambda(kind), beta)
 
 
-@dataclass(frozen=True)
-class LayerCost:
+class LayerCost(NamedTuple):
     fwd: TimeParts
     bwd: TimeParts
     t_qkv_fwd: float

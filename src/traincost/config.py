@@ -7,11 +7,12 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arch import ModelArchitecture
 from .basecost import TFLOPS_MODES, Dtypes
-from .errors import ConfigError, InputError, ShapeError, check_count, check_keys, check_number
+from .errors import (ConfigError, InputError, ShapeError, check_count, check_keys,
+                     check_number, record)
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
 from .optim import OptimizationSet
 from .plan import DIMS, ParallelPlan
@@ -23,19 +24,15 @@ SCHEMA_VERSION = 1
 OUTPUT_FORMATS = ("json", "csv", "markdown")
 
 
-@dataclass(frozen=True)
+@record
 class FaultSection:
-    model: FaultModel
-    save_s: float = 0.0
-    interval_steps: int | None = None
-    total_steps: int | None = None
-    tokens: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "save_s", check_number("T_save", self.save_s))
-        if self.tokens is not None:
-            object.__setattr__(self, "tokens",
-                               check_number("tokens", self.tokens, strict=True))
+    def __new__(cls, model: FaultModel, save_s: float = 0.0,
+                interval_steps: int | None = None, total_steps: int | None = None,
+                tokens: float | None = None):
+        save_s = check_number("T_save", save_s)
+        if tokens is not None:
+            tokens = check_number("tokens", tokens, strict=True)
+        return tuple.__new__(cls, (model, save_s, interval_steps, total_steps, tokens))
 
     def resolve_steps(self, global_batch: int, seq_len: int) -> int:
         if self.total_steps is not None:
@@ -52,15 +49,14 @@ class FaultSection:
                                 self.resolve_steps(global_batch, seq_len), step_s)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     arch: ModelArchitecture
     db: ProfileDB
     plan: ParallelPlan | None = None
     space: SearchSpace | None = None
     opt_combos: tuple[OptimizationSet, ...] = (OptimizationSet(),)
     fault: FaultSection | None = None
-    dtypes: Dtypes = field(default_factory=Dtypes)
+    dtypes: Dtypes = Dtypes()
     output_format: str = "json"
     tflops_mode: str = "fwd-bwd-per-device"
     schema_version: int = SCHEMA_VERSION

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the input checks that
-config sections, search spaces and sweeps raise them through."""
+"""Exception types shared across the package, the input checks that config
+sections, search spaces and sweeps raise them through, and the class
+decorator that builds the records whose constructors run those checks."""
 
 import sys
+from collections import namedtuple
 
 
 class TraincostError(Exception):
@@ -69,3 +71,18 @@ def check_number(name: str, value, low: float = 0.0, strict: bool = False,
             domain = f"{'>' if strict else '>='} {low:g}"
         raise InputError(f"{name} value {value!r} is not a finite number {domain}")
     return float(value)
+
+
+def record(cls: type) -> type:
+    """The namedtuple class with the body of `cls`, whose fields are the
+    parameters of `cls.__new__`, in order. That `__new__` checks the values
+    and returns `tuple.__new__(cls, values)`; `_make`, and so `_replace`, call
+    it too, so every way to build the record runs the checks."""
+    code = cls.__new__.__code__
+    tpl = namedtuple(cls.__name__, code.co_varnames[1:code.co_argcount],
+                     defaults=cls.__new__.__defaults__, module=cls.__module__)
+    for key, value in vars(cls).items():
+        if key not in ("__dict__", "__weakref__"):
+            setattr(tpl, key, value)
+    tpl._make = classmethod(lambda c, values: c(*values))
+    return tpl

@@ -10,9 +10,9 @@ intervals are counted in steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InfeasibleError, InputError, check_count, check_number
+from .errors import InfeasibleError, InputError, check_count, check_number, record
 
 DAY_SECONDS = 86400.0
 
@@ -27,30 +27,30 @@ _TIME_KEYS = {"recovery_process_s": "u_bc", "recovery_pod_s": "u_bp",
               "recovery_job_s": "u_bj", "init_s": "u0", "mean_repair_s": "u_b"}
 
 
-@dataclass(frozen=True)
+@record
 class FaultModel:
-    nodes: int
-    failures_per_node_day: float
-    recovery_process_s: float = DEFAULT_RECOVERY_SECONDS[0]
-    recovery_pod_s: float = DEFAULT_RECOVERY_SECONDS[1]
-    recovery_job_s: float = DEFAULT_RECOVERY_SECONDS[2]
-    mix: tuple[float, float, float] = DEFAULT_RECOVERY_MIX
-    init_s: float = 0.0            # first-initialization time u_0
-    mean_repair_s: float | None = None  # overrides the mixture when given
-
-    def __post_init__(self):
+    def __new__(cls, nodes: int, failures_per_node_day: float,
+                recovery_process_s: float = DEFAULT_RECOVERY_SECONDS[0],
+                recovery_pod_s: float = DEFAULT_RECOVERY_SECONDS[1],
+                recovery_job_s: float = DEFAULT_RECOVERY_SECONDS[2],
+                mix: tuple[float, float, float] = DEFAULT_RECOVERY_MIX,
+                init_s: float = 0.0, mean_repair_s: float | None = None):
         """Check each value under its config key, where only u_b may be None
-        (the recovery mix then sets the repair time); store them as floats."""
-        check_count("N_nodes", self.nodes)
-        for name, key in (("failures_per_node_day", "r_f_per_node_day"), *_TIME_KEYS.items()):
-            if key != "u_b" or self.mean_repair_s is not None:
-                object.__setattr__(self, name, check_number(key, getattr(self, name)))
-        if not isinstance(self.mix, (list, tuple)) or len(self.mix) != 3:
-            raise InputError(f"fault mix must be a list of 3 weights, got {self.mix!r}")
-        mix = tuple(check_number("mix weight", w) for w in self.mix)
+        (the recovery mix then sets the repair time); store them as floats.
+        init_s is the first-initialization time u_0; mean_repair_s, when
+        given, overrides the mixture."""
+        check_count("N_nodes", nodes)
+        rate, process, pod, job, init, repair = (
+            None if key == "u_b" and value is None else check_number(key, value)
+            for key, value in zip(("r_f_per_node_day", *_TIME_KEYS.values()),
+                                  (failures_per_node_day, recovery_process_s, recovery_pod_s,
+                                   recovery_job_s, init_s, mean_repair_s)))
+        if not isinstance(mix, (list, tuple)) or len(mix) != 3:
+            raise InputError(f"fault mix must be a list of 3 weights, got {mix!r}")
+        mix = tuple(check_number("mix weight", w) for w in mix)
         if not abs(sum(mix) - 1.0) <= 1e-9:
             raise InputError(f"fault mix must sum to 1, got {sum(mix)}")
-        object.__setattr__(self, "mix", mix)
+        return tuple.__new__(cls, (nodes, rate, process, pod, job, mix, init, repair))
 
     @property
     def failures_per_second(self) -> float:
@@ -64,22 +64,20 @@ class FaultModel:
                    mix=data.get("mix", DEFAULT_RECOVERY_MIX), **kwargs)
 
 
-@dataclass(frozen=True)
+@record
 class CheckpointPolicy:
-    interval_steps: int       # steps between checkpoint saves
-    save_s: float             # single save duration
-    total_steps: int
-    step_s: float
-
-    def __post_init__(self):
-        if self.interval_steps < 1:
+    def __new__(cls, interval_steps: int, save_s: float, total_steps: int, step_s: float):
+        """interval_steps is the number of steps between checkpoint saves,
+        save_s the duration of one save."""
+        if interval_steps < 1:
             raise InputError("interval_steps must be >= 1")
-        if self.total_steps < 1:
+        if total_steps < 1:
             raise InputError("total_steps must be >= 1")
-        if self.step_s <= 0:
+        if step_s <= 0:
             raise InputError("step_s must be > 0")
-        if self.save_s < 0:
+        if save_s < 0:
             raise InputError("save_s must be >= 0")
+        return tuple.__new__(cls, (interval_steps, save_s, total_steps, step_s))
 
     @property
     def training_s(self) -> float:
@@ -90,8 +88,7 @@ class CheckpointPolicy:
         return math.ceil(self.total_steps / self.interval_steps)
 
 
-@dataclass(frozen=True)
-class EttrReport:
+class EttrReport(NamedTuple):
     ettr: float
     training_s: float
     interruption_s: float
@@ -217,9 +214,7 @@ def optimal_ckpt_interval(
         except InfeasibleError:
             continue
         if g < best_g:
-            best, best_g = cand, g
+            best, best_g = policy, g
     if best is None:
         raise InfeasibleError("no feasible interval near the continuous optimum")
-    return best, ettr_closed_form(
-        fault, CheckpointPolicy(best, save_s, total_steps, step_s)
-    )
+    return best.interval_steps, ettr_closed_form(fault, best)

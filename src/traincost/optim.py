@@ -9,9 +9,8 @@ inflated by contention coefficients alpha (communication side) and beta
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-from .errors import ConfigError, InputError, check_count, check_keys, check_number, check_object
+from .errors import (ConfigError, InputError, check_count, check_keys, check_number,
+                     check_object, record)
 from .plan import ParallelPlan
 from .profile import HardwareSpec
 
@@ -19,70 +18,72 @@ OPTIMIZER_STRATEGIES = ("none", "distributed", "cpu")
 ACTIVATION_STRATEGIES = ("none", "selective-recompute", "full-recompute", "offload")
 
 
-@dataclass(frozen=True)
+@record
 class OverlapCoeffs:
-    alpha: float = 1.0   # communication-time inflation under contention
-    beta: float = 1.0    # computation-time inflation under contention
-    splits: int = 1      # pipelining split count (tensor-parallel overlap only)
+    def __new__(cls, alpha: float = 1.0, beta: float = 1.0, splits: int = 1):
+        """alpha inflates the communication time under contention, beta the
+        computation time; splits is the pipelining split count (tensor-parallel
+        overlap only)."""
+        check_number("alpha", alpha, low=1.0)
+        check_number("beta", beta, low=1.0)
+        check_count("splits", splits)
+        return tuple.__new__(cls, (alpha, beta, splits))
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            check_number(name, getattr(self, name), low=1.0)
-        check_count("splits", self.splits)
 
-
-@dataclass(frozen=True)
+@record
 class DpOverlapCoeffs:
-    alpha_rs: float = 1.0
-    beta_bwd: float = 1.0
-    alpha_ag: float = 1.0
-    beta_fwd: float = 1.0
-    mode: str = "exposed-only"   # or "verbatim"
-
-    def __post_init__(self):
-        for name in ("alpha_rs", "beta_bwd", "alpha_ag", "beta_fwd"):
-            check_number(name, getattr(self, name), low=1.0)
-        if self.mode not in ("exposed-only", "verbatim"):
-            raise InputError(f"unknown dp overlap mode {self.mode!r}")
+    def __new__(cls, alpha_rs: float = 1.0, beta_bwd: float = 1.0, alpha_ag: float = 1.0,
+                beta_fwd: float = 1.0, mode: str = "exposed-only"):
+        """mode is "exposed-only" or "verbatim"."""
+        values = (alpha_rs, beta_bwd, alpha_ag, beta_fwd)
+        for name, value in zip(cls._fields, values):
+            check_number(name, value, low=1.0)
+        if mode not in ("exposed-only", "verbatim"):
+            raise InputError(f"unknown dp overlap mode {mode!r}")
+        return tuple.__new__(cls, (*values, mode))
 
 
-@dataclass(frozen=True)
+@record
 class OffloadCoeffs:
-    alpha_offload: float = 1.0   # device-to-host transfer inflation
-    beta_offload: float = 1.0    # forward compute inflation
-    alpha_fetch: float = 1.0     # host-to-device transfer inflation
-    beta_fetch: float = 1.0      # backward compute inflation
+    def __new__(cls, alpha_offload: float = 1.0, beta_offload: float = 1.0,
+                alpha_fetch: float = 1.0, beta_fetch: float = 1.0):
+        """Inflation of the device-to-host transfer, the forward compute, the
+        host-to-device transfer and the backward compute."""
+        values = (alpha_offload, beta_offload, alpha_fetch, beta_fetch)
+        for name, value in zip(cls._fields, values):
+            check_number(name, value, low=1.0)
+        return tuple.__new__(cls, values)
 
-    def __post_init__(self):
-        for name in ("alpha_offload", "beta_offload", "alpha_fetch", "beta_fetch"):
-            check_number(name, getattr(self, name), low=1.0)
 
-
-@dataclass(frozen=True)
+@record
 class OptimizationSet:
     """Which features are active and with what coefficients.
 
     Scaling maps are keyed by module name (compute) or collective kind
-    (communication), with '*' as the fallback key."""
-    compute_scaling: dict[str, float] = field(default_factory=dict)
-    comm_scaling: dict[str, float] = field(default_factory=dict)
-    tp_overlap: OverlapCoeffs | None = None
-    cp_overlap: OverlapCoeffs | None = None
-    ep_overlap: OverlapCoeffs | None = None
-    pp_overlap: OverlapCoeffs | None = None
-    dp_overlap: DpOverlapCoeffs | None = None
-    optimizer_strategy: str = "none"
-    activation_strategy: str = "none"
-    offload_coeffs: OffloadCoeffs = field(default_factory=OffloadCoeffs)
+    (communication), with '*' as the fallback key; None stands for an empty
+    map."""
 
-    def __post_init__(self):
-        if self.optimizer_strategy not in OPTIMIZER_STRATEGIES:
-            raise InputError(f"unknown optimizer strategy {self.optimizer_strategy!r}")
-        if self.activation_strategy not in ACTIVATION_STRATEGIES:
-            raise InputError(f"unknown activation strategy {self.activation_strategy!r}")
-        for table in ("compute_scaling", "comm_scaling"):
-            for key, value in getattr(self, table).items():
+    def __new__(cls, compute_scaling: dict[str, float] | None = None,
+                comm_scaling: dict[str, float] | None = None,
+                tp_overlap: OverlapCoeffs | None = None,
+                cp_overlap: OverlapCoeffs | None = None,
+                ep_overlap: OverlapCoeffs | None = None,
+                pp_overlap: OverlapCoeffs | None = None,
+                dp_overlap: DpOverlapCoeffs | None = None,
+                optimizer_strategy: str = "none", activation_strategy: str = "none",
+                offload_coeffs: OffloadCoeffs = OffloadCoeffs()):
+        if optimizer_strategy not in OPTIMIZER_STRATEGIES:
+            raise InputError(f"unknown optimizer strategy {optimizer_strategy!r}")
+        if activation_strategy not in ACTIVATION_STRATEGIES:
+            raise InputError(f"unknown activation strategy {activation_strategy!r}")
+        tables = ({} if compute_scaling is None else compute_scaling,
+                  {} if comm_scaling is None else comm_scaling)
+        for table, scaling in zip(cls._fields, tables):
+            for key, value in scaling.items():
                 check_number(f"{table} {key!r}", value, strict=True)
+        return tuple.__new__(cls, (*tables, tp_overlap, cp_overlap, ep_overlap, pp_overlap,
+                                   dp_overlap, optimizer_strategy, activation_strategy,
+                                   offload_coeffs))
 
     def compute_lambda(self, module: str) -> float:
         return self.compute_scaling.get(module, self.compute_scaling.get("*", 1.0))
@@ -108,7 +109,7 @@ class OptimizationSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OptimizationSet":
-        check_keys(data, tuple(f.name for f in fields(cls)), "optimization")
+        check_keys(data, cls._fields, "optimization")
         kwargs: dict = {}
         for table in ("compute_scaling", "comm_scaling"):
             kwargs[table] = dict(check_object(data.get(table, {}), table))
@@ -117,8 +118,8 @@ class OptimizationSet:
                             ("dp_overlap", DpOverlapCoeffs), ("offload_coeffs", OffloadCoeffs)):
             raw = data.get(key)
             if raw is not None:  # splits pipelines the tp collectives only
-                check_keys(raw, tuple(f.name for f in fields(coeffs)
-                                      if key == "tp_overlap" or f.name != "splits"), key)
+                check_keys(raw, tuple(name for name in coeffs._fields
+                                      if key == "tp_overlap" or name != "splits"), key)
                 kwargs[key] = coeffs(**raw)
         kwargs["optimizer_strategy"] = data.get("optimizer_strategy", "none")
         kwargs["activation_strategy"] = data.get("activation_strategy", "none")

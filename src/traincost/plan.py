@@ -11,8 +11,8 @@ phase formulas and optim's retention factor count it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InputError, ShapeError, check_count, check_keys
 
@@ -30,8 +30,7 @@ DIMS = {key: name for key, name in PLAN_KEYS.items() if key not in ("g_bs", "L")
 dim_values = attrgetter(*DIMS.values())
 
 
-@dataclass(frozen=True)
-class ParallelPlan:
+class ParallelPlan(NamedTuple):
     tp: int = 1
     cp: int = 1
     pp: int = 1

@@ -13,10 +13,10 @@ jumps between buckets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (ConfigError, InputError, ProfileLookupError, check_count,
-                     check_keys, check_number)
+                     check_keys, check_number, record)
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
 
@@ -40,24 +40,24 @@ def _scaled(data: dict, key: str, unit: float) -> float:
     return check_number(key, data[key], strict=True) * unit
 
 
-@dataclass(frozen=True)
+@record
 class HardwareSpec:
     """Node and device capabilities, in SI units (bytes, bytes/s, FLOPs/s)."""
-    h2d_bw: float            # host to device bytes/s
-    d2h_bw: float            # device to host bytes/s
-    cpu_memory: float        # bytes
-    cpu_flops: float         # operations/s
-    gpu_peak_flops: float    # specification peak, FLOPs/s
-    gpu_memory: float        # bytes
-    gpus_per_node: int
-    hbm_bw: float            # device memory bandwidth bytes/s
-    optimizer_throughput: float  # parameter updates/s
 
-    def __post_init__(self):
-        """Check each value under its config key."""
-        for name, (key, _) in _HARDWARE_KEYS.items():
-            check_number(key, getattr(self, name), strict=True)
-        check_count("N", self.gpus_per_node)
+    def __new__(cls, h2d_bw: float, d2h_bw: float, cpu_memory: float, cpu_flops: float,
+                gpu_peak_flops: float, gpu_memory: float, gpus_per_node: int,
+                hbm_bw: float, optimizer_throughput: float):
+        """Check each value under its config key. The bandwidths are in bytes/s
+        (h2d: host to device), memory in bytes, cpu_flops in operations/s,
+        gpu_peak_flops the specification peak and optimizer_throughput in
+        parameter updates/s."""
+        values = (h2d_bw, d2h_bw, cpu_memory, cpu_flops, gpu_peak_flops, gpu_memory,
+                  gpus_per_node, hbm_bw, optimizer_throughput)
+        for name, value in zip(cls._fields, values):
+            if name in _HARDWARE_KEYS:
+                check_number(_HARDWARE_KEYS[name][0], value, strict=True)
+        check_count("N", gpus_per_node)
+        return tuple.__new__(cls, values)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HardwareSpec":
@@ -72,18 +72,16 @@ class HardwareSpec:
             raise ConfigError(f"hardware spec missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
+@record
 class ComputeEntry:
-    module: str
-    fwd_flops_per_s: float
-    bwd_flops_per_s: float | None = None
-    intensity: float | None = None   # FLOPs/byte, enables roofline capping
-
-    def __post_init__(self):
-        check_number(f"{self.module} fwd_flops_per_s", self.fwd_flops_per_s, strict=True)
-        for name in ("bwd_flops_per_s", "intensity"):
-            if getattr(self, name) is not None:
-                check_number(f"{self.module} {name}", getattr(self, name), strict=True)
+    def __new__(cls, module: str, fwd_flops_per_s: float,
+                bwd_flops_per_s: float | None = None, intensity: float | None = None):
+        """intensity, in FLOPs/byte, enables roofline capping."""
+        check_number(f"{module} fwd_flops_per_s", fwd_flops_per_s, strict=True)
+        for name, value in (("bwd_flops_per_s", bwd_flops_per_s), ("intensity", intensity)):
+            if value is not None:
+                check_number(f"{module} {name}", value, strict=True)
+        return tuple.__new__(cls, (module, fwd_flops_per_s, bwd_flops_per_s, intensity))
 
     def throughput(self, backward: bool = False) -> float:
         if backward and self.bwd_flops_per_s is not None:
@@ -91,84 +89,63 @@ class ComputeEntry:
         return self.fwd_flops_per_s
 
 
-@dataclass(frozen=True)
-class ComputeProfile:
+class ComputeProfile(NamedTuple):
     entries: tuple[ComputeEntry, ...]
-    # module -> first entry for it; "*" is the wildcard.
-    _by_module: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_module: dict = {}
-        for entry in self.entries:
-            by_module.setdefault(entry.module, entry)
-        object.__setattr__(self, "_by_module", by_module)
 
     def lookup(self, module: str) -> ComputeEntry:
         """The module's first entry, else the first '*' wildcard entry."""
-        entry = self._by_module.get(module) or self._by_module.get("*")
-        if entry is None:
-            raise ProfileLookupError(f"no compute profile entry for module={module!r}")
-        return entry
+        for name in (module, "*"):
+            for entry in self.entries:
+                if entry.module == name:
+                    return entry
+        raise ProfileLookupError(f"no compute profile entry for module={module!r}")
 
     @property
     def has_wildcard(self) -> bool:
         """True when lookup cannot fail: a '*' entry exists."""
-        return "*" in self._by_module
+        return any(entry.module == "*" for entry in self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class CommBucket:
-    message_bytes: float
-    bandwidth: float   # bytes/s
-    beta: float = 1.0
-
-    def __post_init__(self):
-        check_number("bucket size", self.message_bytes, strict=True)
-        check_number("bandwidth", self.bandwidth, strict=True)
-        check_number("decay beta", self.beta, strict=True, high=1.0)
+    def __new__(cls, message_bytes: float, bandwidth: float, beta: float = 1.0):
+        """bandwidth is in bytes/s."""
+        check_number("bucket size", message_bytes, strict=True)
+        check_number("bandwidth", bandwidth, strict=True)
+        check_number("decay beta", beta, strict=True, high=1.0)
+        return tuple.__new__(cls, (message_bytes, bandwidth, beta))
 
 
-@dataclass(frozen=True)
+@record
 class CommEntry:
     """One collective kind at one group size; buckets are stored sorted by
     message size."""
-    kind: str
-    group_size: int
-    buckets: tuple[CommBucket, ...]
 
-    def __post_init__(self):
-        if self.kind not in COLLECTIVE_KINDS:
-            raise InputError(f"unknown collective kind {self.kind!r}")
-        check_count("group_size", self.group_size)
-        if not self.buckets:
-            raise InputError(f"collective {self.kind} needs at least one bucket")
-        buckets = tuple(sorted(self.buckets, key=lambda b: b.message_bytes))
+    def __new__(cls, kind: str, group_size: int, buckets: tuple[CommBucket, ...]):
+        if kind not in COLLECTIVE_KINDS:
+            raise InputError(f"unknown collective kind {kind!r}")
+        check_count("group_size", group_size)
+        if not buckets:
+            raise InputError(f"collective {kind} needs at least one bucket")
+        buckets = tuple(sorted(buckets, key=lambda b: b.message_bytes))
         for lo, hi in zip(buckets, buckets[1:]):
             if lo.message_bytes == hi.message_bytes:
-                raise InputError(f"collective {self.kind} group_size {self.group_size} "
+                raise InputError(f"collective {kind} group_size {group_size} "
                                  f"has duplicate bucket size {lo.message_bytes}")
-        object.__setattr__(self, "buckets", buckets)
+        return tuple.__new__(cls, (kind, group_size, buckets))
 
 
-@dataclass(frozen=True)
-class CommProfile:
+class CommProfile(NamedTuple):
     entries: tuple[CommEntry, ...]
-    _by_kind: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_kind: dict = {}
-        for entry in self.entries:
-            by_kind[entry.kind] = by_kind.get(entry.kind, ()) + (entry,)
-        object.__setattr__(self, "_by_kind", by_kind)
 
     @property
     def has_every_kind(self) -> bool:
         """True when entries_of cannot fail."""
-        return len(self._by_kind) == len(COLLECTIVE_KINDS)
+        return len({entry.kind for entry in self.entries}) == len(COLLECTIVE_KINDS)
 
     def entries_of(self, kind: str) -> tuple[CommEntry, ...]:
         """The profiled entries of one collective kind, in file order."""
-        entries = self._by_kind.get(kind)
+        entries = tuple(entry for entry in self.entries if entry.kind == kind)
         if not entries:
             raise ProfileLookupError(f"no bandwidth entry for collective kind={kind!r}")
         return entries
@@ -199,8 +176,7 @@ class CommProfile:
         raise AssertionError("unreachable: bucket scan exhausted")
 
 
-@dataclass(frozen=True)
-class ProfileDB:
+class ProfileDB(NamedTuple):
     """Immutable bundle of a hardware spec plus profiled performance."""
     hardware: HardwareSpec
     compute: ComputeProfile

@@ -14,7 +14,7 @@ whose docstring says what work they share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .arch import ModelArchitecture
 from .basecost import (
@@ -25,7 +25,8 @@ from .basecost import (
     MemoryReport,
     evaluate_plan,
 )
-from .errors import InfeasibleError, InputError, ShapeError, check_count, check_number
+from .errors import (InfeasibleError, InputError, ShapeError, check_count, check_number,
+                     record)
 from .fault import (
     CheckpointPolicy,
     FaultModel,
@@ -47,35 +48,30 @@ CANDIDATE_FIELDS = {key: f"{name.removesuffix('s')}_candidates"
                     for key, name in DIMS.items()}
 
 
-@dataclass(frozen=True)
+@record
 class SearchSpace:
-    arch: ModelArchitecture
-    db: ProfileDB
-    total_gpus: int
-    global_batch: int
-    tp_candidates: tuple[int, ...] = ()
-    cp_candidates: tuple[int, ...] = ()
-    pp_candidates: tuple[int, ...] = ()
-    ep_candidates: tuple[int, ...] = ()
-    dp_candidates: tuple[int, ...] = ()
-    micro_batch_candidates: tuple[int, ...] = ()
-    chunk_candidates: tuple[int, ...] = ()
-    opt_combos: tuple[OptimizationSet, ...] = ()
-    dtypes: Dtypes = field(default_factory=Dtypes)
-    tflops_mode: str = "fwd-bwd-per-device"
-
-    def __post_init__(self):
-        counts = [("total_gpus", self.total_gpus), ("global_batch", self.global_batch)]
-        counts += [(name, value) for name in CANDIDATE_FIELDS.values()
-                   for value in getattr(self, name)]
+    def __new__(cls, arch: ModelArchitecture, db: ProfileDB, total_gpus: int,
+                global_batch: int, tp_candidates: tuple[int, ...] = (),
+                cp_candidates: tuple[int, ...] = (), pp_candidates: tuple[int, ...] = (),
+                ep_candidates: tuple[int, ...] = (), dp_candidates: tuple[int, ...] = (),
+                micro_batch_candidates: tuple[int, ...] = (),
+                chunk_candidates: tuple[int, ...] = (),
+                opt_combos: tuple[OptimizationSet, ...] = (), dtypes: Dtypes = Dtypes(),
+                tflops_mode: str = "fwd-bwd-per-device"):
+        candidates = dict(zip(CANDIDATE_FIELDS.values(), (
+            tp_candidates, cp_candidates, pp_candidates, ep_candidates, dp_candidates,
+            micro_batch_candidates, chunk_candidates)))
+        counts = [("total_gpus", total_gpus), ("global_batch", global_batch)]
+        counts += [(name, value) for name, values in candidates.items() for value in values]
         for name, value in counts:
             check_count(name, value)
-        for name in CANDIDATE_FIELDS.values():
-            values = getattr(self, name)
+        for name, values in candidates.items():
             if len(set(values)) < len(values):
                 raise InputError(f"{name} repeats a value: {list(values)}")
-        if self.tflops_mode not in TFLOPS_MODES:
-            raise InputError(f"unknown tflops mode {self.tflops_mode!r}")
+        if tflops_mode not in TFLOPS_MODES:
+            raise InputError(f"unknown tflops mode {tflops_mode!r}")
+        return tuple.__new__(cls, (arch, db, total_gpus, global_batch, *candidates.values(),
+                                   opt_combos, dtypes, tflops_mode))
 
     def resolved(self) -> "SearchSpace":
         """Fill empty candidate sets with the power-of-two defaults bounded
@@ -90,11 +86,10 @@ class SearchSpace:
                    for key, name in CANDIDATE_FIELDS.items() if not getattr(self, name)}
         if not self.opt_combos:
             updates["opt_combos"] = default_feature_combos()
-        return replace(self, **updates) if updates else self
+        return self._replace(**updates) if updates else self
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     plan: ParallelPlan
     opts: OptimizationSet
     opts_index: int
@@ -128,8 +123,7 @@ class Candidate:
         return out
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     candidates: tuple[Candidate, ...]
     evaluated: int
     rejections: dict[str, int]
@@ -250,7 +244,7 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
             ranked.append(((float("inf"), cand.step_key), cand,
                            {"fault_note": str(exc)}))
     ranked.sort(key=lambda entry: entry[0])
-    return TuneResult(tuple(replace(cand, **notes) for _, cand, notes in ranked[:top_k]),
+    return TuneResult(tuple(cand._replace(**notes) for _, cand, notes in ranked[:top_k]),
                       evaluated=step_result.evaluated, rejections=step_result.rejections)
 
 
@@ -266,8 +260,7 @@ def linearity(t_step_small: float, t_step_large: float) -> float:
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     parameter: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -329,21 +322,20 @@ def _pin_parameter(space: SearchSpace, parameter: str, value) -> SearchSpace:
     if parameter in CANDIDATE_FIELDS or parameter in ("g_bs", "g_n", "N"):
         check_count(parameter, value)
     if parameter in CANDIDATE_FIELDS:
-        return replace(space.resolved(), **{CANDIDATE_FIELDS[parameter]: (value,)})
+        return space.resolved()._replace(**{CANDIDATE_FIELDS[parameter]: (value,)})
     if parameter == "g_bs":
         # candidate micro-batch sets depend on the batch; re-resolve
-        return replace(space, global_batch=value,
-                       micro_batch_candidates=()).resolved()
+        return space._replace(global_batch=value, micro_batch_candidates=()).resolved()
     if parameter == "g_n":
-        return replace(space, total_gpus=value, dp_candidates=()).resolved()
+        return space._replace(total_gpus=value, dp_candidates=()).resolved()
     if parameter == "N":
-        hw = replace(space.db.hardware, gpus_per_node=value)
-        return replace(space, db=replace(space.db, hardware=hw),
-                       tp_candidates=()).resolved()
+        hw = space.db.hardware._replace(gpus_per_node=value)
+        return space._replace(db=space.db._replace(hardware=hw),
+                              tp_candidates=()).resolved()
     if parameter == "optimizer_strategy":
-        combos = tuple(replace(c, optimizer_strategy=str(value))
+        combos = tuple(c._replace(optimizer_strategy=str(value))
                        for c in space.resolved().opt_combos)
-        return replace(space, opt_combos=_dedupe(combos))
+        return space._replace(opt_combos=_dedupe(combos))
     if parameter == "dp_overlap":
         from .optim import DpOverlapCoeffs
         enabled = _ON_OFF.get(str(value).lower())
@@ -351,10 +343,10 @@ def _pin_parameter(space: SearchSpace, parameter: str, value) -> SearchSpace:
             raise InputError(f"dp_overlap value {value!r} is not one of on/off, "
                              "true/false, 1/0")
         combos = tuple(
-            replace(c, dp_overlap=DpOverlapCoeffs() if enabled else None)
+            c._replace(dp_overlap=DpOverlapCoeffs() if enabled else None)
             for c in space.resolved().opt_combos
         )
-        return replace(space, opt_combos=_dedupe(combos))
+        return space._replace(opt_combos=_dedupe(combos))
     raise InputError(f"unknown sweep parameter {parameter!r}")
 
 
@@ -381,11 +373,11 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
     for value in values:
         f, s = fault, save_s
         if parameter == "r_f":
-            f = replace(fault, failures_per_node_day=check_number(parameter, value))
+            f = fault._replace(failures_per_node_day=check_number(parameter, value))
         elif parameter == "u_b":
-            f = replace(fault, mean_repair_s=check_number(parameter, value))
+            f = fault._replace(mean_repair_s=check_number(parameter, value))
         elif parameter == "N_nodes":
-            f = replace(fault, nodes=check_count(parameter, value))
+            f = fault._replace(nodes=check_count(parameter, value))
         elif parameter == "T_save":
             s = check_number(parameter, value)
         if parameter == "I_ckpt":

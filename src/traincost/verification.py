@@ -8,7 +8,7 @@ tests C3-C7 call these same checks with their own seeds and sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .oracle import (
 from .plan import ParallelPlan
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -41,8 +40,7 @@ class SuiteResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suites: tuple[SuiteResult, ...]
 
     @property

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,7 +160,7 @@ class TestAggregates:
 
     def test_model_flops_scaling(self, dense_arch):
         plan = plan_for(dense_arch, micro_batch=2, global_batch=16, dp=2)
-        d = decompose(dense_arch, replace(plan, tp=1, cp=1, ep=1))
+        d = decompose(dense_arch, plan._replace(tp=1, cp=1, ep=1))
         expected = (d.embedding.flops_fwd + d.head.flops_fwd
                     + dense_arch.num_layers * d.layer_flops)
         # 16/(2*2) micro-batches x dp 2 = global scale 8
@@ -245,6 +243,12 @@ class TestOverridesAndValidation:
         assert arch.num_layers == 80
         assert arch.query_groups == 8
         assert arch.structure_kind == "Dense"
+
+    def test_null_module_overrides_is_no_overrides(self):
+        data = {"L": 2, "s": 8, "h": 4, "a": 2, "g_d": 8, "V": 16}
+        arch = ModelArchitecture.from_json_dict({**data, "module_overrides": None})
+        assert arch == ModelArchitecture.from_json_dict(data)
+        assert arch.to_json_dict() == {**data, "attention": "MHA", "structure": "Dense"}
 
     def test_from_json_rejects_field_names(self):
         with pytest.raises(InputError, match="unknown model key 'num_layers'"):

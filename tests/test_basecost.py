@@ -174,9 +174,7 @@ class TestLayerTimes:
     def test_missing_profile_entry_names_module(self):
         arch = tiny_dense()
         plan = simple_plan(num_layers=arch.num_layers)
-        db = make_db()
-        object.__setattr__(db, "compute", ComputeProfile(
-            (ComputeEntry("qkv", 1e12),)))
+        db = make_db()._replace(compute=ComputeProfile((ComputeEntry("qkv", 1e12),)))
         with pytest.raises(ProfileLookupError, match="norm"):
             layer_cost(arch, plan, db)
 

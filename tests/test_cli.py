@@ -706,3 +706,12 @@ class TestSampleConfigs:
         assert captured.out == ""
         assert captured.err == ("error: dp_overlap value 'yes' is not one of on/off, "
                                 "true/false, 1/0\n")
+
+    def test_optimizer_strategy_sweep_rejects_unknown_value(self, configs_dir, capsys):
+        # the pinned combos are built by _replace, which runs the record's checks
+        cfg = os.path.join(configs_dir, "run_tune_llama2.json")
+        code, captured = run(capsys, "sweep", "--config", cfg, "--parameter",
+                             "optimizer_strategy", "--values", "cpu,bogus")
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: unknown optimizer strategy 'bogus'\n"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -296,12 +294,12 @@ def feature_combos(draw):
     for _ in range(draw(st.integers(0, 4))):
         names = draw(st.lists(st.sampled_from(sorted(COMBO_FIELDS)), min_size=1,
                               max_size=2, unique=True))
-        combos.append(replace(base, **{n: draw(COMBO_FIELDS[n]) for n in names}))
+        combos.append(base._replace(**{n: draw(COMBO_FIELDS[n]) for n in names}))
     if draw(st.booleans()):
         # the same combo with dp_overlap toggled: the all-reduce against the
         # per-chunk reduce-scatter/all-gather of equal bytes when chunks=1
-        combos.append(replace(base, dp_overlap=None if base.dp_overlap
-                              else DpOverlapCoeffs()))
+        combos.append(base._replace(dp_overlap=None if base.dp_overlap
+                                    else DpOverlapCoeffs()))
     return tuple(combos)
 
 
