@@ -28,6 +28,7 @@ from .fault import (
     ettr_closed_form,
     ettr_exact,
     optimal_ckpt_interval,
+    run_cost,
 )
 from .optim import OptimizationSet
 from .oracle import simulate_activation_ledger, simulate_faults, simulate_pipeline
@@ -45,6 +46,6 @@ __all__ = [
     "SearchSpace", "ShapeError", "TraincostError", "comm_time", "decompose",
     "e2e_objective", "ettr_closed_form", "ettr_exact", "evaluate_plan",
     "linearity", "op_time", "optimal_ckpt_interval", "pipeline_time",
-    "roofline_bound", "simulate_activation_ledger", "simulate_faults",
+    "roofline_bound", "run_cost", "simulate_activation_ledger", "simulate_faults",
     "simulate_pipeline", "sweep", "tune_e2e", "tune_step",
 ]

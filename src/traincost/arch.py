@@ -33,7 +33,6 @@ STRUCTURE_KINDS = ("Dense", "MoE")
 
 # Module-name groups used by activation strategies and overlap pairing.
 ATTENTION_CORE_MODULES = ("attention-map", "softmax", "attention-on-value")
-EXPERT_MODULES = ("mlp-linear-1", "swiglu", "mlp-linear-2")
 
 # Config key -> ModelArchitecture field, in the order the config echo prints
 # them; module_overrides is the one other model key.
@@ -103,7 +102,9 @@ class ModelArchitecture:
     def from_json_dict(cls, data: dict) -> "ModelArchitecture":
         """Accepts the config keys of MODEL_KEYS and module_overrides."""
         check_keys(data, (*MODEL_KEYS, "module_overrides"), "model")
-        kwargs = {MODEL_KEYS.get(key, key): value for key, value in data.items()}
+        # a missing required key raises KeyError: "missing field 's'"
+        kwargs = {MODEL_KEYS[key]: data[key] for key in ("L", "s", "h", "a", "V", "g_d")}
+        kwargs.update((MODEL_KEYS.get(key, key), value) for key, value in data.items())
         overrides = kwargs.get("module_overrides")
         if overrides is not None:
             known = ModuleOverride._fields

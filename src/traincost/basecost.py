@@ -454,10 +454,13 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     on latency. When its peak exceeds memory_limit, cost is None. The latency
     terms are then skipped if the profile is complete; otherwise they still
     run, so a missing profile entry raises as it would without the limit.
-    memo, when given, is the EvalMemo of this arch, db and dtypes."""
+    memo, when given, must be the EvalMemo of this arch, db and dtypes."""
     opts = opts or OptimizationSet()
     if memo is None:
         memo = EvalMemo(arch, db, dtypes)
+    elif memo.arch is not arch or memo.db is not db or memo.dtypes is not dtypes:
+        if (memo.arch, memo.db, memo.dtypes) != (arch, db, dtypes):
+            raise InputError("memo was built for another arch, db or dtypes")
     if memo.plan is not plan:
         memo.start_plan(plan)
     decomp = memo.decomp

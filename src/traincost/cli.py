@@ -14,7 +14,7 @@ import sys
 from .basecost import evaluate_plan
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, TraincostError, check_count, check_number
-from .fault import ettr_exact, ettr_closed_form, optimal_ckpt_interval
+from .fault import ettr_closed_form, ettr_exact, run_cost
 from .report import render_report
 from .tuner import FAULT_PARAMS, sweep, tune_e2e, tune_step
 
@@ -202,10 +202,8 @@ def _dispatch(args) -> int:
         fault = _require_fault(cfg)
         t_step = _step_time(cfg, args.t_step)
         steps = fault.resolve_steps(_run_batch(cfg), cfg.arch.seq_len)
-        best, at_best = optimal_ckpt_interval(fault.model, fault.save_s,
-                                              steps, t_step)
-        payload = {"I_ckpt": best, "ETTR": at_best, "T_step": t_step,
-                   "T_e2e": steps * t_step / at_best,
+        best, ettr, t_e2e = run_cost(fault.model, fault.save_s, steps, t_step)
+        payload = {"I_ckpt": best, "ETTR": ettr, "T_step": t_step, "T_e2e": t_e2e,
                    "T_save": fault.save_s, "S": steps}
         _emit(render_report(payload, fmt), args.out)
         return 0

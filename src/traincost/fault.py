@@ -171,10 +171,15 @@ def ettr_closed_form(fault: FaultModel, policy: CheckpointPolicy) -> float:
     return _denominator(fault, policy) / (1.0 + save_ratio)
 
 
+def _e2e_s(total_steps: int, step_s: float, ettr: float) -> float:
+    """T_e2e: the training time over the ETTR."""
+    return total_steps * step_s / ettr
+
+
 def e2e_objective(fault: FaultModel, policy: CheckpointPolicy) -> float:
-    """Total expected wall time for the run; algebraically equal to
-    training time over the closed-form ETTR."""
-    return policy.training_s / ettr_closed_form(fault, policy)
+    """Total expected wall time for the run: training time over the
+    closed-form ETTR."""
+    return _e2e_s(policy.total_steps, policy.step_s, ettr_closed_form(fault, policy))
 
 
 def optimal_ckpt_interval(
@@ -210,11 +215,27 @@ def optimal_ckpt_interval(
     for cand in sorted({lo, hi}):
         policy = CheckpointPolicy(cand, save_s, total_steps, step_s)
         try:
-            g = e2e_objective(fault, policy)
+            ettr = ettr_closed_form(fault, policy)
         except InfeasibleError:
             continue
+        g = _e2e_s(total_steps, step_s, ettr)
         if g < best_g:
-            best, best_g = policy, g
+            best, best_g = (cand, ettr), g
     if best is None:
         raise InfeasibleError("no feasible interval near the continuous optimum")
-    return best.interval_steps, ettr_closed_form(fault, best)
+    return best
+
+
+def run_cost(fault: FaultModel, save_s: float, total_steps: int, step_s: float,
+             interval: int | None = None) -> tuple[int, float, float]:
+    """(I_ckpt, closed-form ETTR, T_e2e) of a run of total_steps steps of
+    step_s seconds, checkpointed every `interval` steps, or at
+    optimal_ckpt_interval when interval is None. T_e2e equals e2e_objective
+    at that interval, bit for bit. Raises InfeasibleError when the fault
+    regime cannot sustain the run."""
+    if interval is None:
+        interval, ettr = optimal_ckpt_interval(fault, save_s, total_steps, step_s)
+    else:
+        policy = CheckpointPolicy(interval, save_s, total_steps, step_s)
+        ettr = ettr_closed_form(fault, policy)
+    return interval, ettr, _e2e_s(total_steps, step_s, ettr)

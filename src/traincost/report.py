@@ -11,7 +11,6 @@ import sys
 
 from .basecost import PlanEvaluation
 from .errors import NOT_FINITE, InfeasibleError, InputError
-from .fault import EttrReport
 from .plan import DIMS, dim_values
 from .tuner import Candidate, SweepResult, TuneResult
 
@@ -78,9 +77,6 @@ def _tabular(result) -> tuple[tuple, list]:
         return CANDIDATE_COLUMNS, rows
     if isinstance(result, SweepResult):
         return result.columns, [list(r) for r in result.rows]
-    if isinstance(result, EttrReport):
-        d = result.to_json_dict()
-        return tuple(d.keys()), [list(d.values())]
     if isinstance(result, PlanEvaluation):
         payload = to_payload(result)
         merged = {**payload["cost"], **{k: v for k, v in payload["memory"].items()

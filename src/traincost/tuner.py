@@ -27,13 +27,7 @@ from .basecost import (
 )
 from .errors import (InfeasibleError, InputError, ShapeError, check_count, check_number,
                      record)
-from .fault import (
-    CheckpointPolicy,
-    FaultModel,
-    e2e_objective,
-    ettr_closed_form,
-    optimal_ckpt_interval,
-)
+from .fault import FaultModel, run_cost
 from .optim import OptimizationSet, default_feature_combos
 from .plan import DIMS, ParallelPlan, dim_values
 from .profile import ProfileDB
@@ -233,16 +227,13 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
     step_result = tune_step(space, top_k=None)
     ranked = []   # (sort key, candidate, annotations); annotated after the cut
     for cand in step_result.candidates:
-        t_step = cand.cost.t_step
         try:
-            interval, ettr = optimal_ckpt_interval(fault, save_s, total_steps, t_step)
-            policy = CheckpointPolicy(interval, save_s, total_steps, t_step)
-            t_e2e = e2e_objective(fault, policy)
+            interval, ettr, t_e2e = run_cost(fault, save_s, total_steps, cand.cost.t_step)
+        except InfeasibleError as exc:
+            ranked.append(((float("inf"), cand.step_key), cand, {"fault_note": str(exc)}))
+        else:
             ranked.append(((t_e2e, cand.step_key), cand,
                            {"interval": interval, "ettr": ettr, "t_e2e": t_e2e}))
-        except InfeasibleError as exc:
-            ranked.append(((float("inf"), cand.step_key), cand,
-                           {"fault_note": str(exc)}))
     ranked.sort(key=lambda entry: entry[0])
     return TuneResult(tuple(cand._replace(**notes) for _, cand, notes in ranked[:top_k]),
                       evaluated=step_result.evaluated, rejections=step_result.rejections)
@@ -371,7 +362,7 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
     columns = ("value", "ETTR", "T_e2e", "I_ckpt")
     rows = []
     for value in values:
-        f, s = fault, save_s
+        f, s, fixed = fault, save_s, None   # fixed: the swept I_ckpt, else the optimum
         if parameter == "r_f":
             f = fault._replace(failures_per_node_day=check_number(parameter, value))
         elif parameter == "u_b":
@@ -380,18 +371,12 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
             f = fault._replace(nodes=check_count(parameter, value))
         elif parameter == "T_save":
             s = check_number(parameter, value)
-        if parameter == "I_ckpt":
-            interval = check_count(parameter, value)
-        else:
-            try:
-                interval, _ = optimal_ckpt_interval(f, s, total_steps, step_s)
-            except InfeasibleError:
-                rows.append((value, "", "", ""))
-                continue
-        policy = CheckpointPolicy(interval, s, total_steps, step_s)
+        elif parameter == "I_ckpt":
+            fixed = check_count(parameter, value)
         try:
-            ettr = ettr_closed_form(f, policy)
-            rows.append((value, ettr, e2e_objective(f, policy), interval))
+            interval, ettr, t_e2e = run_cost(f, s, total_steps, step_s, fixed)
         except InfeasibleError:
-            rows.append((value, "", "", interval))
+            rows.append((value, "", "", "" if fixed is None else fixed))
+        else:
+            rows.append((value, ettr, t_e2e, interval))
     return SweepResult(parameter, columns, tuple(rows))

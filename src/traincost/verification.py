@@ -15,13 +15,7 @@ import numpy as np
 from . import optim
 from .basecost import pipeline_time
 from .errors import InfeasibleError
-from .fault import (
-    CheckpointPolicy,
-    FaultModel,
-    e2e_objective,
-    ettr_closed_form,
-    optimal_ckpt_interval,
-)
+from .fault import CheckpointPolicy, FaultModel, ettr_closed_form, run_cost
 from .oracle import (
     grid_search_interval,
     simulate_activation_ledger,
@@ -95,8 +89,8 @@ def check_activation_ledger(instances: int = 20, seed: int = 1) -> SuiteResult:
 
 
 def check_interval_grid(instances: int = 100, seed: int = 2) -> SuiteResult:
-    """The end-to-end objective at the closed-form optimal interval matches
-    the objective at the exhaustive argmin to a relative 1e-12."""
+    """T_e2e as fault.run_cost prices it at the closed-form optimal interval
+    matches T_e2e at the exhaustive argmin to a relative 1e-12."""
     rng = np.random.default_rng(seed)
     checked, worst = 0, 0.0
     while checked < instances:
@@ -108,14 +102,12 @@ def check_interval_grid(instances: int = 100, seed: int = 2) -> SuiteResult:
         save_s = float(rng.uniform(0.5, 60))
         step_s = float(rng.uniform(1, 120))
         try:
-            best, _ = optimal_ckpt_interval(fault, save_s, 10000, step_s)
+            best, _, at_best = run_cost(fault, save_s, 10000, step_s)
         except InfeasibleError:
             continue
         exhaustive = grid_search_interval(fault, save_s, 10000, step_s,
                                           range(1, 10 * best + 2))
-        at_best, at_grid = (
-            e2e_objective(fault, CheckpointPolicy(interval, save_s, 10000, step_s))
-            for interval in (best, exhaustive))
+        at_grid = run_cost(fault, save_s, 10000, step_s, exhaustive)[2]
         gap = (at_best - at_grid) / at_grid
         if gap > 1e-12:
             return SuiteResult(

@@ -323,6 +323,19 @@ class TestEvalMemo:
         assert len(set(memo.static.values())) == len(OPTIMIZER_STRATEGIES)
         assert len(set(memo.act_bytes.values())) == len(ACTIVATION_STRATEGIES)
 
+    def test_memo_of_other_inputs_is_refused(self):
+        """A memo built for another arch, db or dtypes would mix two models'
+        terms; an equal memo built from copies is the same context."""
+        arch, db = tiny_dense(l=4), make_db()
+        plan = simple_plan(pp=2, global_batch=4, num_layers=4)
+        for memo in (EvalMemo(tiny_dense(l=4, h=2, g_d=4), db, Dtypes()),
+                     EvalMemo(arch, make_db(tflops=2.0), Dtypes()),
+                     EvalMemo(arch, db, Dtypes(act_bytes=4.0))):
+            with pytest.raises(InputError, match="^memo was built for another"):
+                evaluate_plan(arch, plan, db, memo=memo)
+        same = EvalMemo(tiny_dense(l=4), make_db(), Dtypes())
+        assert evaluate_plan(arch, plan, db, memo=same) == evaluate_plan(arch, plan, db)
+
 
 def _invariant_cases():
     """Every pipeline regime the tuner ranks: interleaving, hops with and

@@ -363,6 +363,14 @@ class TestConfigInput:
         self.check_one_line_error(capsys, write_run_config(tmp_path, **extra),
                                   message)
 
+    @pytest.mark.parametrize("key", ["L", "s", "h", "a", "V", "g_d"])
+    def test_missing_model_key_is_named(self, tmp_path, capsys, key):
+        model = {k: v for k, v in MODEL.items() if k != key}
+        code, captured = run(capsys, "eval", "--config",
+                             write_run_config(tmp_path, model=model))
+        assert (code, captured.err) == (
+            1, f"error: model section invalid: missing field {key!r}\n")
+
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 DROP = object()  # an edit that deletes the key

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,16 @@ from helpers import (
     tiny_moe,
 )
 from traincost.basecost import evaluate_plan
-from traincost.errors import InputError, ShapeError
-from traincost.fault import FaultModel
+from traincost.config import load_config
+from traincost.errors import InfeasibleError, InputError, ShapeError
+from traincost.fault import (
+    CheckpointPolicy,
+    FaultModel,
+    e2e_objective,
+    ettr_closed_form,
+    optimal_ckpt_interval,
+    run_cost,
+)
 from traincost.optim import (
     ACTIVATION_STRATEGIES,
     OPTIMIZER_STRATEGIES,
@@ -365,10 +375,26 @@ class TestTuneE2e:
         totals = [c.t_e2e for c in result.candidates]
         assert totals == sorted(totals)
 
+    def test_every_candidate_priced_by_the_closed_forms(self, configs_dir):
+        """I_ckpt, ETTR and T_e2e of every feasible candidate of the sample
+        config are optimal_ckpt_interval, ettr_closed_form and e2e_objective,
+        bit for bit."""
+        cfg = load_config(os.path.join(configs_dir, "run_tune_llama2.json"))
+        fault, save_s = cfg.fault.model, cfg.fault.save_s
+        steps = cfg.fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
+        result = tune_e2e(cfg.space, fault, save_s, steps, top_k=10**9)
+        assert len(result.candidates) == 102
+        for cand in result.candidates:
+            t_step = cand.cost.t_step
+            policy = CheckpointPolicy(cand.interval, save_s, steps, t_step)
+            assert (cand.interval, cand.ettr) == optimal_ckpt_interval(fault, save_s, steps,
+                                                                       t_step)
+            assert cand.ettr.hex() == ettr_closed_form(fault, policy).hex()
+            assert cand.t_e2e.hex() == e2e_objective(fault, policy).hex()
+
     def test_two_phase_agrees_with_joint_grid(self):
         # joint (step time, interval) grid: the per-step winner also wins
         # end to end, so picking the interval separately loses nothing
-        from traincost.fault import CheckpointPolicy, e2e_objective
         fault = self.fault()
         step_times = [27.83, 30.5, 45.0]
         joint = {}
@@ -421,6 +447,34 @@ class TestSweep:
         # the optimum sits at the middle value for this configuration
         ettrs = [row[1] for row in result.rows]
         assert ettrs[1] == max(ettrs)
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("r_f", [0.0, 0.01, 5.0, 1e6]), ("u_b", [0.0, 60.0, 1e6, 1e300]),
+        ("N_nodes", [1, 32, 10**7]), ("T_save", [0.0, 2.0, 1e6, 1e300]),
+        ("I_ckpt", [1, 37, 10**6]),
+    ])
+    def test_fault_sweep_rows_are_run_cost(self, parameter, values):
+        """Each row is run_cost at the swept value: at the optimal interval,
+        or at the swept I_ckpt. An infeasible optimum blanks all three
+        columns; an infeasible fixed I_ckpt keeps its interval."""
+        fault = FaultModel(nodes=32, failures_per_node_day=0.01, mean_repair_s=60.0)
+        result = sweep(small_space(), parameter, values, fault=fault, save_s=2.0,
+                       total_steps=10000, step_s=28.0)
+        swept = {"r_f": lambda v: (fault._replace(failures_per_node_day=v), 2.0, None),
+                 "u_b": lambda v: (fault._replace(mean_repair_s=v), 2.0, None),
+                 "N_nodes": lambda v: (fault._replace(nodes=v), 2.0, None),
+                 "T_save": lambda v: (fault, v, None),
+                 "I_ckpt": lambda v: (fault, 2.0, v)}[parameter]
+        for value, row in zip(values, result.rows, strict=True):
+            f, save_s, interval = swept(value)
+            try:
+                i_ckpt, ettr, t_e2e = run_cost(f, save_s, 10000, 28.0, interval)
+            except InfeasibleError:
+                assert row == (value, "", "", "" if interval is None else interval)
+            else:
+                assert row == (value, ettr, t_e2e, i_ckpt)
+        # the last value of each sweep is infeasible
+        assert result.rows[-1][1:3] == ("", "")
 
     def test_optimizer_strategy_sweep_pins_every_combo(self):
         # even when the space starts from the default allowlist, the swept
