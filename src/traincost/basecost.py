@@ -360,14 +360,18 @@ class EvalMemo:
       reads: its Decomposition, which keeps its own per-layer sums, or the
       ShapeError message decompose raised, raised again for every later
       plan of that shape.
+    * Per depth (the shape and pp, chunks, num_layers): the held parameter
+      count and the activation bytes of every activation strategy, whose
+      retention factor warmup_depth(0)+1 reads only pp and chunks.
     * Per plan (the last one seen, by identity): validation, the held
       parameter and gradient bytes, the static bytes of every optimizer
-      strategy, the activation bytes of every activation strategy, and the
-      integer counts of the phase expression (_phase_counts). A plan's
-      feature combos differ in these only through the two strategies.
+      strategy (the distributed one divides them by dp) and the integer
+      counts of the phase expression (_phase_counts). A plan's feature
+      combos differ in these only through the two strategies.
     * Per shape and the combo fields they read (compute and comm scaling and
       the tp/cp/ep overlap coefficients): the layer cost and the
-      embedding/head module times.
+      embedding/head module times; and per that key, activation strategy and
+      offload coefficients, the strategy-adjusted layer TimeParts.
     * Per collective (kind, group size, message bytes, comm_lambda(kind)):
       its time, for the pipeline hop, the dp all-reduce and the dp-overlap's
       per-chunk reduce-scatter/all-gather.
@@ -382,7 +386,9 @@ class EvalMemo:
         self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         self.plan: ParallelPlan | None = None
         self.decomps: dict[tuple, Decomposition | str] = {}
+        self.depths: dict[tuple, tuple[float, dict[str, float]]] = {}
         self.shapes: dict[tuple, tuple] = {}
+        self.parts: dict[tuple, tuple] = {}
         self.collectives: dict[tuple, float] = {}
         self.flops: dict[tuple[int, int], float] = {}
 
@@ -400,9 +406,16 @@ class EvalMemo:
             self.decomps[shape] = decomp
         if isinstance(decomp, str):
             raise ShapeError(decomp)
-        dt = self.dtypes
         self.plan, self.shape, self.decomp = plan, shape, decomp
-        self.params_held = plan.chunks * plan.layers_per_stage * decomp.layer_params
+        key = (*shape, plan.pp, plan.chunks, plan.num_layers)
+        depth = self.depths.get(key)
+        if depth is None:
+            depth = self.depths[key] = (
+                plan.chunks * plan.layers_per_stage * decomp.layer_params,
+                {strategy: self.activation(strategy, t_fwd=0.0, t_bwd=0.0)[0]
+                 for strategy in _optim.ACTIVATION_STRATEGIES})
+        self.params_held, self.act_bytes = depth
+        dt = self.dtypes
         self.param_bytes = dt.param_bytes * self.params_held
         self.grad_bytes = dt.grad_bytes * self.params_held
         self.counts = _phase_counts(plan)
@@ -412,8 +425,6 @@ class EvalMemo:
             opt_bytes = self.optimizer(strategy, 0.0)[0]
             self.static[strategy] = (
                 (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes)
-        self.act_bytes = {strategy: self.activation(strategy, t_fwd=0.0, t_bwd=0.0)[0]
-                          for strategy in _optim.ACTIVATION_STRATEGIES}
 
     def collective(self, opts: OptimizationSet, kind: str, group: int,
                    volume: float) -> float:
@@ -476,33 +487,38 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if over_limit and memo.complete:
         return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
 
-    shape_key = (memo.shape, tuple(opts.compute_scaling.items()),
-                 tuple(opts.comm_scaling.items()),
-                 opts.tp_overlap, opts.cp_overlap, opts.ep_overlap)
-    shape = memo.shapes.get(shape_key)
-    if shape is None:
-        shape = memo.shapes[shape_key] = (
-            layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
-            (_module_time(decomp.embedding, db, opts, False),
-             _module_time(decomp.embedding, db, opts, True),
-             _module_time(decomp.head, db, opts, False),
-             _module_time(decomp.head, db, opts, True)),
-        )
-    lc, ends = shape   # ends: the embedding and head forward/backward times
+    parts_key = (memo.shape, tuple(opts.compute_scaling.items()),
+                 tuple(opts.comm_scaling.items()), opts.tp_overlap, opts.cp_overlap,
+                 opts.ep_overlap, opts.activation_strategy, opts.offload_coeffs)
+    parts = memo.parts.get(parts_key)
+    if parts is None:
+        shape_key = parts_key[:6]
+        shape = memo.shapes.get(shape_key)
+        if shape is None:
+            shape = memo.shapes[shape_key] = (
+                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
+                (_module_time(decomp.embedding, db, opts, False),
+                 _module_time(decomp.embedding, db, opts, True),
+                 _module_time(decomp.head, db, opts, False),
+                 _module_time(decomp.head, db, opts, True)),
+            )
+        lc, ends = shape   # ends: the embedding and head forward/backward times
 
-    # Activation strategy: scalar result from the strategy op, then the delta
-    # mirrored onto the channel split so totals stay consistent.
-    _, fwd_total, bwd_total = memo.activation(
-        opts.activation_strategy, t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
-        t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd, coeffs=opts.offload_coeffs)
-    fwd_parts, bwd_parts = lc.fwd, lc.bwd
-    if opts.activation_strategy == "full-recompute":
-        bwd_parts = bwd_parts + fwd_parts
-    else:
-        bwd_parts = TimeParts(bwd_parts.cal + (bwd_total - lc.bwd.total),
-                              bwd_parts.tp, bwd_parts.cp, bwd_parts.ep)
-    fwd_parts = TimeParts(fwd_parts.cal + (fwd_total - lc.fwd.total),
-                          fwd_parts.tp, fwd_parts.cp, fwd_parts.ep)
+        # Activation strategy: scalar result from the strategy op, then the
+        # delta mirrored onto the channel split so totals stay consistent.
+        _, fwd_total, bwd_total = memo.activation(
+            opts.activation_strategy, t_fwd=lc.fwd.total, t_bwd=lc.bwd.total,
+            t_qkv=lc.t_qkv_fwd, t_attention=lc.t_attention_fwd, coeffs=opts.offload_coeffs)
+        fwd_parts, bwd_parts = lc.fwd, lc.bwd
+        if opts.activation_strategy == "full-recompute":
+            bwd_parts = bwd_parts + fwd_parts
+        else:
+            bwd_parts = TimeParts(bwd_parts.cal + (bwd_total - lc.bwd.total),
+                                  bwd_parts.tp, bwd_parts.cp, bwd_parts.ep)
+        fwd_parts = TimeParts(fwd_parts.cal + (fwd_total - lc.fwd.total),
+                              fwd_parts.tp, fwd_parts.cp, fwd_parts.ep)
+        parts = memo.parts[parts_key] = (fwd_parts, bwd_parts, ends)
+    fwd_parts, bwd_parts, ends = parts
 
     # Pipeline hop and its steady-phase overlap.
     t_pp_hop = 0.0

@@ -166,7 +166,11 @@ def _dispatch(args) -> int:
             result = tune_e2e(cfg.space, fault.model, fault.save_s, steps,
                               top_k=args.top_k)
         _emit(render_report(result, fmt), args.out)
-        return 0 if result.candidates else 2
+        if not result.candidates:   # then every candidate was rejected, and counted
+            most = max(result.rejections, key=result.rejections.get)
+            raise InfeasibleError(f"no feasible plan among {result.evaluated} candidates; "
+                                  f"most rejected for {most} ({result.rejections[most]})")
+        return 0
 
     if args.command == "sweep":
         if cfg.space is None:

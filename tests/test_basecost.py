@@ -22,6 +22,7 @@ from traincost.errors import InfeasibleError, InputError, ProfileLookupError, Sh
 from traincost.optim import (
     ACTIVATION_STRATEGIES,
     OPTIMIZER_STRATEGIES,
+    OffloadCoeffs,
     OptimizationSet,
     OverlapCoeffs,
     apply_activation_strategy,
@@ -335,6 +336,24 @@ class TestEvalMemo:
                 evaluate_plan(arch, plan, db, memo=memo)
         same = EvalMemo(tiny_dense(l=4), make_db(), Dtypes())
         assert evaluate_plan(arch, plan, db, memo=same) == evaluate_plan(arch, plan, db)
+
+    def test_offload_coefficients_key_the_layer_times(self):
+        """Two offload combos that differ only in alpha_offload share every
+        memo table but the strategy-adjusted layer times. The host transfer
+        wins the forward race here, so a key without the coefficients would
+        hand the second combo the first one's forward time."""
+        hw = make_hardware(d2h_bw=1e3)
+        arch, db = tiny_dense(l=4), make_db(hw)
+        plan = simple_plan(pp=2, global_batch=4, num_layers=4)
+        assert decompose(arch, plan).layer_act_bytes / hw.d2h_bw \
+            > layer_cost(arch, plan, db).fwd.total
+        combos = [OptimizationSet(activation_strategy="offload",
+                                  offload_coeffs=OffloadCoeffs(alpha_offload=alpha))
+                  for alpha in (1.0, 2.0)]
+        memo = EvalMemo(arch, db, Dtypes())
+        shared = [evaluate_plan(arch, plan, db, opts, memo=memo) for opts in combos]
+        assert shared == [evaluate_plan(arch, plan, db, opts) for opts in combos]
+        assert shared[0].cost.t_fwd != shared[1].cost.t_fwd
 
 
 def _invariant_cases():

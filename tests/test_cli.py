@@ -523,6 +523,20 @@ class TestInputBoundary:
         assert run_quiet(command, "--config", config) == (
             2, "", "infeasible: the result is not finite: an input is too large for the model\n")
 
+    @pytest.mark.parametrize("mode", ["step", "e2e"])
+    def test_empty_tune_names_its_largest_rejection(self, tmp_path, mode):
+        """A tune that finds no plan still prints its empty report and exits 2,
+        and says why on stderr: 1.5 GB per GPU holds none of the sample's
+        plans."""
+        config = write_shipped(tmp_path, TUNE, [(("hardware", "M_GPU"), 1.5)])
+        code, out, err = run_quiet("tune", mode, "--config", config, "--output", "json")
+        report = json.loads(out)
+        assert (code, report["candidates"], report["evaluated"]) == (2, [], 132)
+        assert report["rejections"] == {
+            "resource: parallel product exceeds total gpus": 1, "memory": 132}
+        assert err == ("infeasible: no feasible plan among 132 candidates; "
+                       "most rejected for memory (132)\n")
+
     def test_tune_space_flag_needs_no_plan_or_space(self, tmp_path):
         tune = shipped_body(TUNE)
         space, body = tmp_path / "space.json", tmp_path / "run.json"

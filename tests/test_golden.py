@@ -133,6 +133,15 @@ FULL_LIST_SHA256 = {
         "674f12ba1fd7ad85241e42668da9847e7d5210f7fd5ca2038c75e21f28f50c31",
     "tune_step_llama2_128.json":
         "068b41e6704c2eb0bdf87427dc9eb8c810d8602cac68fdfabf92ef4ee927e4fd",
+    "tune_e2e_deepseek_2048.json":
+        "9735986677be5d4fb2033365abba293b562b266dcf8f00ba2d995497c7553a4e",
+}
+# The same for tune_e2e(space, ..., top_k=10**9), which adds each candidate's
+# I_ckpt, ETTR and T_e2e. deepseek-v3 is the only shipped model with experts,
+# so only its lists hold plans with ep > 1.
+FULL_E2E_SHA256 = {
+    "tune_e2e_deepseek_2048.json":
+        "6bfa7f679dbf3efd81e3dfc04b1c1afdacd03166e67fab995ab84b0d602a1a4c",
 }
 
 
@@ -144,6 +153,16 @@ def test_full_feasible_list_is_byte_identical(configs_dir, tmp_path, name):
         cfg = load_config(os.path.join(configs_dir, name))
     payload = json.dumps(tune_step(cfg.space, top_k=None).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == FULL_LIST_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FULL_E2E_SHA256))
+def test_full_e2e_list_is_byte_identical(configs_dir, tmp_path, name):
+    cfg = scaled_config(configs_dir, tmp_path, *SCALED_CASES[name][0])
+    fault = cfg.fault
+    steps = fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
+    result = tune_e2e(cfg.space, fault.model, fault.save_s, steps, top_k=10**9)
+    payload = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == FULL_E2E_SHA256[name]
 
 
 def test_eval_report_matches_golden(configs_dir, capsys):

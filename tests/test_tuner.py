@@ -11,6 +11,7 @@ from helpers import (
     tiny_dense,
     tiny_moe,
 )
+from traincost import optim
 from traincost.basecost import evaluate_plan
 from traincost.config import load_config
 from traincost.errors import InfeasibleError, InputError, ShapeError
@@ -345,6 +346,29 @@ class TestSharedTerms:
         # every float, the evaluated count and the rejection counts
         assert tune_step(space, top_k=None).to_json_dict() \
             == unshared_tune_reference(space).to_json_dict()
+
+    def test_activation_op_runs_once_per_table_key(self, configs_dir, monkeypatch):
+        """The memo calls the activation strategy op four times per depth key
+        (shape, pp, chunks, num_layers) and once per key of the
+        strategy-adjusted layer times among the full evaluations, not four
+        times per plan and once per full evaluation."""
+        space = load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
+        op, calls = optim.apply_activation_strategy, []
+        monkeypatch.setattr(optim, "apply_activation_strategy",
+                            lambda *args, **kwargs: calls.append(args) or op(*args, **kwargs))
+        result = tune_step(space, top_k=None)
+        plans = _enumerate_plans(space.resolved(), {})
+        depths = {(p.tp, p.cp, p.ep, p.micro_batch, p.pp, p.chunks, p.num_layers)
+                  for p in plans}
+        # The sample's profile is complete, so the full evaluations are the
+        # feasible candidates; the layer times read no optimizer strategy and
+        # neither the pp nor the dp overlap.
+        parts = {(c.plan.tp, c.plan.cp, c.plan.ep, c.plan.micro_batch,
+                  repr(c.opts._replace(optimizer_strategy="none", pp_overlap=None,
+                                       dp_overlap=None)))
+                 for c in result.candidates}
+        assert len(calls) == 4 * len(depths) + len(parts) == 4 * 24 + 4
+        assert 4 * len(plans) + len(result.candidates) == 4 * 66 + 102
 
 
 class TestTuneE2e:
