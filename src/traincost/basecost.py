@@ -361,17 +361,25 @@ class EvalMemo:
       ShapeError message decompose raised, raised again for every later
       plan of that shape.
     * Per depth (the shape and pp, chunks, num_layers): the held parameter
-      count and the activation bytes of every activation strategy, whose
-      retention factor warmup_depth(0)+1 reads only pp and chunks.
-    * Per plan (the last one seen, by identity): validation, the held
-      parameter and gradient bytes, the static bytes of every optimizer
-      strategy (the distributed one divides them by dp) and the integer
-      counts of the phase expression (_phase_counts). A plan's feature
-      combos differ in these only through the two strategies.
+      count and its parameter and gradient bytes; the activation bytes of
+      every activation strategy, whose retention factor warmup_depth(0)+1
+      reads only pp and chunks; and the static bytes of the optimizer
+      strategies other than distributed, which read only the held
+      parameters and the hardware.
+    * Per plan (the last one seen, by identity): validation, the static
+      bytes of the distributed optimizer strategy, which divides them by
+      dp, and from the plan's first full evaluation on, the integer counts
+      of the phase expression (_phase_counts) and the table `terms`. That
+      table is keyed by the layer-time key below plus pp_overlap and
+      dp_overlap, every combo field but the optimizer strategy, and holds
+      the phases and the five exposure channels, with the pipeline hop and
+      its steady-phase cost in them, and t_dp. A full evaluation adds only
+      its strategy's update time t_update to these.
     * Per shape and the combo fields they read (compute and comm scaling and
       the tp/cp/ep overlap coefficients): the layer cost and the
       embedding/head module times; and per that key, activation strategy and
-      offload coefficients, the strategy-adjusted layer TimeParts.
+      offload coefficients (the layer-time key), the strategy-adjusted layer
+      TimeParts.
     * Per collective (kind, group size, message bytes, comm_lambda(kind)):
       its time, for the pipeline hop, the dp all-reduce and the dp-overlap's
       per-chunk reduce-scatter/all-gather.
@@ -386,7 +394,7 @@ class EvalMemo:
         self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         self.plan: ParallelPlan | None = None
         self.decomps: dict[tuple, Decomposition | str] = {}
-        self.depths: dict[tuple, tuple[float, dict[str, float]]] = {}
+        self.depths: dict[tuple, tuple] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.parts: dict[tuple, tuple] = {}
         self.collectives: dict[tuple, float] = {}
@@ -410,21 +418,20 @@ class EvalMemo:
         key = (*shape, plan.pp, plan.chunks, plan.num_layers)
         depth = self.depths.get(key)
         if depth is None:
+            held = plan.chunks * plan.layers_per_stage * decomp.layer_params
+            dt = self.dtypes
+            self.params_held = held
+            self.param_bytes, self.grad_bytes = dt.param_bytes * held, dt.grad_bytes * held
             depth = self.depths[key] = (
-                plan.chunks * plan.layers_per_stage * decomp.layer_params,
+                held, self.param_bytes, self.grad_bytes,
                 {strategy: self.activation(strategy, t_fwd=0.0, t_bwd=0.0)[0]
-                 for strategy in _optim.ACTIVATION_STRATEGIES})
-        self.params_held, self.act_bytes = depth
-        dt = self.dtypes
-        self.param_bytes = dt.param_bytes * self.params_held
-        self.grad_bytes = dt.grad_bytes * self.params_held
-        self.counts = _phase_counts(plan)
-        # The strategy ops return the same bytes for any times.
-        self.static: dict[str, tuple[float, float]] = {}
-        for strategy in _optim.OPTIMIZER_STRATEGIES:
-            opt_bytes = self.optimizer(strategy, 0.0)[0]
-            self.static[strategy] = (
-                (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes)
+                 for strategy in _optim.ACTIVATION_STRATEGIES},
+                {strategy: self.static_bytes(strategy)
+                 for strategy in _optim.OPTIMIZER_STRATEGIES if strategy != "distributed"})
+        self.params_held, self.param_bytes, self.grad_bytes, self.act_bytes, self.static = depth
+        self.sharded = self.static_bytes("distributed")
+        self.counts: tuple | None = None
+        self.terms: dict[tuple, tuple] = {}
 
     def collective(self, opts: OptimizationSet, kind: str, group: int,
                    volume: float) -> float:
@@ -451,45 +458,20 @@ class EvalMemo:
             params_total=self.decomp.layer_params, grad_bytes_total=self.grad_bytes,
             param_bytes_total=self.param_bytes, hw=self.hw)
 
+    def static_bytes(self, strategy: str) -> tuple[float, float]:
+        """(static bytes, optimizer-state bytes) of the current plan under an
+        optimizer strategy; the strategy ops return the same bytes for any
+        update time."""
+        opt_bytes = self.optimizer(strategy, 0.0)[0]
+        dt = self.dtypes
+        return (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes
 
-def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
-                  opts: OptimizationSet | None = None,
-                  dtypes: Dtypes = Dtypes(),
-                  tflops_mode: str = "fwd-bwd-per-device",
-                  memory_limit: float | None = None,
-                  memo: EvalMemo | None = None) -> PlanEvaluation:
-    """Evaluate one plan end to end: memory, then layer times with feature
-    overlays, pipeline phases, optimizer, step time and TFLOPS.
 
-    Memory depends on the decomposition, the plan and the strategies, never
-    on latency. When its peak exceeds memory_limit, cost is None. The latency
-    terms are then skipped if the profile is complete; otherwise they still
-    run, so a missing profile entry raises as it would without the limit.
-    memo, when given, must be the EvalMemo of this arch, db and dtypes."""
-    opts = opts or OptimizationSet()
-    if memo is None:
-        memo = EvalMemo(arch, db, dtypes)
-    elif memo.arch is not arch or memo.db is not db or memo.dtypes is not dtypes:
-        if (memo.arch, memo.db, memo.dtypes) != (arch, db, dtypes):
-            raise InputError("memo was built for another arch, db or dtypes")
-    if memo.plan is not plan:
-        memo.start_plan(plan)
-    decomp = memo.decomp
-
-    # Memory: every strategy's bytes are kept per plan.
-    m_static, opt_bytes = memo.static[opts.optimizer_strategy]
-    m_act = memo.act_bytes[opts.activation_strategy]
-    # tuple.__new__ skips the NamedTuples' Python-level __new__, a large part
-    # of a memory rejection's cost.
-    memory = tuple.__new__(MemoryReport, (m_static, m_act, m_static + m_act,
-                                         memo.param_bytes, memo.grad_bytes, opt_bytes, ()))
-    over_limit = memory_limit is not None and memory.m_peak > memory_limit
-    if over_limit and memo.complete:
-        return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
-
-    parts_key = (memo.shape, tuple(opts.compute_scaling.items()),
-                 tuple(opts.comm_scaling.items()), opts.tp_overlap, opts.cp_overlap,
-                 opts.ep_overlap, opts.activation_strategy, opts.offload_coeffs)
+def _plan_terms(memo: EvalMemo, opts: OptimizationSet, parts_key: tuple) -> tuple:
+    """The cost terms of memo's current plan under `opts` that no optimizer
+    strategy changes: the CostReport fields before t_update, and those after
+    tflops."""
+    arch, db, dtypes, plan, decomp = memo.arch, memo.db, memo.dtypes, memo.plan, memo.decomp
     parts = memo.parts.get(parts_key)
     if parts is None:
         shape_key = parts_key[:6]
@@ -534,6 +516,8 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
         t_pp_steady = _optim.pp_overlap(t_pp_hop, hide, ov.alpha, ov.beta)
 
     counts = memo.counts
+    if counts is None:
+        counts = memo.counts = _phase_counts(plan)
     warmup, steady, cooldown, t_pipeline = _phases(
         counts, fwd_parts.total, bwd_parts.total, t_pp_hop, t_pp_steady, *ends)
     # The phase formulas are linear in their inputs, so each exposure channel
@@ -544,12 +528,9 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     t_ep = _channel(counts, fwd_parts.ep, bwd_parts.ep)
     t_pp = _channel(counts, 0.0, 0.0, t_pp_hop, t_pp_steady)
 
-    # Optimizer: the held gradients' all-reduce and the base update, then the
-    # strategy, then the dp overlap.
+    # The held gradients' all-reduce, or its dp overlap.
     vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
     t_dp = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
-    p_opt = memo.hw.optimizer_throughput * opts.compute_lambda("optimizer")
-    t_update = memo.optimizer(opts.optimizer_strategy, memo.params_held / p_opt)[1]
     if opts.dp_overlap is not None and plan.dp > 1:
         per_chunk_params = plan.layers_per_stage * decomp.layer_params
         rs = [memo.collective(opts, "reduce-scatter", plan.dp,
@@ -558,21 +539,65 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                               dtypes.param_bytes * per_chunk_params)] * plan.chunks
         t_dp = _optim.dp_overlap(rs, ag, fwd_parts.total, bwd_parts.total,
                                  plan, opts.dp_overlap)
-    t_opt = t_dp + t_update
+    return ((fwd_parts.total, bwd_parts.total, warmup, steady, cooldown, t_pipeline, t_dp),
+            (t_cal, t_tp, t_pp, t_ep, t_cp, counts[-1]))
 
-    t_step = step_time(t_pipeline, t_opt)
+
+def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
+                  opts: OptimizationSet | None = None,
+                  dtypes: Dtypes = Dtypes(),
+                  tflops_mode: str = "fwd-bwd-per-device",
+                  memory_limit: float | None = None,
+                  memo: EvalMemo | None = None) -> PlanEvaluation:
+    """Evaluate one plan end to end: memory, then layer times with feature
+    overlays, pipeline phases, optimizer, step time and TFLOPS.
+
+    Memory depends on the decomposition, the plan and the strategies, never
+    on latency. When its peak exceeds memory_limit, cost is None. The latency
+    terms are then skipped if the profile is complete; otherwise they still
+    run, so a missing profile entry raises as it would without the limit.
+    memo, when given, must be the EvalMemo of this arch, db and dtypes."""
+    opts = opts or OptimizationSet()
+    if memo is None:
+        memo = EvalMemo(arch, db, dtypes)
+    elif memo.arch is not arch or memo.db is not db or memo.dtypes is not dtypes:
+        if (memo.arch, memo.db, memo.dtypes) != (arch, db, dtypes):
+            raise InputError("memo was built for another arch, db or dtypes")
+    if memo.plan is not plan:
+        memo.start_plan(plan)
+
+    # Memory: every strategy's bytes are kept per depth, the distributed
+    # optimizer's per plan.
+    strategy = opts.optimizer_strategy
+    m_static, opt_bytes = memo.sharded if strategy == "distributed" else memo.static[strategy]
+    m_act = memo.act_bytes[opts.activation_strategy]
+    # tuple.__new__ skips the NamedTuples' Python-level __new__, a large part
+    # of a memory rejection's cost.
+    memory = tuple.__new__(MemoryReport, (m_static, m_act, m_static + m_act,
+                                         memo.param_bytes, memo.grad_bytes, opt_bytes, ()))
+    over_limit = memory_limit is not None and memory.m_peak > memory_limit
+    if over_limit and memo.complete:
+        return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
+
+    parts_key = (memo.shape, tuple(opts.compute_scaling.items()),
+                 tuple(opts.comm_scaling.items()), opts.tp_overlap, opts.cp_overlap,
+                 opts.ep_overlap, opts.activation_strategy, opts.offload_coeffs)
+    terms_key = (parts_key, opts.pp_overlap, opts.dp_overlap)
+    terms = memo.terms.get(terms_key)
+    if terms is None:
+        terms = memo.terms[terms_key] = _plan_terms(memo, opts, parts_key)
+    head, tail = terms   # head ends with t_pipeline and t_dp
+
+    # Optimizer: the base update under the strategy, after the dp term.
+    p_opt = memo.hw.optimizer_throughput * opts.compute_lambda("optimizer")
+    t_update = memo.optimizer(strategy, memo.params_held / p_opt)[1]
+    t_opt = head[6] + t_update
+
+    t_step = step_time(head[5], t_opt)
     split = (plan.micro_batch, plan.micro_batches * plan.dp)
     flops = memo.flops.get(split)
     if flops is None:
         flops = memo.flops[split] = model_flops_total(arch, plan)
     achieved = tflops(flops, plan, t_step, mode=tflops_mode)
-
-    cost = CostReport(
-        t_fwd=fwd_parts.total, t_bwd=bwd_parts.total,
-        t_warmup=warmup, t_steady=steady, t_cooldown=cooldown, t_pipeline=t_pipeline,
-        t_dp=t_dp, t_update=t_update, t_opt=t_opt, t_step=t_step,
-        tflops=achieved,
-        t_cal=t_cal, t_tp=t_tp, t_pp=t_pp, t_ep=t_ep, t_cp=t_cp,
-        warnings=counts[-1],
-    )
-    return PlanEvaluation(None if over_limit else cost, memory)
+    cost = tuple.__new__(CostReport, (*head, t_update, t_opt, t_step, achieved, *tail))
+    return tuple.__new__(PlanEvaluation, (None if over_limit else cost, memory))

@@ -92,9 +92,9 @@ class ParallelPlan(NamedTuple):
     def validate(self) -> None:
         """Check integer/divisibility invariants; raises ShapeError on the
         first violated dimension."""
-        for name in PLAN_KEYS.values():
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self) < 1:
+            name = next(name for name in PLAN_KEYS.values() if getattr(self, name) < 1)
+            raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_layers % (self.pp * self.chunks) != 0:
             raise ShapeError(
                 f"num_layers={self.num_layers} not divisible by "

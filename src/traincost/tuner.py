@@ -14,6 +14,7 @@ whose docstring says what work they share.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import NamedTuple
 
 from .arch import ModelArchitecture
@@ -134,23 +135,25 @@ def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
     """Apply the expert rules to a partial assignment; returns a rejection
     reason or None. Dimensions are assigned in plan.DIMS order; each rule
     fires as soon as its inputs exist."""
-    hw, get = space.db.hardware, assigned.get
+    get = assigned.get
+    tp, pp, dp, m_bs, chunks = (get("tp"), get("pp"), get("dp"), get("micro_batch"),
+                                get("chunks"))
     # the five parallel degrees of plan.DIMS, spelt out: prune runs per tried value
-    world = get("tp", 1) * get("cp", 1) * get("pp", 1) * get("ep", 1) * get("dp", 1)
+    world = (tp or 1) * get("cp", 1) * (pp or 1) * get("ep", 1) * (dp or 1)
     if world > space.total_gpus:
         return "resource: parallel product exceeds total gpus"
-    if "tp" in assigned and assigned["tp"] > hw.gpus_per_node:
+    if tp is not None and tp > space.db.hardware.gpus_per_node:
         return "tp exceeds gpus per node"
-    if "micro_batch" in assigned:
-        m_bs = assigned["micro_batch"]
-        if m_bs > space.global_batch:
+    if m_bs is not None:
+        batch = space.global_batch
+        if m_bs > batch:
             return "micro batch exceeds global batch"
-        if "dp" in assigned and space.global_batch % (m_bs * assigned["dp"]) != 0:
+        if dp is not None and batch % (m_bs * dp) != 0:
             return "global batch not divisible by micro_batch*dp"
-        if "pp" in assigned and space.global_batch // m_bs < assigned["pp"]:
+        if pp is not None and batch // m_bs < pp:
             return "too few micro batches for the pipeline depth"
-    if "chunks" in assigned and "pp" in assigned:
-        if space.arch.num_layers % (assigned["pp"] * assigned["chunks"]) != 0:
+    if chunks is not None and pp is not None:
+        if space.arch.num_layers % (pp * chunks) != 0:
             return "layers not divisible by pp*chunks"
     return None
 
@@ -159,6 +162,9 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
     """Depth-first walk over the candidate sets with early pruning; returns
     the plans that pass every rule, in walk order."""
     levels = [(DIMS[key], getattr(space, name)) for key, name in CANDIDATE_FIELDS.items()]
+    last = len(levels) - 1
+    batch, layers = space.global_batch, space.arch.num_layers
+    check = prune   # read once per walk, so a replaced tuner.prune is the one called
     plans: list[ParallelPlan] = []
     assigned: dict[str, int] = {}
 
@@ -166,14 +172,13 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
         name, values = levels[level]
         for value in values:
             assigned[name] = value
-            reason = prune(space, assigned)
+            reason = check(space, assigned)
             if reason is not None:
                 rejections[reason] = rejections.get(reason, 0) + 1
-            elif level + 1 < len(levels):
+            elif level < last:
                 descend(level + 1)
             else:
-                plans.append(ParallelPlan(**assigned, global_batch=space.global_batch,
-                                          num_layers=space.arch.num_layers))
+                plans.append(ParallelPlan(**assigned, global_batch=batch, num_layers=layers))
         assigned.pop(name, None)
 
     descend(0)
@@ -188,19 +193,18 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     tie-break, plus the count of each rejection reason: a pruning rule, a
     ShapeError or InputError message up to its first ':', or "memory"."""
     space = space.resolved()
-    combos = space.opt_combos
-    limit = space.db.hardware.gpu_memory
+    arch, db, dtypes, mode = space.arch, space.db, space.dtypes, space.tflops_mode
+    combos = tuple(enumerate(space.opt_combos))
+    limit = db.hardware.gpu_memory
     rejections: dict[str, int] = {}
-    memo = EvalMemo(space.arch, space.db, space.dtypes)
+    memo = EvalMemo(arch, db, dtypes)
     feasible: list[Candidate] = []
     evaluated = 0
     for plan in _enumerate_plans(space, rejections):
         evaluated += len(combos)
-        for idx, opts in enumerate(combos):
+        for idx, opts in combos:
             try:
-                result = evaluate_plan(space.arch, plan, space.db, opts, space.dtypes,
-                                       tflops_mode=space.tflops_mode,
-                                       memory_limit=limit, memo=memo)
+                result = evaluate_plan(arch, plan, db, opts, dtypes, mode, limit, memo)
             except (ShapeError, InputError) as exc:
                 key = str(exc).split(":")[0]
             else:
@@ -223,19 +227,33 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
 
     The interval optimum depends on the plan only through its step time, so
     the phase split loses nothing; candidates whose fault regime is
-    infeasible are annotated and ranked last rather than dropped."""
+    infeasible are annotated and ranked last rather than dropped.
+
+    Candidates are priced in step order, and only until no later one can
+    reach the top_k. That bound is exact in floats: T_e2e is
+    fl(fl(S * t_step) / ETTR), and ETTR = den / (1 + save_ratio) <= 1
+    because den = 1 - lambda * (u_b + rollback) <= 1 and save_ratio >= 0,
+    every fault input and the save time being checked to be >= 0. So a
+    candidate's key (T_e2e, step_key) is at least (fl(S * t_step), step_key),
+    and both parts grow along the step order; once the k-th best key so far
+    is below that bound for the next candidate, no later one can enter the
+    top_k."""
     step_result = tune_step(space, top_k=None)
-    ranked = []   # (sort key, candidate, annotations); annotated after the cut
-    for cand in step_result.candidates:
+    cands = step_result.candidates
+    ranked: list = []   # (key, position, annotations) of the priced candidates, ascending
+    for pos, cand in enumerate(cands):
+        step_key, t_step = cand.step_key, cand.cost.t_step
+        bound = (total_steps * t_step, step_key)   # no key from here on is below it
+        if 0 < top_k <= len(ranked) and ranked[top_k - 1][0] < bound:
+            break
         try:
-            interval, ettr, t_e2e = run_cost(fault, save_s, total_steps, cand.cost.t_step)
+            interval, ettr, t_e2e = run_cost(fault, save_s, total_steps, t_step)
         except InfeasibleError as exc:
-            ranked.append(((float("inf"), cand.step_key), cand, {"fault_note": str(exc)}))
+            insort(ranked, ((float("inf"), step_key), pos, {"fault_note": str(exc)}))
         else:
-            ranked.append(((t_e2e, cand.step_key), cand,
-                           {"interval": interval, "ettr": ettr, "t_e2e": t_e2e}))
-    ranked.sort(key=lambda entry: entry[0])
-    return TuneResult(tuple(cand._replace(**notes) for _, cand, notes in ranked[:top_k]),
+            insort(ranked, ((t_e2e, step_key), pos,
+                            {"interval": interval, "ettr": ettr, "t_e2e": t_e2e}))
+    return TuneResult(tuple(cands[pos]._replace(**notes) for _, pos, notes in ranked[:top_k]),
                       evaluated=step_result.evaluated, rejections=step_result.rejections)
 
 

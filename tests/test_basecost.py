@@ -295,24 +295,29 @@ class TestMemory:
 
 
 class TestEvalMemo:
-    def test_start_plan_keeps_each_strategy_op_bytes(self):
-        """The per-plan bytes of every strategy are the bytes a direct call of
-        the strategy op gives on the plan's decomposition."""
+    def test_memory_report_keeps_each_strategy_op_bytes(self):
+        """Each strategy's bytes in evaluate_plan's MemoryReport, through one
+        shared memo, are the bytes a direct call of the strategy op gives on
+        the plan's decomposition."""
         arch = tiny_moe(l=4)
         plan = simple_plan(pp=2, chunks=2, dp=2, global_batch=8, num_layers=4)
         dt = Dtypes(param_bytes=2.0, grad_bytes=4.0, opt_bytes=8.0, act_bytes=3.0)
         hw = make_hardware(cpu_memory=100.0)   # the cpu optimizer overflows onto the device
-        memo = EvalMemo(arch, make_db(hw), dt)
-        memo.start_plan(plan)
+        db = make_db(hw)
+        memo = EvalMemo(arch, db, dt)
         d = decompose(arch, plan, act_dtype_bytes=dt.act_bytes)
         held = plan.chunks * plan.layers_per_stage * d.layer_params
+        statics = set()
         for strategy in OPTIMIZER_STRATEGIES:
             opt_bytes = apply_optimizer_strategy(
                 strategy, plan, 4 * dt.opt_bytes * held, 0.0, params_total=d.layer_params,
                 grad_bytes_total=dt.grad_bytes * held, param_bytes_total=dt.param_bytes * held,
                 hw=hw)[0]
-            assert memo.static[strategy] == (
+            memory = evaluate_plan(arch, plan, db, OptimizationSet(optimizer_strategy=strategy),
+                                   dt, memo=memo).memory
+            assert (memory.m_static, memory.optimizer_bytes) == (
                 (dt.param_bytes + dt.grad_bytes) * held + opt_bytes, opt_bytes)
+            statics.add(memory.m_static)
         attention = sum(m.act_bytes for m in d.layer
                         if m.name in ("attention-map", "softmax", "attention-on-value"))
         for strategy in ACTIVATION_STRATEGIES:
@@ -321,7 +326,7 @@ class TestEvalMemo:
                 attention_act_bytes=attention, input_act_bytes=d.layer[0].act_bytes,
                 t_fwd=0.0, t_bwd=0.0, hw=hw)[0]
         # every strategy keeps different bytes, so a swapped key would show
-        assert len(set(memo.static.values())) == len(OPTIMIZER_STRATEGIES)
+        assert len(statics) == len(OPTIMIZER_STRATEGIES)
         assert len(set(memo.act_bytes.values())) == len(ACTIVATION_STRATEGIES)
 
     def test_memo_of_other_inputs_is_refused(self):

@@ -165,6 +165,38 @@ def test_full_e2e_list_is_byte_identical(configs_dir, tmp_path, name):
     assert hashlib.sha256(payload.encode()).hexdigest() == FULL_E2E_SHA256[name]
 
 
+# The same for tune_e2e(space, ..., top_k=k) at small k, where the ranking
+# stops pricing candidates once no later one can reach the top k; top_k=10**9
+# above never stops early.
+TOP_K_E2E_SHA256 = {
+    ("tune_e2e_deepseek_2048.json", 1):
+        "27098cb5be6d99e652670bea7fad175454f744f9ff68a531125468b00d26d3a3",
+    ("tune_e2e_deepseek_2048.json", 4):
+        "b5e11b292fe8870dd25fd91ba14c5bb18dc755c0f3e0930f9b16c564bb845554",
+    ("tune_e2e_deepseek_2048.json", 10):
+        "12ece59f7f1043c4815a93cb06a9c29ed2825e97290fbc7469b602302fb5c6de",
+    ("run_tune_llama2.json", 1):
+        "c3b6ec85b5b8449758382f751445f342eb41f504a6913ace7c52ecd35c4e7a41",
+    ("run_tune_llama2.json", 4):
+        "ffaf233a6bf0c6cf4a33e66b3003dbd483282a5f2ca6844979a2077b42660896",
+    ("run_tune_llama2.json", 10):
+        "dd2b4cde896b2f8b58a22a8113144af2d3cf81167f6fc363ef7f4f7a0409d45e",
+}
+
+
+@pytest.mark.parametrize("name,top_k", sorted(TOP_K_E2E_SHA256))
+def test_top_k_e2e_list_is_byte_identical(configs_dir, tmp_path, name, top_k):
+    if name in SCALED_CASES:
+        cfg = scaled_config(configs_dir, tmp_path, *SCALED_CASES[name][0])
+    else:
+        cfg = load_config(os.path.join(configs_dir, name))
+    fault = cfg.fault
+    steps = fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
+    result = tune_e2e(cfg.space, fault.model, fault.save_s, steps, top_k=top_k)
+    payload = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TOP_K_E2E_SHA256[name, top_k]
+
+
 def test_eval_report_matches_golden(configs_dir, capsys):
     code = main(["eval", "--config",
                  os.path.join(configs_dir, "run_eval_llama2.json")])

@@ -37,6 +37,15 @@ class TestDerivedQuantities:
         with pytest.raises(ShapeError, match="dp"):
             ParallelPlan(dp=0, num_layers=1).validate()
 
+    def test_validate_names_the_first_field_below_one(self):
+        # fields are checked in PLAN_KEYS order, so tp is named before dp
+        with pytest.raises(ShapeError) as info:
+            ParallelPlan(tp=0, dp=0, num_layers=1).validate()
+        assert str(info.value) == "tp must be >= 1, got 0"
+        with pytest.raises(ShapeError) as info:
+            ParallelPlan(dp=-2, chunks=0, num_layers=1).validate()
+        assert str(info.value) == "dp must be >= 1, got -2"
+
     def test_json_round_trip(self):
         plan = ParallelPlan.from_json_dict(
             {"t": 8, "c": 1, "p": 8, "e": 1, "d": 2, "m_bs": 2,

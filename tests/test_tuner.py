@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -272,6 +273,35 @@ def unshared_tune_reference(space) -> TuneResult:
     return TuneResult(tuple(feasible), evaluated, rejections)
 
 
+def exhaustive_e2e_reference(space, price) -> TuneResult:
+    """tune_e2e(top_k=None) without the bound: every feasible candidate is
+    priced by price(t_step) -> (I_ckpt, ETTR, T_e2e), then all are sorted by
+    (T_e2e, step_key), infeasible ones last."""
+    step = tune_step(space, top_k=None)
+    ranked = []
+    for cand in step.candidates:
+        try:
+            interval, ettr, t_e2e = price(cand.cost.t_step)
+        except InfeasibleError as exc:
+            ranked.append(((math.inf, cand.step_key), cand._replace(fault_note=str(exc))))
+        else:
+            ranked.append(((t_e2e, cand.step_key),
+                           cand._replace(interval=interval, ettr=ettr, t_e2e=t_e2e)))
+    ranked.sort(key=lambda entry: entry[0])
+    return TuneResult(tuple(cand for _, cand in ranked), step.evaluated, step.rejections)
+
+
+def scrambled_cost(fault, save_s, total_steps, step_s):
+    """A stand-in for fault.run_cost that keeps ETTR <= 1, the bound's only
+    premise, but orders T_e2e far from the step order and finds a tenth of
+    the candidates infeasible."""
+    u = step_s * 7919.0 % 1.0
+    if u < 0.1:
+        raise InfeasibleError("scrambled: infeasible")
+    ettr = 0.2 + 0.8 * u
+    return 1, ettr, total_steps * step_s / ettr
+
+
 coeff = st.sampled_from([1.0, 1.25, 2.0])
 overlap = st.none() | st.builds(OverlapCoeffs, alpha=coeff, beta=coeff,
                                 splits=st.integers(1, 3))
@@ -370,6 +400,28 @@ class TestSharedTerms:
         assert len(calls) == 4 * len(depths) + len(parts) == 4 * 24 + 4
         assert 4 * len(plans) + len(result.candidates) == 4 * 66 + 102
 
+    def test_optimizer_op_runs_per_depth_plan_and_full_evaluation(self, configs_dir,
+                                                                 monkeypatch):
+        """The memo calls the optimizer strategy op twice per depth key (the
+        none and cpu strategies' bytes), once per plan (the distributed
+        strategy's, which reads dp) and once per full evaluation (t_update),
+        not three times per plan."""
+        space = load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
+        op, calls = optim.apply_optimizer_strategy, []
+        monkeypatch.setattr(optim, "apply_optimizer_strategy",
+                            lambda *args, **kwargs: calls.append(args) or op(*args, **kwargs))
+        result = tune_step(space, top_k=None)
+        plans = _enumerate_plans(space.resolved(), {})
+        depths = {(p.tp, p.cp, p.ep, p.micro_batch, p.pp, p.chunks, p.num_layers)
+                  for p in plans}
+        # the sample's profile is complete: the full evaluations are the
+        # feasible candidates
+        assert len(calls) == 2 * len(depths) + len(plans) + len(result.candidates) \
+            == 2 * 24 + 66 + 102
+        assert [args[0] for args in calls].count("distributed") \
+            == len(plans) + sum(c.opts.optimizer_strategy == "distributed"
+                                for c in result.candidates)
+
 
 class TestTuneE2e:
     def fault(self, rate=0.01):
@@ -415,6 +467,76 @@ class TestTuneE2e:
                                                                        t_step)
             assert cand.ettr.hex() == ettr_closed_form(fault, policy).hex()
             assert cand.t_e2e.hex() == e2e_objective(fault, policy).hex()
+
+    REGIMES = {
+        # ETTR is exactly 1, so each T_e2e meets its bound S * t_step
+        "no-failures": (FaultModel(nodes=4, failures_per_node_day=0.0), 0.0),
+        # repair outlasts the failure interval: every candidate gets a fault_note
+        "negative-discriminant": (FaultModel(nodes=4, failures_per_node_day=1.0,
+                                             mean_repair_s=1e5), 2.0),
+        # ETTR far below 1
+        "ettr-far-below-one": (FaultModel(nodes=64, failures_per_node_day=5.0,
+                                          mean_repair_s=200.0), 2.0),
+    }
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("top_k", [0, 1, 3, 10, 10**9])
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_bounded_ranking_matches_exhaustive_sort(self, regime, top_k, moe):
+        """Pricing candidates in step order until the bound closes returns
+        the top_k of pricing every feasible candidate and sorting."""
+        fault, save_s = self.REGIMES[regime]
+        space = small_space()
+        if moe:
+            space = small_space(arch=tiny_moe(l=4, s=8, h=8), ep_candidates=(1, 2, 4),
+                                opt_combos=(OptimizationSet(),
+                                            OptimizationSet(optimizer_strategy="distributed")))
+        result = tune_e2e(space, fault, save_s, total_steps=1000, top_k=top_k)
+        reference = exhaustive_e2e_reference(space, lambda t: run_cost(fault, save_s, 1000, t))
+        assert result.to_json_dict() == TuneResult(
+            reference.candidates[:top_k], reference.evaluated,
+            reference.rejections).to_json_dict()
+        cands = reference.candidates
+        if regime == "negative-discriminant":
+            assert all(c.fault_note and c.t_e2e is None for c in cands)
+        elif regime == "ettr-far-below-one":
+            assert max(c.ettr for c in cands) < 0.5
+        else:
+            assert all(c.ettr == 1.0 for c in cands)
+
+    @pytest.mark.parametrize("top_k", [0, 1, 3, 10, 10**9])
+    def test_bounded_ranking_needs_only_ettr_at_most_one(self, top_k, monkeypatch):
+        """The closed forms rank the candidates in step order; a pricing
+        that does not still gets the exhaustive top_k, so the bound, not
+        that order, decides where pricing stops."""
+        import traincost.tuner as tuner
+        monkeypatch.setattr(tuner, "run_cost", scrambled_cost)
+        space = small_space()
+        result = tune_e2e(space, None, 0.0, total_steps=1000, top_k=top_k)
+        reference = exhaustive_e2e_reference(space,
+                                             lambda t: scrambled_cost(None, 0.0, 1000, t))
+        assert result.to_json_dict() == TuneResult(
+            reference.candidates[:top_k], reference.evaluated,
+            reference.rejections).to_json_dict()
+        keys = [c.step_key for c in reference.candidates]
+        assert keys != sorted(keys) and any(c.fault_note for c in reference.candidates)
+
+    def test_bounded_ranking_prices_fewer_candidates(self, configs_dir, monkeypatch):
+        """At top_k=4 the sample config's ranking stops pricing before the
+        end of its 102 feasible candidates, and keeps the exhaustive top 4."""
+        import traincost.tuner as tuner
+        cfg = load_config(os.path.join(configs_dir, "run_tune_llama2.json"))
+        fault, save_s = cfg.fault.model, cfg.fault.save_s
+        steps = cfg.fault.resolve_steps(cfg.space.global_batch, cfg.arch.seq_len)
+        calls = []
+        monkeypatch.setattr(tuner, "run_cost",
+                            lambda *args: calls.append(args) or run_cost(*args))
+        result = tune_e2e(cfg.space, fault, save_s, steps, top_k=4)
+        priced = len(calls)
+        assert 4 <= priced < 102
+        full = tune_e2e(cfg.space, fault, save_s, steps, top_k=10**9)
+        assert len(full.candidates) == len(calls) - priced == 102
+        assert result.candidates == full.candidates[:4]
 
     def test_two_phase_agrees_with_joint_grid(self):
         # joint (step time, interval) grid: the per-step winner also wins
