@@ -190,8 +190,11 @@ def decompose(
     qkv_flops = 2 * b * s * h * h * (1 + 2 * kv_scale)
     qkv_params = h * h * (1 + 2 * kv_scale)
 
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, which
+    # checks nothing
     def dense(name, flops, act_elems, params) -> ModuleShape:
-        return ModuleShape(name, flops / t, act_elems * dt / t, params / t)
+        return tuple.__new__(ModuleShape, (name, flops / t, act_elems * dt / t, params / t,
+                                           False))
 
     modules = [
         dense("norm", b * s * h, 2 * b * s * h, h),
@@ -231,23 +234,20 @@ def decompose(
     head = dense("head", 2 * b * s * h * arch.vocab_size, b * s * h,
                  arch.vocab_size * h)
 
-    if arch.module_overrides:
-        modules = [_apply_override(m, arch, plan, b, s, dt) for m in modules]
-        embedding = _apply_override(embedding, arch, plan, b, s, dt)
-        head = _apply_override(head, arch, plan, b, s, dt)
-    return Decomposition(
+    overrides = arch.module_overrides
+    if overrides:
+        *modules, embedding, head = [
+            _apply_override(m, overrides[m.name], plan, b, s, dt) if m.name in overrides else m
+            for m in (*modules, embedding, head)]
+    return tuple.__new__(Decomposition, (
         tuple(modules), embedding, head, sum(m.flops_fwd for m in modules),
         sum(m.act_bytes for m in modules),
         sum(m.act_bytes for m in modules if m.name in ATTENTION_CORE_MODULES),
-        sum(m.param_count for m in modules))
+        sum(m.param_count for m in modules)))
 
 
-def _apply_override(shape: ModuleShape, arch: ModelArchitecture,
-                    plan: ParallelPlan, b: float, s: float,
-                    dt: float) -> ModuleShape:
-    ov = arch.module_overrides.get(shape.name)
-    if ov is None:
-        return shape
+def _apply_override(shape: ModuleShape, ov: ModuleOverride, plan: ParallelPlan,
+                    b: float, s: float, dt: float) -> ModuleShape:
     div = plan.tp * (plan.ep if shape.is_expert else 1)
     flops = shape.flops_fwd
     act = shape.act_bytes

@@ -165,16 +165,22 @@ _TP_PAIRS = (
 BWD_FLOPS_RATIO = 2.0   # backward work relative to forward
 
 
-def _module_time(shape, db: ProfileDB, opts: OptimizationSet,
-                 backward: bool) -> float:
+def _module_time(shape, db: ProfileDB, opts: OptimizationSet, backward: bool,
+                 rates: dict) -> float:
+    """The module's work over its rate: the profiled throughput times its
+    compute lambda, capped by the roofline. `rates` keeps each rate of db by
+    (module, direction, lambda), the only inputs it reads."""
     if shape.flops_fwd == 0:
         return 0.0
-    entry = db.compute.lookup(shape.name)
-    work = shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0)
-    cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
-           if entry.intensity is not None else db.hardware.gpu_peak_flops)
-    return op_time(work, min(entry.throughput(backward)
-                             * opts.compute_lambda(shape.name), cap))
+    lam = opts.compute_lambda(shape.name)
+    key = (shape.name, backward, lam)
+    rate = rates.get(key)
+    if rate is None:
+        entry = db.compute.lookup(shape.name)
+        cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
+               if entry.intensity is not None else db.hardware.gpu_peak_flops)
+        rate = rates[key] = min(entry.throughput(backward) * lam, cap)
+    return op_time(shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0), rate)
 
 
 def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
@@ -194,10 +200,13 @@ class LayerCost(NamedTuple):
 
 def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                opts: OptimizationSet | None = None, dtypes: Dtypes = Dtypes(),
-               decomp: Decomposition | None = None) -> LayerCost:
+               decomp: Decomposition | None = None,
+               rates: dict | None = None) -> LayerCost:
     """Per-layer forward/backward latency with exposure channels, plus the
-    forward times the recomputation strategies replay."""
+    forward times the recomputation strategies replay. rates, when given, is
+    the module-rate table of db that _module_time reads and fills."""
     opts = opts or OptimizationSet()
+    rates = {} if rates is None else rates
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
 
@@ -254,10 +263,10 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                 ep = ep_total
         return TimeParts(sum(times), tp, cp, ep)
 
-    fwd_times = [_module_time(m, db, opts, False) for m in decomp.layer]
+    fwd_times = [_module_time(m, db, opts, False, rates) for m in decomp.layer]
     return LayerCost(
         fwd=exposed(fwd_times),
-        bwd=exposed([_module_time(m, db, opts, True) for m in decomp.layer]),
+        bwd=exposed([_module_time(m, db, opts, True, rates) for m in decomp.layer]),
         t_qkv_fwd=fwd_times[names.index("qkv")],
         t_attention_fwd=attention(fwd_times),
     )
@@ -356,6 +365,19 @@ class EvalMemo:
 
     * Once: whether the profile is complete, so that no lookup can fail and
       a plan over the memory limit may skip latency.
+    * Per OptimizationSet, by identity (the entry holds the set, so its id
+      cannot be reused), the combo ids: small ints, equal for equal fields so
+      that sharing goes by value, for four classes of fields. The layer-cost
+      class is compute and comm scaling and the tp/cp/ep overlaps; the
+      layer-time class adds the activation strategy and offload
+      coefficients; the terms class adds pp_overlap and dp_overlap, every
+      field but the optimizer strategy; the comm class is the comm scaling.
+      The entry also holds the update key (optimizer strategy,
+      compute_lambda("optimizer")). A set's scaling maps must not change
+      while its memo is in use.
+    * Per module rate (module, direction, compute lambda): the profiled
+      throughput times the lambda, capped by the roofline, which the layer
+      costs and the embedding/head times read.
     * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
       reads: its Decomposition, which keeps its own per-layer sums, or the
       ShapeError message decompose raised, raised again for every later
@@ -366,20 +388,19 @@ class EvalMemo:
       reads only pp and chunks; and the static bytes of the optimizer
       strategies other than distributed, which read only the held
       parameters and the hardware.
-    * Per plan (the last one seen, by identity): validation, the static
+    * Per shape and layer-cost id: the layer cost and the embedding/head
+      module times; per shape and layer-time id, the strategy-adjusted
+      layer TimeParts and their totals.
+    * Per plan (the last one seen, by identity): validation and the static
       bytes of the distributed optimizer strategy, which divides them by
-      dp, and from the plan's first full evaluation on, the integer counts
-      of the phase expression (_phase_counts) and the table `terms`. That
-      table is keyed by the layer-time key below plus pp_overlap and
-      dp_overlap, every combo field but the optimizer strategy, and holds
-      the phases and the five exposure channels, with the pipeline hop and
-      its steady-phase cost in them, and t_dp. A full evaluation adds only
-      its strategy's update time t_update to these.
-    * Per shape and the combo fields they read (compute and comm scaling and
-      the tp/cp/ep overlap coefficients): the layer cost and the
-      embedding/head module times; and per that key, activation strategy and
-      offload coefficients (the layer-time key), the strategy-adjusted layer
-      TimeParts.
+      dp. From the plan's first full evaluation on, also the integer counts
+      of the phase expression (_phase_counts) and three tables: `terms`,
+      per terms id, the phases, the five exposure channels and t_dp;
+      `comms`, per comm id and whether a dp overlap applies, the pipeline
+      hop, the dp all-reduce and the overlap's per-chunk
+      reduce-scatter/all-gather lists; and `updates`, per update key,
+      t_update. A full evaluation adds only its step time and TFLOPS to
+      these.
     * Per collective (kind, group size, message bytes, comm_lambda(kind)):
       its time, for the pipeline hop, the dp all-reduce and the dp-overlap's
       per-chunk reduce-scatter/all-gather.
@@ -393,12 +414,30 @@ class EvalMemo:
         self.arch, self.db, self.dtypes, self.hw = arch, db, dtypes, db.hardware
         self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         self.plan: ParallelPlan | None = None
+        self.combos: dict[int, tuple] = {}
+        self.classes: tuple[dict, ...] = ({}, {}, {}, {})   # per class: fields -> id
+        self.rates: dict[tuple, float] = {}
         self.decomps: dict[tuple, Decomposition | str] = {}
         self.depths: dict[tuple, tuple] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.parts: dict[tuple, tuple] = {}
         self.collectives: dict[tuple, float] = {}
         self.flops: dict[tuple[int, int], float] = {}
+
+    def combo(self, opts: OptimizationSet) -> tuple:
+        """opts' entry: (opts, layer-cost id, layer-time id, terms id, comm id,
+        update key)."""
+        entry = self.combos.get(id(opts))
+        if entry is None:
+            comm = tuple(opts.comm_scaling.items())
+            cost = (tuple(opts.compute_scaling.items()), comm, opts.tp_overlap,
+                    opts.cp_overlap, opts.ep_overlap)
+            time = (cost, opts.activation_strategy, opts.offload_coeffs)
+            keys = (cost, time, (time, opts.pp_overlap, opts.dp_overlap), comm)
+            entry = self.combos[id(opts)] = (
+                opts, *(ids.setdefault(key, len(ids)) for ids, key in zip(self.classes, keys)),
+                (opts.optimizer_strategy, opts.compute_lambda("optimizer")))
+        return entry
 
     def start_plan(self, plan: ParallelPlan) -> None:
         """Validate `plan` and set its decomposition and byte terms; raises
@@ -430,8 +469,13 @@ class EvalMemo:
                  for strategy in _optim.OPTIMIZER_STRATEGIES if strategy != "distributed"})
         self.params_held, self.param_bytes, self.grad_bytes, self.act_bytes, self.static = depth
         self.sharded = self.static_bytes("distributed")
-        self.counts: tuple | None = None
-        self.terms: dict[tuple, tuple] = {}
+        self.terms: dict[int, tuple] | None = None
+
+    def start_terms(self) -> None:
+        """At the current plan's first full evaluation: its phase counts and
+        its empty tables of shared terms."""
+        self.counts = _phase_counts(self.plan)
+        self.terms, self.comms, self.updates = {}, {}, {}
 
     def collective(self, opts: OptimizationSet, kind: str, group: int,
                    volume: float) -> float:
@@ -467,23 +511,21 @@ class EvalMemo:
         return (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes
 
 
-def _plan_terms(memo: EvalMemo, opts: OptimizationSet, parts_key: tuple) -> tuple:
-    """The cost terms of memo's current plan under `opts` that no optimizer
-    strategy changes: the CostReport fields before t_update, and those after
-    tflops."""
+def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: int,
+                comm_id: int) -> tuple:
+    """The cost terms of memo's current plan under `opts`, whose combo ids
+    are given, that no optimizer strategy changes: the CostReport fields
+    before t_update, and those after tflops."""
     arch, db, dtypes, plan, decomp = memo.arch, memo.db, memo.dtypes, memo.plan, memo.decomp
-    parts = memo.parts.get(parts_key)
+    parts = memo.parts.get((memo.shape, time_id))
     if parts is None:
-        shape_key = parts_key[:6]
-        shape = memo.shapes.get(shape_key)
+        shape = memo.shapes.get((memo.shape, cost_id))
         if shape is None:
-            shape = memo.shapes[shape_key] = (
-                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
-                (_module_time(decomp.embedding, db, opts, False),
-                 _module_time(decomp.embedding, db, opts, True),
-                 _module_time(decomp.head, db, opts, False),
-                 _module_time(decomp.head, db, opts, True)),
-            )
+            rates = memo.rates
+            shape = memo.shapes[memo.shape, cost_id] = (
+                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp, rates=rates),
+                tuple(_module_time(m, db, opts, backward, rates)
+                      for m in (decomp.embedding, decomp.head) for backward in (False, True)))
         lc, ends = shape   # ends: the embedding and head forward/backward times
 
         # Activation strategy: scalar result from the strategy op, then the
@@ -499,27 +541,45 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, parts_key: tuple) -> tupl
                                   bwd_parts.tp, bwd_parts.cp, bwd_parts.ep)
         fwd_parts = TimeParts(fwd_parts.cal + (fwd_total - lc.fwd.total),
                               fwd_parts.tp, fwd_parts.cp, fwd_parts.ep)
-        parts = memo.parts[parts_key] = (fwd_parts, bwd_parts, ends)
-    fwd_parts, bwd_parts, ends = parts
+        parts = memo.parts[memo.shape, time_id] = (fwd_parts, bwd_parts, fwd_parts.total,
+                                                   bwd_parts.total, ends)
+    fwd_parts, bwd_parts, t_fwd, t_bwd, ends = parts
 
-    # Pipeline hop and its steady-phase overlap.
-    t_pp_hop = 0.0
-    if plan.pp > 1:
-        vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
-        t_pp_hop = memo.collective(opts, "p2p", 2, vol)
+    # The pipeline hop, the held gradients' all-reduce and, under a dp
+    # overlap, its per-chunk reduce-scatter/all-gather. The all-reduce is
+    # timed even where the overlap replaces it, so that a profile without
+    # it fails alike.
+    overlapped = opts.dp_overlap is not None and plan.dp > 1
+    comm = memo.comms.get((comm_id, overlapped))
+    if comm is None:
+        t_pp_hop = 0.0
+        if plan.pp > 1:
+            vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
+            t_pp_hop = memo.collective(opts, "p2p", 2, vol)
+        vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
+        t_all_reduce = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
+        rs = ag = None
+        if overlapped:
+            per_chunk_params = plan.layers_per_stage * decomp.layer_params
+            rs = [memo.collective(opts, "reduce-scatter", plan.dp,
+                                  dtypes.grad_bytes * per_chunk_params)] * plan.chunks
+            ag = [memo.collective(opts, "all-gather", plan.dp,
+                                  dtypes.param_bytes * per_chunk_params)] * plan.chunks
+        comm = memo.comms[comm_id, overlapped] = (t_pp_hop, t_all_reduce, rs, ag)
+    t_pp_hop, t_dp, rs, ag = comm
+
+    # The hop's steady-phase overlap.
     t_pp_steady = t_pp_hop
     if opts.pp_overlap is not None and t_pp_hop > 0:
         ov = opts.pp_overlap
         # Steady alternates directions; hide behind the mean of one stage's
         # forward and backward layer block.
-        hide = plan.layers_per_stage * (fwd_parts.total + bwd_parts.total) / 2.0
+        hide = plan.layers_per_stage * (t_fwd + t_bwd) / 2.0
         t_pp_steady = _optim.pp_overlap(t_pp_hop, hide, ov.alpha, ov.beta)
 
     counts = memo.counts
-    if counts is None:
-        counts = memo.counts = _phase_counts(plan)
     warmup, steady, cooldown, t_pipeline = _phases(
-        counts, fwd_parts.total, bwd_parts.total, t_pp_hop, t_pp_steady, *ends)
+        counts, t_fwd, t_bwd, t_pp_hop, t_pp_steady, *ends)
     # The phase formulas are linear in their inputs, so each exposure channel
     # is the same expression on that channel's terms alone.
     t_cal = _phases(counts, fwd_parts.cal, bwd_parts.cal, 0.0, 0.0, *ends)[3]
@@ -528,18 +588,9 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, parts_key: tuple) -> tupl
     t_ep = _channel(counts, fwd_parts.ep, bwd_parts.ep)
     t_pp = _channel(counts, 0.0, 0.0, t_pp_hop, t_pp_steady)
 
-    # The held gradients' all-reduce, or its dp overlap.
-    vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
-    t_dp = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
-    if opts.dp_overlap is not None and plan.dp > 1:
-        per_chunk_params = plan.layers_per_stage * decomp.layer_params
-        rs = [memo.collective(opts, "reduce-scatter", plan.dp,
-                              dtypes.grad_bytes * per_chunk_params)] * plan.chunks
-        ag = [memo.collective(opts, "all-gather", plan.dp,
-                              dtypes.param_bytes * per_chunk_params)] * plan.chunks
-        t_dp = _optim.dp_overlap(rs, ag, fwd_parts.total, bwd_parts.total,
-                                 plan, opts.dp_overlap)
-    return ((fwd_parts.total, bwd_parts.total, warmup, steady, cooldown, t_pipeline, t_dp),
+    if overlapped:
+        t_dp = _optim.dp_overlap(rs, ag, t_fwd, t_bwd, plan, opts.dp_overlap)
+    return ((t_fwd, t_bwd, warmup, steady, cooldown, t_pipeline, t_dp),
             (t_cal, t_tp, t_pp, t_ep, t_cp, counts[-1]))
 
 
@@ -579,18 +630,19 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if over_limit and memo.complete:
         return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
 
-    parts_key = (memo.shape, tuple(opts.compute_scaling.items()),
-                 tuple(opts.comm_scaling.items()), opts.tp_overlap, opts.cp_overlap,
-                 opts.ep_overlap, opts.activation_strategy, opts.offload_coeffs)
-    terms_key = (parts_key, opts.pp_overlap, opts.dp_overlap)
-    terms = memo.terms.get(terms_key)
+    _, cost_id, time_id, terms_id, comm_id, update = memo.combo(opts)
+    if memo.terms is None:
+        memo.start_terms()
+    terms = memo.terms.get(terms_id)
     if terms is None:
-        terms = memo.terms[terms_key] = _plan_terms(memo, opts, parts_key)
+        terms = memo.terms[terms_id] = _plan_terms(memo, opts, cost_id, time_id, comm_id)
     head, tail = terms   # head ends with t_pipeline and t_dp
 
     # Optimizer: the base update under the strategy, after the dp term.
-    p_opt = memo.hw.optimizer_throughput * opts.compute_lambda("optimizer")
-    t_update = memo.optimizer(strategy, memo.params_held / p_opt)[1]
+    t_update = memo.updates.get(update)
+    if t_update is None:
+        p_opt = memo.hw.optimizer_throughput * update[1]
+        t_update = memo.updates[update] = memo.optimizer(strategy, memo.params_held / p_opt)[1]
     t_opt = head[6] + t_update
 
     t_step = step_time(head[5], t_opt)

@@ -15,6 +15,8 @@ whose docstring says what work they share.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import nsmallest
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arch import ModelArchitecture
@@ -170,6 +172,10 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
 
     def descend(level: int) -> None:
         name, values = levels[level]
+        if level == last:
+            # the plan fields before chunks: the other dimensions, in plan
+            # order, then global_batch
+            head = (*assigned.values(), batch)
         for value in values:
             assigned[name] = value
             reason = check(space, assigned)
@@ -178,7 +184,7 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
             elif level < last:
                 descend(level + 1)
             else:
-                plans.append(ParallelPlan(**assigned, global_batch=batch, num_layers=layers))
+                plans.append(tuple.__new__(ParallelPlan, (*head, value, layers)))
         assigned.pop(name, None)
 
     descend(0)
@@ -190,34 +196,47 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
 
     Returns the top_k feasible candidates (all of them when top_k is None)
     ranked by ascending step time with a deterministic lexicographic
-    tie-break, plus the count of each rejection reason: a pruning rule, a
-    ShapeError or InputError message up to its first ':', or "memory"."""
+    tie-break (Candidate.step_key), plus the count of each rejection reason:
+    a pruning rule, a ShapeError or InputError message up to its first ':',
+    or "memory", in the order each reason first occurred.
+
+    A feasible candidate is kept as (step_key, plan, opts, cost, memory).
+    The keys are unique, so heapq.nsmallest picks a top_k >= 0 as a full
+    sort would, and only the returned candidates become Candidates."""
     space = space.resolved()
     arch, db, dtypes, mode = space.arch, space.db, space.dtypes, space.tflops_mode
     combos = tuple(enumerate(space.opt_combos))
     limit = db.hardware.gpu_memory
     rejections: dict[str, int] = {}
     memo = EvalMemo(arch, db, dtypes)
-    feasible: list[Candidate] = []
-    evaluated = 0
+    feasible: list[tuple] = []
+    evaluated = over_memory = 0
     for plan in _enumerate_plans(space, rejections):
         evaluated += len(combos)
+        dims = dim_values(plan)
         for idx, opts in combos:
             try:
-                result = evaluate_plan(arch, plan, db, opts, dtypes, mode, limit, memo)
+                cost, memory = evaluate_plan(arch, plan, db, opts, dtypes, mode, limit, memo)
             except (ShapeError, InputError) as exc:
                 key = str(exc).split(":")[0]
-            else:
-                if result.cost is not None:
-                    feasible.append(Candidate(plan, opts, idx, result.cost,
-                                              result.memory))
-                    continue
-                key = "memory"
-            rejections[key] = rejections.get(key, 0) + 1
-    feasible.sort(key=lambda c: c.step_key)
-    if top_k is not None:
-        feasible = feasible[:top_k]
-    return TuneResult(tuple(feasible), evaluated=evaluated, rejections=rejections)
+                rejections[key] = rejections.get(key, 0) + 1
+                continue
+            if cost is not None:
+                feasible.append(((cost.t_step, *dims, idx), plan, opts, cost, memory))
+                continue
+            if not over_memory:   # the first memory rejection sets the key's place
+                rejections.setdefault("memory", 0)
+            over_memory += 1
+    if over_memory:
+        rejections["memory"] += over_memory
+    step_key = itemgetter(0)
+    if top_k is None or top_k < 0:   # a negative top_k slices off the worst
+        feasible = sorted(feasible, key=step_key)[:top_k]
+    else:
+        feasible = nsmallest(top_k, feasible, key=step_key)
+    return TuneResult(tuple(Candidate(plan, opts, key[-1], cost, memory)
+                            for key, plan, opts, cost, memory in feasible),
+                      evaluated=evaluated, rejections=rejections)
 
 
 def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,

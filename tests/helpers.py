@@ -5,11 +5,12 @@ reference."""
 from __future__ import annotations
 
 import itertools
+import math
 
 from traincost.arch import ModelArchitecture
 from traincost.basecost import evaluate_plan
 from traincost.errors import InputError, ShapeError
-from traincost.plan import ParallelPlan
+from traincost.plan import DIMS, ParallelPlan
 from traincost.profile import (
     CommBucket,
     CommEntry,
@@ -96,6 +97,29 @@ def reference_pipeline_time(t_fwd, t_bwd, plan, t_pp=0.0, t_embed=0.0,
     return warmup, steady, cooldown, warmup + steady + cooldown, notes
 
 
+def printed_rules(space, assigned: dict) -> str | None:
+    """The reason of the first printed rule that an assignment of plan
+    dimensions breaks, or None. A rule applies once its inputs are assigned;
+    the parallel product counts the assigned degrees."""
+    world = math.prod(assigned.get(name, 1) for name in ("tp", "cp", "pp", "ep", "dp"))
+    if world > space.total_gpus:
+        return "resource: parallel product exceeds total gpus"
+    if "tp" in assigned and assigned["tp"] > space.db.hardware.gpus_per_node:
+        return "tp exceeds gpus per node"
+    if "micro_batch" in assigned:
+        m_bs, batch = assigned["micro_batch"], space.global_batch
+        if m_bs > batch:
+            return "micro batch exceeds global batch"
+        if "dp" in assigned and batch % (m_bs * assigned["dp"]) != 0:
+            return "global batch not divisible by micro_batch*dp"
+        if "pp" in assigned and batch // m_bs < assigned["pp"]:
+            return "too few micro batches for the pipeline depth"
+    if "pp" in assigned and "chunks" in assigned:
+        if space.arch.num_layers % (assigned["pp"] * assigned["chunks"]) != 0:
+            return "layers not divisible by pp*chunks"
+    return None
+
+
 def exhaustive_tune_reference(space, top_k):
     """Brute-force tuner oracle: raw Cartesian product, full-candidate
     filtering with the printed rules applied at the end, same ranking key as
@@ -109,17 +133,7 @@ def exhaustive_tune_reference(space, top_k):
                                    space.micro_batch_candidates,
                                    space.chunk_candidates):
         t, c, p, e, d, m_bs, v = combo
-        if t * c * p * e * d > space.total_gpus:
-            continue
-        if t > hw.gpus_per_node:
-            continue
-        if m_bs > space.global_batch:
-            continue
-        if space.global_batch % (m_bs * d) != 0:
-            continue
-        if space.global_batch // m_bs < p:
-            continue
-        if space.arch.num_layers % (p * v) != 0:
+        if printed_rules(space, dict(zip(DIMS.values(), combo))) is not None:
             continue
         for idx, opts in enumerate(space.opt_combos):
             plan = ParallelPlan(tp=t, cp=c, pp=p, ep=e, dp=d, micro_batch=m_bs,

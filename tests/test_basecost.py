@@ -22,6 +22,7 @@ from traincost.errors import InfeasibleError, InputError, ProfileLookupError, Sh
 from traincost.optim import (
     ACTIVATION_STRATEGIES,
     OPTIMIZER_STRATEGIES,
+    DpOverlapCoeffs,
     OffloadCoeffs,
     OptimizationSet,
     OverlapCoeffs,
@@ -294,6 +295,27 @@ class TestMemory:
         assert retained(plan, 2e9) == 2 * retained(plan, 1e9)
 
 
+def _combo_variants():
+    """A base combo and combos that differ from it in one field only: a
+    per-kind or '*' comm scaling, one module's or the optimizer's compute
+    scaling, pp_overlap, or dp_overlap in either mode."""
+    base = OptimizationSet(tp_overlap=OverlapCoeffs(), cp_overlap=OverlapCoeffs(),
+                           ep_overlap=OverlapCoeffs(alpha=1.25),
+                           dp_overlap=DpOverlapCoeffs())
+    return [base] + [base._replace(**change) for change in (
+        {"comm_scaling": {"all-gather": 0.5}}, {"comm_scaling": {"p2p": 0.25}},
+        {"comm_scaling": {"all-reduce": 2.0}}, {"comm_scaling": {"reduce-scatter": 0.5}},
+        {"comm_scaling": {"*": 2.0}},
+        {"compute_scaling": {"qkv": 2.0}}, {"compute_scaling": {"optimizer": 0.5}},
+        {"pp_overlap": OverlapCoeffs(alpha=1.5, beta=1.25)},
+        {"dp_overlap": DpOverlapCoeffs(mode="verbatim")}, {"dp_overlap": None},
+    )]
+
+
+def _float_bits(report) -> tuple:
+    return tuple(value.hex() if isinstance(value, float) else value for value in report)
+
+
 class TestEvalMemo:
     def test_memory_report_keeps_each_strategy_op_bytes(self):
         """Each strategy's bytes in evaluate_plan's MemoryReport, through one
@@ -360,6 +382,86 @@ class TestEvalMemo:
         assert shared == [evaluate_plan(arch, plan, db, opts) for opts in combos]
         assert shared[0].cost.t_fwd != shared[1].cost.t_fwd
 
+
+    def test_combos_differing_in_one_field_match_unshared_evaluation(self):
+        # roofline-capped and bwd-specific entries: the module rates read
+        # the module, the direction and its compute lambda
+        hw = make_hardware(hbm_bw=100e9)
+        db = make_db(hw, entries=[
+            ComputeEntry("qkv", 0.3e12, bwd_flops_per_s=0.2e12, intensity=4.0),
+            ComputeEntry("mlp-linear-1", 1e12, intensity=8.0),
+            ComputeEntry("head", 3e12, intensity=1.0)], group_sizes=(2, 4))
+        plans = [ParallelPlan(tp=2, cp=cp, pp=pp, ep=ep, dp=dp, micro_batch=1,
+                              global_batch=8, chunks=v, num_layers=4)
+                 for cp, pp, ep, dp, v in ((1, 2, 1, 2, 2), (2, 2, 2, 2, 1),
+                                           (1, 1, 2, 4, 1), (1, 4, 1, 2, 1))]
+        combos = _combo_variants()   # reversed, the one without dp overlap comes first
+        for arch, order in itertools.product((tiny_dense(l=4, h=8, a=2), tiny_moe(l=4, h=8, a=2)),
+                                             (combos, combos[::-1])):
+            memo = EvalMemo(arch, db, Dtypes())
+            for plan in plans:
+                if plan.ep > 1 and not arch.is_moe:
+                    continue
+                for opts in order:
+                    shared = evaluate_plan(arch, plan, db, opts, memo=memo)
+                    alone = evaluate_plan(arch, plan, db, opts)
+                    assert _float_bits(shared.cost) == _float_bits(alone.cost)
+                    assert _float_bits(shared.memory) == _float_bits(alone.memory)
+            # every variant changes a field the terms read
+            assert len(memo.classes[2]) == len(combos)
+
+    def test_module_rates_read_module_direction_and_lambda(self):
+        """Layer costs that share one rate table time every module at the
+        profiled rate of its direction, times its compute lambda, capped by
+        the roofline."""
+        hw = make_hardware(hbm_bw=100e9)
+        db = make_db(hw, entries=[
+            ComputeEntry("qkv", 0.3e12, bwd_flops_per_s=0.2e12, intensity=4.0),
+            ComputeEntry("mlp-linear-1", 1e12, intensity=8.0)])
+        arch, plan = tiny_dense(l=4, h=8, a=2), simple_plan(num_layers=4)
+        layer = decompose(arch, plan).layer
+        rates = {}
+        for scaling in ({}, {"qkv": 2.0, "*": 0.5}, {"mlp-linear-1": 0.25}):
+            opts = OptimizationSet(compute_scaling=scaling)
+            lc = layer_cost(arch, plan, db, opts, rates=rates)
+            for parts, factor, backward in ((lc.fwd, 1.0, False), (lc.bwd, 2.0, True)):
+                times = []
+                for m in layer:
+                    entry = db.compute.lookup(m.name)
+                    cap = (min(entry.intensity * hw.hbm_bw, hw.gpu_peak_flops)
+                           if entry.intensity is not None else hw.gpu_peak_flops)
+                    rate = min(entry.throughput(backward) * opts.compute_lambda(m.name), cap)
+                    times.append(m.flops_fwd * factor / rate if m.flops_fwd else 0.0)
+                assert parts.cal.hex() == sum(times).hex()
+
+    def test_equal_combos_share_one_terms_call_per_plan(self, monkeypatch):
+        import traincost.basecost as basecost
+        calls = []
+        original = basecost._plan_terms
+        monkeypatch.setattr(basecost, "_plan_terms",
+                            lambda *args: calls.append(args[0].plan) or original(*args))
+        arch, db = tiny_dense(l=4, h=8, a=2), make_db(make_hardware(gpu_memory=1e12))
+        first, second = (OptimizationSet(compute_scaling={"qkv": 2.0},
+                                          pp_overlap=OverlapCoeffs()) for _ in range(2))
+        assert first == second and first is not second
+        memo = EvalMemo(arch, db, Dtypes())
+        plans = [simple_plan(tp=2, pp=pp, dp=dp, global_batch=8, num_layers=4)
+                 for pp, dp in ((1, 1), (2, 1), (2, 2))]
+        for plan in plans:
+            assert evaluate_plan(arch, plan, db, first, memo=memo) \
+                == evaluate_plan(arch, plan, db, second, memo=memo)
+        assert calls == plans
+
+    def test_a_deleted_combo_id_is_not_served_again(self):
+        arch, db = tiny_dense(l=4, h=8, a=2), make_db()
+        plan = simple_plan(tp=2, pp=2, global_batch=8, num_layers=4)
+        memo = EvalMemo(arch, db, Dtypes())
+        opts = OptimizationSet(activation_strategy="full-recompute")
+        evaluate_plan(arch, plan, db, opts, memo=memo)
+        del opts
+        other = OptimizationSet(compute_scaling={"*": 0.5})
+        assert evaluate_plan(arch, plan, db, other, memo=memo) \
+            == evaluate_plan(arch, plan, db, other)
 
 def _invariant_cases():
     """Every pipeline regime the tuner ranks: interleaving, hops with and

@@ -197,6 +197,49 @@ def test_top_k_e2e_list_is_byte_identical(configs_dir, tmp_path, name, top_k):
     assert hashlib.sha256(payload.encode()).hexdigest() == TOP_K_E2E_SHA256[name, top_k]
 
 
+# The same for tune_step(space, top_k=k), where heapq.nsmallest picks the
+# top k, and the first-seen order of the rejection reasons, which the
+# `rejections` of to_json_dict sorts away. tune_step_llama2_128.json is the
+# default space that bench/configs/tune_dense.json tunes.
+TOP_K_STEP_SHA256 = {
+    ("tune_step_llama2_128.json", 0):
+        "0509594e2644299857598ec150f0bbe69286df16e2b184836d1d378fe539f039",
+    ("tune_step_llama2_128.json", 1):
+        "7d863841ab5925c8057aa5beb40aaace57a94b2bd8b7fc315912f19c85377a3b",
+    ("tune_step_llama2_128.json", 4):
+        "c6e66bfe4fe3951b3162985aee10e174a4b691fe49f860e7fbbfdb6c2417cb27",
+    ("tune_step_llama2_128.json", 10):
+        "cdbcd6a6ed5806f3f7a641d4f8904a9fb5a17a0c30804886ddb3cd576229b4af",
+    ("run_tune_llama2.json", 0):
+        "a795b84f6e69185415e80598429d5a294ddff5c0b2c95321a1a1fa38db6b1b86",
+    ("run_tune_llama2.json", 1):
+        "993b5192aaf2ee61956a99514df4630161eb5d8fc1031e578b02d63e2f31c45f",
+    ("run_tune_llama2.json", 4):
+        "bdd371bf2997ec544c7d79b4bf1ed9ca019998e97563a899c69433f9ebddfcb0",
+    ("run_tune_llama2.json", 10):
+        "dfa580e1399f170d20512d7da5684a7b891e4f298fc0d8fe2fa5dc35289e471e",
+}
+REJECTION_ORDER = {
+    "tune_step_llama2_128.json": [
+        "layers not divisible by pp*chunks", "global batch not divisible by micro_batch*dp",
+        "too few micro batches for the pipeline depth",
+        "resource: parallel product exceeds total gpus", "memory"],
+    "run_tune_llama2.json": ["resource: parallel product exceeds total gpus", "memory"],
+}
+
+
+@pytest.mark.parametrize("name,top_k", sorted(TOP_K_STEP_SHA256))
+def test_top_k_step_list_is_byte_identical(configs_dir, tmp_path, name, top_k):
+    if name in SCALED_CASES:
+        cfg = scaled_config(configs_dir, tmp_path, *SCALED_CASES[name][0])
+    else:
+        cfg = load_config(os.path.join(configs_dir, name))
+    result = tune_step(cfg.space, top_k=top_k)
+    payload = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TOP_K_STEP_SHA256[name, top_k]
+    assert list(result.rejections) == REJECTION_ORDER[name]
+
+
 def test_eval_report_matches_golden(configs_dir, capsys):
     code = main(["eval", "--config",
                  os.path.join(configs_dir, "run_eval_llama2.json")])

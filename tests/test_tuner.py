@@ -9,6 +9,7 @@ from helpers import (
     exhaustive_tune_reference,
     make_db,
     make_hardware,
+    printed_rules,
     tiny_dense,
     tiny_moe,
 )
@@ -32,6 +33,7 @@ from traincost.optim import (
     OptimizationSet,
     OverlapCoeffs,
 )
+from traincost.plan import DIMS
 from traincost.tuner import (
     CANDIDATE_FIELDS,
     Candidate,
@@ -94,8 +96,46 @@ class TestPrune:
         assert prune(space, {"tp": 2, "cp": 1, "pp": 2, "ep": 1, "dp": 2}) \
             == "resource: parallel product exceeds total gpus"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({
+        "tp": st.sampled_from([1, 2, 3, 16]), "cp": st.sampled_from([1, 2]),
+        "pp": st.sampled_from([1, 2, 3, 4, 8]), "ep": st.sampled_from([1, 2]),
+        "dp": st.sampled_from([1, 2, 3, 4]), "micro_batch": st.sampled_from([1, 2, 3, 8, 32]),
+        "chunks": st.sampled_from([1, 2, 3])}))
+    def test_every_prefix_matches_the_printed_rules(self, full):
+        space = small_space(total_gpus=16).resolved()
+        names = list(DIMS.values())
+        for depth in range(len(names) + 1):
+            prefix = {name: full[name] for name in names[:depth]}
+            assert prune(space, prefix) == printed_rules(space, prefix)
+
+    @pytest.mark.parametrize("assigned,reason", [
+        # seven keys, one of them outside DIMS: chunks or tp is unassigned
+        ({"tp": 1, "cp": 1, "pp": 2, "ep": 1, "dp": 1, "micro_batch": 1, "v": 3}, None),
+        ({"t": 16, "cp": 1, "pp": 2, "ep": 1, "dp": 1, "micro_batch": 1, "chunks": 2}, None),
+        # keys out of DIMS order are read by name
+        ({"chunks": 3, "micro_batch": 1, "dp": 1, "ep": 1, "pp": 2, "cp": 1, "tp": 1},
+         "layers not divisible by pp*chunks"),
+        ({"chunks": 1, "micro_batch": 32, "dp": 1, "ep": 1, "pp": 1, "cp": 1, "tp": 1},
+         "micro batch exceeds global batch"),
+        ({"chunks": 3, "pp": 2}, "layers not divisible by pp*chunks"),
+        ({"dp": 2, "micro_batch": 16}, "global batch not divisible by micro_batch*dp"),
+    ])
+    def test_assignment_is_read_by_name(self, assigned, reason):
+        assert prune(small_space().resolved(), assigned) == reason
+
 
 class TestTuneStep:
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_top_k_is_a_prefix_of_the_full_ranking(self, configs_dir, sample):
+        space = (load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
+                 if sample else small_space())
+        full = tune_step(space, top_k=None).candidates
+        n = len(full)
+        assert n > 3
+        for k in (0, 1, 3, n, n + 5):
+            assert repr(tune_step(space, top_k=k).candidates) == repr(full[:k])
+
     def test_space_rejects_unknown_tflops_mode(self):
         with pytest.raises(InputError, match="unknown tflops mode 'bogus'"):
             small_space(tflops_mode="bogus")
@@ -373,9 +413,11 @@ class TestSharedTerms:
               suppress_health_check=[HealthCheck.too_slow])
     @given(small_spaces())
     def test_tune_step_matches_unshared_evaluation(self, space):
-        # every float, the evaluated count and the rejection counts
-        assert tune_step(space, top_k=None).to_json_dict() \
-            == unshared_tune_reference(space).to_json_dict()
+        # every float, the evaluated count and the rejection counts, and the
+        # reasons in the order each first occurred
+        result, reference = tune_step(space, top_k=None), unshared_tune_reference(space)
+        assert result.to_json_dict() == reference.to_json_dict()
+        assert list(result.rejections) == list(reference.rejections)
 
     def test_activation_op_runs_once_per_table_key(self, configs_dir, monkeypatch):
         """The memo calls the activation strategy op four times per depth key
@@ -404,23 +446,31 @@ class TestSharedTerms:
                                                                  monkeypatch):
         """The memo calls the optimizer strategy op twice per depth key (the
         none and cpu strategies' bytes), once per plan (the distributed
-        strategy's, which reads dp) and once per full evaluation (t_update),
-        not three times per plan."""
-        space = load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
-        op, calls = optim.apply_optimizer_strategy, []
-        monkeypatch.setattr(optim, "apply_optimizer_strategy",
-                            lambda *args, **kwargs: calls.append(args) or op(*args, **kwargs))
-        result = tune_step(space, top_k=None)
-        plans = _enumerate_plans(space.resolved(), {})
-        depths = {(p.tp, p.cp, p.ep, p.micro_batch, p.pp, p.chunks, p.num_layers)
-                  for p in plans}
-        # the sample's profile is complete: the full evaluations are the
-        # feasible candidates
-        assert len(calls) == 2 * len(depths) + len(plans) + len(result.candidates) \
-            == 2 * 24 + 66 + 102
-        assert [args[0] for args in calls].count("distributed") \
-            == len(plans) + sum(c.opts.optimizer_strategy == "distributed"
-                                for c in result.candidates)
+        strategy's, which reads dp) and, for t_update, once per plan and
+        update key (optimizer strategy, compute_lambda("optimizer")) among
+        the full evaluations, not three times per plan and once per full
+        evaluation."""
+        sample = load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
+        # every default combo of every plan is feasible: four activation
+        # strategies share each update key
+        unlimited = small_space(opt_combos=optim.default_feature_combos())
+        op = optim.apply_optimizer_strategy
+        for space, counts in ((sample, (24, 66, 102, 102)), (unlimited, (16, 32, 96, 384))):
+            calls = []
+            monkeypatch.setattr(optim, "apply_optimizer_strategy",
+                                lambda *args, **kwargs: calls.append(args) or op(*args, **kwargs))
+            result = tune_step(space, top_k=None)
+            plans = _enumerate_plans(space.resolved(), {})
+            depths = {(p.tp, p.cp, p.ep, p.micro_batch, p.pp, p.chunks, p.num_layers)
+                      for p in plans}
+            # both profiles are complete: the full evaluations are the
+            # feasible candidates
+            updates = {(c.plan, c.opts.optimizer_strategy, c.opts.compute_lambda("optimizer"))
+                       for c in result.candidates}
+            assert (len(depths), len(plans), len(updates), len(result.candidates)) == counts
+            assert len(calls) == 2 * len(depths) + len(plans) + len(updates)
+            assert [args[0] for args in calls].count("distributed") \
+                == len(plans) + sum(strategy == "distributed" for _, strategy, _ in updates)
 
 
 class TestTuneE2e:
