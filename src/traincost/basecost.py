@@ -18,6 +18,8 @@ evaluations of a tune; its docstring says what is shared and keyed on what.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from functools import partial
 from typing import NamedTuple
 
 from . import optim as _optim
@@ -165,22 +167,21 @@ _TP_PAIRS = (
 BWD_FLOPS_RATIO = 2.0   # backward work relative to forward
 
 
-def _module_time(shape, db: ProfileDB, opts: OptimizationSet, backward: bool,
-                 rates: dict) -> float:
-    """The module's work over its rate: the profiled throughput times its
-    compute lambda, capped by the roofline. `rates` keeps each rate of db by
-    (module, direction, lambda), the only inputs it reads."""
+def _module_rate(db: ProfileDB, name: str, backward: bool, lam: float) -> float:
+    """A module's rate in db: its profiled throughput in one direction times
+    its compute lambda, capped by the roofline."""
+    entry = db.compute.lookup(name)
+    cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
+           if entry.intensity is not None else db.hardware.gpu_peak_flops)
+    return min(entry.throughput(backward) * lam, cap)
+
+
+def _module_time(shape, opts: OptimizationSet, backward: bool, rate) -> float:
+    """The module's work over rate(name, backward, compute lambda)."""
     if shape.flops_fwd == 0:
         return 0.0
-    lam = opts.compute_lambda(shape.name)
-    key = (shape.name, backward, lam)
-    rate = rates.get(key)
-    if rate is None:
-        entry = db.compute.lookup(shape.name)
-        cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
-               if entry.intensity is not None else db.hardware.gpu_peak_flops)
-        rate = rates[key] = min(entry.throughput(backward) * lam, cap)
-    return op_time(shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0), rate)
+    return op_time(shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0),
+                   rate(shape.name, backward, opts.compute_lambda(shape.name)))
 
 
 def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
@@ -201,12 +202,13 @@ class LayerCost(NamedTuple):
 def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                opts: OptimizationSet | None = None, dtypes: Dtypes = Dtypes(),
                decomp: Decomposition | None = None,
-               rates: dict | None = None) -> LayerCost:
+               rate: Callable[[str, bool, float], float] | None = None) -> LayerCost:
     """Per-layer forward/backward latency with exposure channels, plus the
-    forward times the recomputation strategies replay. rates, when given, is
-    the module-rate table of db that _module_time reads and fills."""
+    forward times the recomputation strategies replay. rate(module,
+    backward, compute lambda) gives a module's rate in db; by default it is
+    computed from db at each call (EvalMemo.rate keeps it per tune)."""
     opts = opts or OptimizationSet()
-    rates = {} if rates is None else rates
+    rate = rate or partial(_module_rate, db)
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
 
@@ -263,10 +265,10 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                 ep = ep_total
         return TimeParts(sum(times), tp, cp, ep)
 
-    fwd_times = [_module_time(m, db, opts, False, rates) for m in decomp.layer]
+    fwd_times = [_module_time(m, opts, False, rate) for m in decomp.layer]
     return LayerCost(
         fwd=exposed(fwd_times),
-        bwd=exposed([_module_time(m, db, opts, True, rates) for m in decomp.layer]),
+        bwd=exposed([_module_time(m, opts, True, rate) for m in decomp.layer]),
         t_qkv_fwd=fwd_times[names.index("qkv")],
         t_attention_fwd=attention(fwd_times),
     )
@@ -375,8 +377,8 @@ class EvalMemo:
       The entry also holds the update key (optimizer strategy,
       compute_lambda("optimizer")). A set's scaling maps must not change
       while its memo is in use.
-    * Per module rate (module, direction, compute lambda): the profiled
-      throughput times the lambda, capped by the roofline, which the layer
+    * Per module rate (module, direction, compute lambda), by `rate`: the
+      profiled throughput times the lambda, capped by the roofline, which the layer
       costs and the embedding/head times read.
     * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
       reads: its Decomposition, which keeps its own per-layer sums, or the
@@ -486,6 +488,15 @@ class EvalMemo:
             t = self.collectives[key] = _collective_time(self.db, opts, kind, group, volume)
         return t
 
+    def rate(self, name: str, backward: bool, lam: float) -> float:
+        """_module_rate of the memo's db, kept per (module, direction,
+        lambda)."""
+        key = (name, backward, lam)
+        rate = self.rates.get(key)
+        if rate is None:
+            rate = self.rates[key] = _module_rate(self.db, name, backward, lam)
+        return rate
+
     def activation(self, strategy: str, **times) -> tuple[float, float, float]:
         """The activation strategy op on the current plan's byte terms; the
         first norm retains the layer input."""
@@ -521,10 +532,10 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: in
     if parts is None:
         shape = memo.shapes.get((memo.shape, cost_id))
         if shape is None:
-            rates = memo.rates
+            rate = memo.rate
             shape = memo.shapes[memo.shape, cost_id] = (
-                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp, rates=rates),
-                tuple(_module_time(m, db, opts, backward, rates)
+                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp, rate=rate),
+                tuple(_module_time(m, opts, backward, rate)
                       for m in (decomp.embedding, decomp.head) for backward in (False, True)))
         lc, ends = shape   # ends: the embedding and head forward/backward times
 

@@ -15,7 +15,6 @@ whose docstring says what work they share.
 from __future__ import annotations
 
 from bisect import insort
-from heapq import nsmallest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -200,9 +199,8 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     a pruning rule, a ShapeError or InputError message up to its first ':',
     or "memory", in the order each reason first occurred.
 
-    A feasible candidate is kept as (step_key, plan, opts, cost, memory).
-    The keys are unique, so heapq.nsmallest picks a top_k >= 0 as a full
-    sort would, and only the returned candidates become Candidates."""
+    A feasible candidate is kept as (step_key, plan, opts, cost, memory),
+    the key built once; only the returned candidates become Candidates."""
     space = space.resolved()
     arch, db, dtypes, mode = space.arch, space.db, space.dtypes, space.tflops_mode
     combos = tuple(enumerate(space.opt_combos))
@@ -210,7 +208,7 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
     rejections: dict[str, int] = {}
     memo = EvalMemo(arch, db, dtypes)
     feasible: list[tuple] = []
-    evaluated = over_memory = 0
+    evaluated = 0
     for plan in _enumerate_plans(space, rejections):
         evaluated += len(combos)
         dims = dim_values(plan)
@@ -219,21 +217,13 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
                 cost, memory = evaluate_plan(arch, plan, db, opts, dtypes, mode, limit, memo)
             except (ShapeError, InputError) as exc:
                 key = str(exc).split(":")[0]
-                rejections[key] = rejections.get(key, 0) + 1
-                continue
-            if cost is not None:
-                feasible.append(((cost.t_step, *dims, idx), plan, opts, cost, memory))
-                continue
-            if not over_memory:   # the first memory rejection sets the key's place
-                rejections.setdefault("memory", 0)
-            over_memory += 1
-    if over_memory:
-        rejections["memory"] += over_memory
-    step_key = itemgetter(0)
-    if top_k is None or top_k < 0:   # a negative top_k slices off the worst
-        feasible = sorted(feasible, key=step_key)[:top_k]
-    else:
-        feasible = nsmallest(top_k, feasible, key=step_key)
+            else:
+                if cost is not None:
+                    feasible.append(((cost.t_step, *dims, idx), plan, opts, cost, memory))
+                    continue
+                key = "memory"
+            rejections[key] = rejections.get(key, 0) + 1
+    feasible = sorted(feasible, key=itemgetter(0))[:top_k]
     return TuneResult(tuple(Candidate(plan, opts, key[-1], cost, memory)
                             for key, plan, opts, cost, memory in feasible),
                       evaluated=evaluated, rejections=rejections)

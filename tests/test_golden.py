@@ -197,8 +197,7 @@ def test_top_k_e2e_list_is_byte_identical(configs_dir, tmp_path, name, top_k):
     assert hashlib.sha256(payload.encode()).hexdigest() == TOP_K_E2E_SHA256[name, top_k]
 
 
-# The same for tune_step(space, top_k=k), where heapq.nsmallest picks the
-# top k, and the first-seen order of the rejection reasons, which the
+# The same for tune_step(space, top_k=k), and the first-seen order of the rejection reasons, which the
 # `rejections` of to_json_dict sorts away. tune_step_llama2_128.json is the
 # default space that bench/configs/tune_dense.json tunes.
 TOP_K_STEP_SHA256 = {
