@@ -2,24 +2,19 @@
 step time and achieved TFLOPS, plus the plan evaluator that adds the
 optimizer terms and overlays the optimization features.
 
-Latency is tracked per exposure channel (compute, tp, cp, ep, pp) so
-step-level breakdowns stay consistent with the phase totals: the pipeline
-phase formulas are linear in their inputs, so each channel is the same
-phase expression evaluated on that channel's terms alone, and the
-channels sum to the scalar result up to rounding. The expression lives in
-_phases, on integer counts computed once per plan; pipeline_time wraps it.
-A channel whose inputs are all zero is +0.0 for every plan and is skipped.
+Latency is tracked per exposure channel (compute, tp, cp, ep, pp). The phase
+expression, _phases on integer counts taken once per plan, is linear in its
+inputs, so each channel is that expression on the channel's terms alone and
+the channels sum to the scalar result up to rounding. A channel whose inputs
+are all zero is +0.0 for every plan and is skipped.
 
-evaluate_plan runs in an EvalMemo, the context of one (arch, db, dtypes):
-a fresh one per call, or the caller's, which the tuner shares between the
-evaluations of a tune; its docstring says what is shared and keyed on what.
+evaluate_plan runs in an EvalMemo, the context of one (arch, db, dtypes): a
+fresh one per call, or the one the tuner shares between a tune's evaluations.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 from . import optim as _optim
@@ -167,21 +162,16 @@ _TP_PAIRS = (
 BWD_FLOPS_RATIO = 2.0   # backward work relative to forward
 
 
-def _module_rate(db: ProfileDB, name: str, backward: bool, lam: float) -> float:
-    """A module's rate in db: its profiled throughput in one direction times
-    its compute lambda, capped by the roofline."""
-    entry = db.compute.lookup(name)
-    cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
-           if entry.intensity is not None else db.hardware.gpu_peak_flops)
-    return min(entry.throughput(backward) * lam, cap)
-
-
-def _module_time(shape, opts: OptimizationSet, backward: bool, rate) -> float:
-    """The module's work over rate(name, backward, compute lambda)."""
+def _module_time(shape, db: ProfileDB, opts: OptimizationSet, backward: bool) -> float:
+    """The module's work over its rate in db: its profiled throughput in one
+    direction times its compute lambda, capped by the roofline."""
     if shape.flops_fwd == 0:
         return 0.0
+    entry = db.compute.lookup(shape.name)
+    cap = (roofline_bound(entry.intensity, 1.0, db.hardware)
+           if entry.intensity is not None else db.hardware.gpu_peak_flops)
     return op_time(shape.flops_fwd * (BWD_FLOPS_RATIO if backward else 1.0),
-                   rate(shape.name, backward, opts.compute_lambda(shape.name)))
+                   min(entry.throughput(backward) * opts.compute_lambda(shape.name), cap))
 
 
 def _collective_time(db: ProfileDB, opts: OptimizationSet, kind: str,
@@ -201,14 +191,10 @@ class LayerCost(NamedTuple):
 
 def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                opts: OptimizationSet | None = None, dtypes: Dtypes = Dtypes(),
-               decomp: Decomposition | None = None,
-               rate: Callable[[str, bool, float], float] | None = None) -> LayerCost:
+               decomp: Decomposition | None = None) -> LayerCost:
     """Per-layer forward/backward latency with exposure channels, plus the
-    forward times the recomputation strategies replay. rate(module,
-    backward, compute lambda) gives a module's rate in db; by default it is
-    computed from db at each call (EvalMemo.rate keeps it per tune)."""
+    forward times the recomputation strategies replay."""
     opts = opts or OptimizationSet()
-    rate = rate or partial(_module_rate, db)
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
 
@@ -265,10 +251,10 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                 ep = ep_total
         return TimeParts(sum(times), tp, cp, ep)
 
-    fwd_times = [_module_time(m, opts, False, rate) for m in decomp.layer]
+    fwd_times = [_module_time(m, db, opts, False) for m in decomp.layer]
     return LayerCost(
         fwd=exposed(fwd_times),
-        bwd=exposed([_module_time(m, opts, True, rate) for m in decomp.layer]),
+        bwd=exposed([_module_time(m, db, opts, True) for m in decomp.layer]),
         t_qkv_fwd=fwd_times[names.index("qkv")],
         t_attention_fwd=attention(fwd_times),
     )
@@ -363,51 +349,40 @@ def tflops(model_fwd_flops: float, plan: ParallelPlan, t_step: float,
 
 class EvalMemo:
     """The context of the evaluations of one (arch, db, dtypes), and the work
-    they share, as the tuner's are for every candidate of a tune.
+    they share, as the tuner's are for every candidate of a tune. Whether the
+    profile is complete, so that no lookup can fail and a plan over the
+    memory limit may skip latency, is set once. Each table is keyed by what
+    its values read:
 
-    * Once: whether the profile is complete, so that no lookup can fail and
-      a plan over the memory limit may skip latency.
-    * Per OptimizationSet, by identity (the entry holds the set, so its id
-      cannot be reused), the combo ids: small ints, equal for equal fields so
-      that sharing goes by value, for four classes of fields. The layer-cost
-      class is compute and comm scaling and the tp/cp/ep overlaps; the
-      layer-time class adds the activation strategy and offload
-      coefficients; the terms class adds pp_overlap and dp_overlap, every
-      field but the optimizer strategy; the comm class is the comm scaling.
-      The entry also holds the update key (optimizer strategy,
-      compute_lambda("optimizer")). A set's scaling maps must not change
-      while its memo is in use.
-    * Per module rate (module, direction, compute lambda), by `rate`: the
-      profiled throughput times the lambda, capped by the roofline, which the layer
-      costs and the embedding/head times read.
-    * Per shape (tp, cp, ep, micro_batch), the only plan fields decompose
-      reads: its Decomposition, which keeps its own per-layer sums, or the
-      ShapeError message decompose raised, raised again for every later
-      plan of that shape.
-    * Per depth (the shape and pp, chunks, num_layers): the held parameter
-      count and its parameter and gradient bytes; the activation bytes of
-      every activation strategy, whose retention factor warmup_depth(0)+1
-      reads only pp and chunks; and the static bytes of the optimizer
-      strategies other than distributed, which read only the held
-      parameters and the hardware.
-    * Per shape and layer-cost id: the layer cost and the embedding/head
-      module times; per shape and layer-time id, the strategy-adjusted
-      layer TimeParts and their totals.
-    * Per plan (the last one seen, by identity): validation and the static
-      bytes of the distributed optimizer strategy, which divides them by
-      dp. From the plan's first full evaluation on, also the integer counts
-      of the phase expression (_phase_counts) and three tables: `terms`,
-      per terms id, the phases, the five exposure channels and t_dp;
-      `comms`, per comm id and whether a dp overlap applies, the pipeline
-      hop, the dp all-reduce and the overlap's per-chunk
-      reduce-scatter/all-gather lists; and `updates`, per update key,
-      t_update. A full evaluation adds only its step time and TFLOPS to
-      these.
-    * Per collective (kind, group size, message bytes, comm_lambda(kind)):
-      its time, for the pipeline hop, the dp all-reduce and the dp-overlap's
-      per-chunk reduce-scatter/all-gather.
-    * Per batch split: model_flops_total, keyed by
-      (micro_batch, micro_batches * dp).
+    * `combos`, per OptimizationSet by identity (the entry holds the set, so
+      its id cannot be reused): small ids from `classes`, equal for equal
+      fields, for three classes. The layer-cost class is compute and comm
+      scaling and the tp/cp/ep overlaps; the layer-time class adds the
+      activation strategy and offload coefficients; the terms class adds
+      pp_overlap and dp_overlap, every field but the optimizer strategy. A
+      set's scaling maps must not change while its memo is in use.
+    * `decomps`, per shape (tp, cp, ep, micro_batch), the only plan fields
+      decompose reads: its Decomposition, or the ShapeError message it
+      raised, raised again for every later plan of that shape.
+    * `depths`, per shape, pp, chunks and num_layers: the held parameters
+      and their parameter and gradient bytes, every activation strategy's
+      bytes (the retention factor warmup_depth(0)+1 reads only pp and
+      chunks), and the static bytes of the none and cpu optimizer
+      strategies, which read only the held parameters and the hardware.
+    * `shapes`, per shape and layer-cost id: the layer cost and the
+      embedding/head module times. `parts`, per shape and layer-time id: the
+      strategy-adjusted layer TimeParts and their totals.
+    * `terms`, per terms id, for the current plan (the last one seen, by
+      identity) from its first full evaluation on: the phases, the five
+      exposure channels and t_dp. The plan's validation, its phase counts
+      (_phase_counts) and the static bytes of the distributed optimizer
+      strategy, which divide by dp, are kept beside it. A full evaluation
+      adds only t_update, the step time and TFLOPS.
+    * `collectives`, per (kind, group size, message bytes,
+      comm_lambda(kind)): the times of the pipeline hop, the dp all-reduce
+      and the dp overlap's per-chunk reduce-scatter/all-gather.
+    * `flops`, per batch split (micro_batch, micro_batches * dp):
+      model_flops_total.
 
     evaluate_plan without a memo uses a fresh one, so shared and unshared
     evaluations compute every term through the same functions."""
@@ -417,8 +392,7 @@ class EvalMemo:
         self.complete = db.compute.has_wildcard and db.comm.has_every_kind
         self.plan: ParallelPlan | None = None
         self.combos: dict[int, tuple] = {}
-        self.classes: tuple[dict, ...] = ({}, {}, {}, {})   # per class: fields -> id
-        self.rates: dict[tuple, float] = {}
+        self.classes: tuple[dict, ...] = ({}, {}, {})   # per class: fields -> id
         self.decomps: dict[tuple, Decomposition | str] = {}
         self.depths: dict[tuple, tuple] = {}
         self.shapes: dict[tuple, tuple] = {}
@@ -427,18 +401,15 @@ class EvalMemo:
         self.flops: dict[tuple[int, int], float] = {}
 
     def combo(self, opts: OptimizationSet) -> tuple:
-        """opts' entry: (opts, layer-cost id, layer-time id, terms id, comm id,
-        update key)."""
+        """opts' entry: (opts, layer-cost id, layer-time id, terms id)."""
         entry = self.combos.get(id(opts))
         if entry is None:
-            comm = tuple(opts.comm_scaling.items())
-            cost = (tuple(opts.compute_scaling.items()), comm, opts.tp_overlap,
-                    opts.cp_overlap, opts.ep_overlap)
+            cost = (tuple(opts.compute_scaling.items()), tuple(opts.comm_scaling.items()),
+                    opts.tp_overlap, opts.cp_overlap, opts.ep_overlap)
             time = (cost, opts.activation_strategy, opts.offload_coeffs)
-            keys = (cost, time, (time, opts.pp_overlap, opts.dp_overlap), comm)
+            keys = (cost, time, (time, opts.pp_overlap, opts.dp_overlap))
             entry = self.combos[id(opts)] = (
-                opts, *(ids.setdefault(key, len(ids)) for ids, key in zip(self.classes, keys)),
-                (opts.optimizer_strategy, opts.compute_lambda("optimizer")))
+                opts, *(ids.setdefault(key, len(ids)) for ids, key in zip(self.classes, keys)))
         return entry
 
     def start_plan(self, plan: ParallelPlan) -> None:
@@ -473,12 +444,6 @@ class EvalMemo:
         self.sharded = self.static_bytes("distributed")
         self.terms: dict[int, tuple] | None = None
 
-    def start_terms(self) -> None:
-        """At the current plan's first full evaluation: its phase counts and
-        its empty tables of shared terms."""
-        self.counts = _phase_counts(self.plan)
-        self.terms, self.comms, self.updates = {}, {}, {}
-
     def collective(self, opts: OptimizationSet, kind: str, group: int,
                    volume: float) -> float:
         """_collective_time, memoised on the inputs it reads."""
@@ -487,15 +452,6 @@ class EvalMemo:
         if t is None:
             t = self.collectives[key] = _collective_time(self.db, opts, kind, group, volume)
         return t
-
-    def rate(self, name: str, backward: bool, lam: float) -> float:
-        """_module_rate of the memo's db, kept per (module, direction,
-        lambda)."""
-        key = (name, backward, lam)
-        rate = self.rates.get(key)
-        if rate is None:
-            rate = self.rates[key] = _module_rate(self.db, name, backward, lam)
-        return rate
 
     def activation(self, strategy: str, **times) -> tuple[float, float, float]:
         """The activation strategy op on the current plan's byte terms; the
@@ -522,8 +478,7 @@ class EvalMemo:
         return (dt.param_bytes + dt.grad_bytes) * self.params_held + opt_bytes, opt_bytes
 
 
-def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: int,
-                comm_id: int) -> tuple:
+def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: int) -> tuple:
     """The cost terms of memo's current plan under `opts`, whose combo ids
     are given, that no optimizer strategy changes: the CostReport fields
     before t_update, and those after tflops."""
@@ -532,10 +487,9 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: in
     if parts is None:
         shape = memo.shapes.get((memo.shape, cost_id))
         if shape is None:
-            rate = memo.rate
             shape = memo.shapes[memo.shape, cost_id] = (
-                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp, rate=rate),
-                tuple(_module_time(m, opts, backward, rate)
+                layer_cost(arch, plan, db, opts, dtypes, decomp=decomp),
+                tuple(_module_time(m, db, opts, backward)
                       for m in (decomp.embedding, decomp.head) for backward in (False, True)))
         lc, ends = shape   # ends: the embedding and head forward/backward times
 
@@ -560,24 +514,19 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: in
     # overlap, its per-chunk reduce-scatter/all-gather. The all-reduce is
     # timed even where the overlap replaces it, so that a profile without
     # it fails alike.
-    overlapped = opts.dp_overlap is not None and plan.dp > 1
-    comm = memo.comms.get((comm_id, overlapped))
-    if comm is None:
-        t_pp_hop = 0.0
-        if plan.pp > 1:
-            vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
-            t_pp_hop = memo.collective(opts, "p2p", 2, vol)
-        vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
-        t_all_reduce = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
-        rs = ag = None
-        if overlapped:
-            per_chunk_params = plan.layers_per_stage * decomp.layer_params
-            rs = [memo.collective(opts, "reduce-scatter", plan.dp,
-                                  dtypes.grad_bytes * per_chunk_params)] * plan.chunks
-            ag = [memo.collective(opts, "all-gather", plan.dp,
-                                  dtypes.param_bytes * per_chunk_params)] * plan.chunks
-        comm = memo.comms[comm_id, overlapped] = (t_pp_hop, t_all_reduce, rs, ag)
-    t_pp_hop, t_dp, rs, ag = comm
+    t_pp_hop = 0.0
+    if plan.pp > 1:
+        vol = plan.micro_batch * (arch.seq_len / plan.cp) * arch.hidden_size * dtypes.act_bytes
+        t_pp_hop = memo.collective(opts, "p2p", 2, vol)
+    vol = dtypes.grad_bytes * plan.chunks * plan.layers_per_stage * decomp.layer_params
+    t_dp = memo.collective(opts, "all-reduce", plan.dp, vol) if plan.dp > 1 else 0.0
+    if opts.dp_overlap is not None and plan.dp > 1:
+        per_chunk_params = plan.layers_per_stage * decomp.layer_params
+        rs = [memo.collective(opts, "reduce-scatter", plan.dp,
+                              dtypes.grad_bytes * per_chunk_params)] * plan.chunks
+        ag = [memo.collective(opts, "all-gather", plan.dp,
+                              dtypes.param_bytes * per_chunk_params)] * plan.chunks
+        t_dp = _optim.dp_overlap(rs, ag, t_fwd, t_bwd, plan, opts.dp_overlap)
 
     # The hop's steady-phase overlap.
     t_pp_steady = t_pp_hop
@@ -598,9 +547,6 @@ def _plan_terms(memo: EvalMemo, opts: OptimizationSet, cost_id: int, time_id: in
     t_cp = _channel(counts, fwd_parts.cp, bwd_parts.cp)
     t_ep = _channel(counts, fwd_parts.ep, bwd_parts.ep)
     t_pp = _channel(counts, 0.0, 0.0, t_pp_hop, t_pp_steady)
-
-    if overlapped:
-        t_dp = _optim.dp_overlap(rs, ag, t_fwd, t_bwd, plan, opts.dp_overlap)
     return ((t_fwd, t_bwd, warmup, steady, cooldown, t_pipeline, t_dp),
             (t_cal, t_tp, t_pp, t_ep, t_cp, counts[-1]))
 
@@ -641,19 +587,17 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     if over_limit and memo.complete:
         return tuple.__new__(PlanEvaluation, (None, memory))  # no lookup below can fail
 
-    _, cost_id, time_id, terms_id, comm_id, update = memo.combo(opts)
-    if memo.terms is None:
-        memo.start_terms()
+    _, cost_id, time_id, terms_id = memo.combo(opts)
+    if memo.terms is None:   # the plan's first full evaluation
+        memo.counts, memo.terms = _phase_counts(plan), {}
     terms = memo.terms.get(terms_id)
     if terms is None:
-        terms = memo.terms[terms_id] = _plan_terms(memo, opts, cost_id, time_id, comm_id)
+        terms = memo.terms[terms_id] = _plan_terms(memo, opts, cost_id, time_id)
     head, tail = terms   # head ends with t_pipeline and t_dp
 
     # Optimizer: the base update under the strategy, after the dp term.
-    t_update = memo.updates.get(update)
-    if t_update is None:
-        p_opt = memo.hw.optimizer_throughput * update[1]
-        t_update = memo.updates[update] = memo.optimizer(strategy, memo.params_held / p_opt)[1]
+    p_opt = memo.hw.optimizer_throughput * opts.compute_lambda("optimizer")
+    t_update = memo.optimizer(strategy, memo.params_held / p_opt)[1]
     t_opt = head[6] + t_update
 
     t_step = step_time(head[5], t_opt)

@@ -196,7 +196,6 @@ def simulate_faults(
     policy: CheckpointPolicy,
     trials: int = 10000,
     seed: int = 0,
-    include_rollback: bool = True,
 ) -> tuple[float, float]:
     """Monte Carlo ETTR: (sample mean, standard error of the mean).
 
@@ -204,8 +203,8 @@ def simulate_faults(
     checkpoint saves. Failures arrive as a Poisson process over wall-clock
     time (the clock never pauses, so failures can also strike during saves
     and recovery); each failure costs a recovery draw from the three-level
-    mixture plus, when rollback is enabled, a uniformly distributed loss
-    within the current checkpoint interval."""
+    mixture plus a uniformly distributed rollback loss within the current
+    checkpoint interval."""
     check_count("trials", trials)
     lam = fault.failures_per_second
     t_tr = policy.training_s
@@ -231,9 +230,7 @@ def simulate_faults(
             cost = np.full(n, fault.mean_repair_s)
         else:
             cost = rng.choice(recoveries, size=n, p=fault.mix)
-        if include_rollback:
-            cost = cost + rng.uniform(0.0, interval_s, size=n)
-        wall_f += cost
+        wall_f += cost + rng.uniform(0.0, interval_s, size=n)
         arrival_f += rng.exponential(1.0 / lam, size=n)
         still = arrival_f < wall_f
         wall[failing] = wall_f

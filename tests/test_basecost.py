@@ -411,19 +411,17 @@ class TestEvalMemo:
             assert len(memo.classes[2]) == len(combos)
 
     def test_module_rates_read_module_direction_and_lambda(self):
-        """Layer costs that share one memo's rates time every module at the
-        profiled rate of its direction, times its compute lambda, capped by
-        the roofline."""
+        """Layer costs time every module at the profiled rate of its
+        direction, times its compute lambda, capped by the roofline."""
         hw = make_hardware(hbm_bw=100e9)
         db = make_db(hw, entries=[
             ComputeEntry("qkv", 0.3e12, bwd_flops_per_s=0.2e12, intensity=4.0),
             ComputeEntry("mlp-linear-1", 1e12, intensity=8.0)])
         arch, plan = tiny_dense(l=4, h=8, a=2), simple_plan(num_layers=4)
         layer = decompose(arch, plan).layer
-        memo = EvalMemo(arch, db, Dtypes())
         for scaling in ({}, {"qkv": 2.0, "*": 0.5}, {"mlp-linear-1": 0.25}):
             opts = OptimizationSet(compute_scaling=scaling)
-            lc = layer_cost(arch, plan, db, opts, rate=memo.rate)
+            lc = layer_cost(arch, plan, db, opts)
             for parts, factor, backward in ((lc.fwd, 1.0, False), (lc.bwd, 2.0, True)):
                 times = []
                 for m in layer:

@@ -292,14 +292,16 @@ class TestFaultSim:
         assert se == 0.0
         assert mean == ettr_exact(fault, policy).ettr
 
-    def test_costless_failures_give_unity(self):
+    def test_costless_recovery_loses_only_the_rollback(self):
+        """With free recovery and no saves, a failure costs only its
+        rollback within the checkpoint interval, as in the closed form."""
         fault = FaultModel(nodes=8, failures_per_node_day=5.0,
                            recovery_process_s=0, recovery_pod_s=0,
                            recovery_job_s=0, mix=(1.0, 0.0, 0.0))
-        policy = CheckpointPolicy(10, 0.0, 1000, 1.0)
-        mean, _ = simulate_faults(fault, policy, trials=50, seed=1,
-                                  include_rollback=False)
-        assert mean == 1.0
+        policy = CheckpointPolicy(100, 0.0, 20000, 1.0)
+        mean, se = simulate_faults(fault, policy, trials=4000, seed=1)
+        assert mean < 1.0
+        assert abs(mean - ettr_closed_form(fault, policy)) < 4 * se
 
     def test_seed_reproducible(self):
         fault = FaultModel(nodes=32, failures_per_node_day=0.01)
@@ -330,24 +332,25 @@ class TestFaultSim:
         _, se_large = simulate_faults(fault, policy, trials=8000, seed=2)
         assert se_large < se_small / 2
 
-    @pytest.mark.parametrize("seed,repair,rollback,expected", [
-        (3, None, True, (0.9717292743604121, 3.1170153799021866e-05)),
-        (3, None, False, (0.9767714347324784, 1.949251452140988e-05)),
-        (3, 134.41, True, (0.9751871061384995, 2.347230039486556e-05)),
-        (3, 134.41, False, (0.9802765675189227, 1.0980683121787412e-05)),
-        (2024, None, True, (0.9716928192393911, 3.1154121207907894e-05)),
-        (2024, None, False, (0.9767425408804886, 1.893966226497916e-05)),
-        (2024, 134.41, True, (0.9751528007545553, 2.3059780277572572e-05)),
-        (2024, 134.41, False, (0.9802674140178085, 1.087829480773569e-05)),
+    # Each id reads seed-repair-rollback-expectedN; every row draws the
+    # rollback.
+    @pytest.mark.parametrize("seed,repair,expected", [
+        pytest.param(3, None, (0.9717292743604121, 3.1170153799021866e-05),
+                     id="3-None-True-expected0"),
+        pytest.param(3, 134.41, (0.9751871061384995, 2.347230039486556e-05),
+                     id="3-134.41-True-expected2"),
+        pytest.param(2024, None, (0.9716928192393911, 3.1154121207907894e-05),
+                     id="2024-None-True-expected4"),
+        pytest.param(2024, 134.41, (0.9751528007545553, 2.3059780277572572e-05),
+                     id="2024-134.41-True-expected6"),
     ])
-    def test_pinned_draw_stream(self, seed, repair, rollback, expected):
+    def test_pinned_draw_stream(self, seed, repair, expected):
         """Exact (mean, se) for fixed seeds: any change to the order or the
         sizes of the random draws moves them. About a hundred failures per
         trial, so the loop runs many rounds."""
         fault = FaultModel(nodes=64, failures_per_node_day=0.05, mean_repair_s=repair)
         policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
-        assert simulate_faults(fault, policy, trials=2000, seed=seed,
-                               include_rollback=rollback) == expected
+        assert simulate_faults(fault, policy, trials=2000, seed=seed) == expected
 
     @pytest.mark.parametrize("repair", [None, 134])
     def test_integer_recovery_times_with_rollback(self, repair):

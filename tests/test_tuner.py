@@ -446,16 +446,13 @@ class TestSharedTerms:
                                                                  monkeypatch):
         """The memo calls the optimizer strategy op twice per depth key (the
         none and cpu strategies' bytes), once per plan (the distributed
-        strategy's, which reads dp) and, for t_update, once per plan and
-        update key (optimizer strategy, compute_lambda("optimizer")) among
-        the full evaluations, not three times per plan and once per full
-        evaluation."""
+        strategy's, which reads dp) and, for t_update, once per full
+        evaluation, not three times per plan."""
         sample = load_config(os.path.join(configs_dir, "run_tune_llama2.json")).space
-        # every default combo of every plan is feasible: four activation
-        # strategies share each update key
+        # every default combo of every plan is feasible
         unlimited = small_space(opt_combos=optim.default_feature_combos())
         op = optim.apply_optimizer_strategy
-        for space, counts in ((sample, (24, 66, 102, 102)), (unlimited, (16, 32, 96, 384))):
+        for space, counts in ((sample, (24, 66, 102)), (unlimited, (16, 32, 384))):
             calls = []
             monkeypatch.setattr(optim, "apply_optimizer_strategy",
                                 lambda *args, **kwargs: calls.append(args) or op(*args, **kwargs))
@@ -465,12 +462,11 @@ class TestSharedTerms:
                       for p in plans}
             # both profiles are complete: the full evaluations are the
             # feasible candidates
-            updates = {(c.plan, c.opts.optimizer_strategy, c.opts.compute_lambda("optimizer"))
-                       for c in result.candidates}
-            assert (len(depths), len(plans), len(updates), len(result.candidates)) == counts
-            assert len(calls) == 2 * len(depths) + len(plans) + len(updates)
+            full = result.candidates
+            assert (len(depths), len(plans), len(full)) == counts
+            assert len(calls) == 2 * len(depths) + len(plans) + len(full)
             assert [args[0] for args in calls].count("distributed") \
-                == len(plans) + sum(strategy == "distributed" for _, strategy, _ in updates)
+                == len(plans) + sum(c.opts.optimizer_strategy == "distributed" for c in full)
 
 
 class TestTuneE2e:
