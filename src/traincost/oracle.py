@@ -68,21 +68,6 @@ class PipelineTrace(NamedTuple):
         events.sort(key=itemgetter(4))
         return tuple(events)
 
-    def to_chrome_trace(self) -> list[dict]:
-        """Chrome trace-event list (microsecond timestamps) for inspection."""
-        return [
-            {
-                "name": f"{e.kind} mb{e.micro_batch} chunk{e.chunk}",
-                "ph": "X",
-                "pid": 0,
-                "tid": e.device,
-                "ts": e.start * 1e6,
-                "dur": (e.end - e.start) * 1e6,
-                "args": {"micro_batch": e.micro_batch, "chunk": e.chunk},
-            }
-            for e in self.events
-        ]
-
 
 def simulate_pipeline(
     t_fwd: float,

@@ -4,6 +4,9 @@ Each case of CASES runs `traincost.cli.main` in this process, from the
 repository root, on the shipped configs/ and bench/configs/ files, and keeps
 its exit code, stdout and stderr. tests/golden/capture.json maps each case
 name to the sha256 of those three; tests/test_capture.py compares against it.
+The manifest is the one home of the repository's byte pins, the tunes'
+top-k and full candidate lists included, and `--update` is their one update
+path; behaviour, and floats to a relative 1e-12, stay in the pytest tables.
 
     PYTHONPATH=src python tests/capture.py           # exit 1 naming each moved case
     PYTHONPATH=src python tests/capture.py --update  # rewrite the manifest, name the moved cases
@@ -47,6 +50,17 @@ def _cases() -> dict[str, list[str]]:
         add(f"tune-{mode}/run_tune_llama2", "tune", mode, "--config", TUNE)
     cases["tune-step/run_tune_llama2/top-200"] = ["tune", "step", "--config", TUNE,
                                                   "--top-k", "200", "--output", "json"]
+    # the default top 4 above, the top 1 and 10, and every feasible candidate (top-all)
+    paths = {"run_tune_llama2": TUNE, **BENCH}
+    for mode, name, ks in (("step", "run_tune_llama2", ("1", "10")),
+                           ("e2e", "run_tune_llama2", ("1", "10")),
+                           ("step", "tune_dense", ("1", "10", "all")),
+                           ("step", "tune_moe_e2e", ("all",)),
+                           ("e2e", "tune_moe_e2e", ("1", "10", "all"))):
+        for k in ks:
+            cases[f"tune-{mode}/{name}/top-{k}"] = [
+                "tune", mode, "--config", paths[name],
+                "--top-k", "1000000000" if k == "all" else k, "--output", "json"]
     for name, path in BENCH.items():
         add(f"tune-step/{name}", "tune", "step", "--config", path)
         if "e2e" in name:
@@ -101,9 +115,14 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
     return code, stdout, err.getvalue()
 
 
-def digest(argv: list[str]) -> str:
-    payload = json.dumps(run_case(argv))
+def digest_of(code: int, stdout: str, stderr: str) -> str:
+    """The manifest's digest of one run's exit code, stdout and stderr."""
+    payload = json.dumps([code, stdout, stderr])
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def digest(argv: list[str]) -> str:
+    return digest_of(*run_case(argv))
 
 
 def capture() -> dict[str, str]:

@@ -321,6 +321,8 @@ class TestConfigInput:
                              ("num_layers", {"num_layers": 4}))],
         ({"model": MODEL | {"num_layers": 4}},
          "model section invalid: unknown model key 'num_layers'"),
+        ({"model": MODEL | {"s": None}},
+         "model section invalid: seq_len value None is not an integer >= 1"),
         ({"model": MODEL | {"module_overrides": [1]}},
          "model section invalid: module_overrides must be a JSON object, got list"),
         ({"model": MODEL | {"module_overrides": {"qkv": 3}}},
@@ -355,7 +357,7 @@ class TestConfigInput:
             "fault-N_nodes-float", "fault-S-bool", "hardware-N-float",
             "collective-group_size-float", "tp-overlap-false", "dp-overlap-string",
             "schema-version-bool", "schema-version-float", "plan-key-tp",
-            "plan-key-tp-beside-t", "plan-key-num_layers", "model-key-num_layers",
+            "plan-key-tp-beside-t", "plan-key-num_layers", "model-key-num_layers", "model-s-null",
             "module-overrides-list", "module-override-int", "module-override-key-bogus",
             "compute-scaling-empty-list", "compute-scaling-pairs", "comm-scaling-pairs",
             "cp-overlap-splits", "ep-overlap-splits", "pp-overlap-splits"])
@@ -696,13 +698,16 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("argv,message", [
-        (("--seed", "-1"), "--seed value -1 is not an integer >= 0"),
-        (("--seed", "1.5"), "--seed value 1.5 is not an integer >= 0"),
-        (("--trials", "abc"), "--trials value 'abc' is not an integer >= 1"),
-        (("--trials", "0"), "--trials value 0 is not an integer >= 1"),
-    ], ids=["seed-negative", "seed-float", "trials-string", "trials-0"])
+        (("verify", "--seed", "-1"), "--seed value -1 is not an integer >= 0"),
+        (("verify", "--seed", "1.5"), "--seed value 1.5 is not an integer >= 0"),
+        (("verify", "--trials", "abc"), "--trials value 'abc' is not an integer >= 1"),
+        (("verify", "--trials", "0"), "--trials value 0 is not an integer >= 1"),
+        # the ignored --workers flag parses like --top-k, not with argparse's usage block
+        (("tune", "step", "--config", os.path.join(CONFIGS, TUNE), "--workers", "abc"),
+         "--workers value 'abc' is not an integer >= 1"),
+    ], ids=["seed-negative", "seed-float", "trials-string", "trials-0", "tune-workers-string"])
     def test_bad_flag_exits_1_with_one_line(self, argv, message):
-        assert run_quiet("verify", *argv) == (1, "", f"error: {message}\n")
+        assert run_quiet(*argv) == (1, "", f"error: {message}\n")
 
 
 class TestSampleConfigs:

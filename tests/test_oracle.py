@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import tracemalloc
 
 import numpy as np
@@ -123,15 +122,6 @@ class TestPipelineSim:
         _, trace = simulate_pipeline(t_f, t_b, plan_of(p=p, v=v, m_b=m_b, l=l), **extras)
         assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest
 
-    def test_pinned_chrome_trace_digest(self):
-        """The Chrome export of the hop-embed-head replay, as JSON, hashes
-        to a recorded digest."""
-        _, trace = simulate_pipeline(
-            1.0, 2.0, plan_of(p=4, v=3, m_b=8), t_pp=0.25, t_embed=0.5,
-            t_embed_bwd=0.75, t_head=0.5, t_head_bwd=1.0)
-        assert hashlib.sha256(json.dumps(trace.to_chrome_trace()).encode()).hexdigest() \
-            == "f9f9b2aa52c54fedfa891b38496a3c3aad9c6b521ef76ee54dcb268930820ce5"
-
     def test_events_built_afresh_on_each_read(self):
         p, v, m_b = 4, 3, 8
         _, trace = simulate_pipeline(1.0, 2.0, plan_of(p=p, v=v, m_b=m_b), t_pp=0.25)
@@ -215,12 +205,6 @@ class TestPipelineSim:
         for e in trace.events:
             if e.kind == "bwd":
                 assert e.start >= fwd_end[(e.micro_batch, e.chunk, e.device)] - 1e-12
-
-    def test_chrome_trace_export(self):
-        _, trace = simulate_pipeline(1.0, 1.0, plan_of(p=2, m_b=2))
-        rows = trace.to_chrome_trace()
-        assert len(rows) == len(trace.events)
-        assert all(r["ph"] == "X" and r["dur"] >= 0 for r in rows)
 
     def test_embed_and_head_extend_boundary_stages(self):
         plain = simulate_pipeline(1.0, 1.0, plan_of(p=2, m_b=4))[0]
