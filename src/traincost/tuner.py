@@ -4,7 +4,9 @@ extension that also picks the checkpoint interval, and parameter sweeps.
 
 Pruning is sound with respect to full-candidate filtering: every rule checked
 on a partial assignment is implied by the complete rule set, so the pruned
-enumeration returns exactly the feasible set an exhaustive scan would.
+enumeration returns exactly the feasible set an exhaustive scan would. Each
+level checks only the rules that read its dimension, since the others see the
+inputs on which its prefix already passed.
 Ranking is a total order (step time, then the plan tuple) so results are
 bit-stable across runs.
 
@@ -132,29 +134,40 @@ class TuneResult(NamedTuple):
         }
 
 
-def prune(space: SearchSpace, assigned: dict[str, int]) -> str | None:
+# The dimensions each rule reads, and None for the full check: prune's guards.
+# The tp rule reads tp, one of the degrees, so it sits under the world rule's guard.
+_WORLD_READS = {None, "tp", "cp", "pp", "ep", "dp"}
+_BATCH_READS = {None, "micro_batch", "dp", "pp"}
+_CHUNK_READS = {None, "pp", "chunks"}
+
+
+def prune(space: SearchSpace, assigned: dict[str, int], new: str | None = None) -> str | None:
     """Apply the expert rules to a partial assignment; returns a rejection
     reason or None. Dimensions are assigned in plan.DIMS order; each rule
-    fires as soon as its inputs exist."""
+    fires as soon as its inputs exist.
+
+    `new` names the dimension just added to a prefix that already passed.
+    Then only the rules that read it run: every other rule sees the inputs it
+    passed on, so the reason is the full check's (new=None)."""
     get = assigned.get
-    tp, pp, dp, m_bs, chunks = (get("tp"), get("pp"), get("dp"), get("micro_batch"),
-                                get("chunks"))
-    # the five parallel degrees of plan.DIMS, spelt out: prune runs per tried value
-    world = (tp or 1) * get("cp", 1) * (pp or 1) * get("ep", 1) * (dp or 1)
-    if world > space.total_gpus:
-        return "resource: parallel product exceeds total gpus"
-    if tp is not None and tp > space.db.hardware.gpus_per_node:
-        return "tp exceeds gpus per node"
-    if m_bs is not None:
-        batch = space.global_batch
+    if new in _WORLD_READS:
+        # the five parallel degrees of plan.DIMS, spelt out: prune runs per tried value
+        world = get("tp", 1) * get("cp", 1) * get("pp", 1) * get("ep", 1) * get("dp", 1)
+        if world > space.total_gpus:
+            return "resource: parallel product exceeds total gpus"
+        if new in (None, "tp") and get("tp", 0) > space.db.hardware.gpus_per_node:
+            return "tp exceeds gpus per node"
+    if new in _BATCH_READS and "micro_batch" in assigned:
+        m_bs, batch, dp, pp = assigned["micro_batch"], space.global_batch, get("dp"), get("pp")
         if m_bs > batch:
             return "micro batch exceeds global batch"
         if dp is not None and batch % (m_bs * dp) != 0:
             return "global batch not divisible by micro_batch*dp"
         if pp is not None and batch // m_bs < pp:
             return "too few micro batches for the pipeline depth"
-    if chunks is not None and pp is not None:
-        if space.arch.num_layers % (pp * chunks) != 0:
+    if new in _CHUNK_READS:
+        chunks, pp = get("chunks"), get("pp")
+        if chunks is not None and pp is not None and space.arch.num_layers % (pp * chunks):
             return "layers not divisible by pp*chunks"
     return None
 
@@ -177,7 +190,7 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
             head = (*assigned.values(), batch)
         for value in values:
             assigned[name] = value
-            reason = check(space, assigned)
+            reason = check(space, assigned, name)
             if reason is not None:
                 rejections[reason] = rejections.get(reason, 0) + 1
             elif level < last:
@@ -190,17 +203,10 @@ def _enumerate_plans(space: SearchSpace, rejections: dict[str, int]) -> list[Par
     return plans
 
 
-def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
-    """Search the space for the plans with the smallest step time.
-
-    Returns the top_k feasible candidates (all of them when top_k is None)
-    ranked by ascending step time with a deterministic lexicographic
-    tie-break (Candidate.step_key), plus the count of each rejection reason:
-    a pruning rule, a ShapeError or InputError message up to its first ':',
-    or "memory", in the order each reason first occurred.
-
-    A feasible candidate is kept as (step_key, plan, opts, cost, memory),
-    the key built once; only the returned candidates become Candidates."""
+def _rank(space: SearchSpace) -> tuple[list[tuple], int, dict[str, int]]:
+    """Evaluate every enumerated candidate once; returns the feasible ones as
+    (step_key, plan, opts, cost, memory), the key built once, in ascending
+    step_key order, with the evaluated count and the rejection counts."""
     space = space.resolved()
     arch, db, dtypes, mode = space.arch, space.db, space.dtypes, space.tflops_mode
     combos = tuple(enumerate(space.opt_combos))
@@ -223,9 +229,21 @@ def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
                     continue
                 key = "memory"
             rejections[key] = rejections.get(key, 0) + 1
-    feasible = sorted(feasible, key=itemgetter(0))[:top_k]
+    return sorted(feasible, key=itemgetter(0)), evaluated, rejections
+
+
+def tune_step(space: SearchSpace, top_k: int | None = 4) -> TuneResult:
+    """Search the space for the plans with the smallest step time.
+
+    Returns the top_k feasible candidates (all of them when top_k is None)
+    ranked by ascending step time with a deterministic lexicographic
+    tie-break (Candidate.step_key), plus the count of each rejection reason:
+    a pruning rule, a ShapeError or InputError message up to its first ':',
+    or "memory", in the order each reason first occurred. Only the returned
+    candidates become Candidates."""
+    ranked, evaluated, rejections = _rank(space)
     return TuneResult(tuple(Candidate(plan, opts, key[-1], cost, memory)
-                            for key, plan, opts, cost, memory in feasible),
+                            for key, plan, opts, cost, memory in ranked[:top_k]),
                       evaluated=evaluated, rejections=rejections)
 
 
@@ -246,24 +264,25 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
     candidate's key (T_e2e, step_key) is at least (fl(S * t_step), step_key),
     and both parts grow along the step order; once the k-th best key so far
     is below that bound for the next candidate, no later one can enter the
-    top_k."""
-    step_result = tune_step(space, top_k=None)
-    cands = step_result.candidates
-    ranked: list = []   # (key, position, annotations) of the priced candidates, ascending
-    for pos, cand in enumerate(cands):
-        step_key, t_step = cand.step_key, cand.cost.t_step
+    top_k. Only the top_k become Candidates."""
+    feasible, evaluated, rejections = _rank(space)
+    ranked: list = []   # (key, feasible entry, annotations) of the priced ones, ascending
+    for entry in feasible:
+        step_key = entry[0]
+        t_step = step_key[0]
         bound = (total_steps * t_step, step_key)   # no key from here on is below it
-        if 0 < top_k <= len(ranked) and ranked[top_k - 1][0] < bound:
+        if top_k <= len(ranked) and (top_k == 0 or ranked[top_k - 1][0] < bound):
             break
         try:
             interval, ettr, t_e2e = run_cost(fault, save_s, total_steps, t_step)
         except InfeasibleError as exc:
-            insort(ranked, ((float("inf"), step_key), pos, {"fault_note": str(exc)}))
+            insort(ranked, ((float("inf"), step_key), entry, {"fault_note": str(exc)}))
         else:
-            insort(ranked, ((t_e2e, step_key), pos,
+            insort(ranked, ((t_e2e, step_key), entry,
                             {"interval": interval, "ettr": ettr, "t_e2e": t_e2e}))
-    return TuneResult(tuple(cands[pos]._replace(**notes) for _, pos, notes in ranked[:top_k]),
-                      evaluated=step_result.evaluated, rejections=step_result.rejections)
+    return TuneResult(tuple(Candidate(plan, opts, key[-1], cost, memory, **notes)
+                            for _, (key, plan, opts, cost, memory), notes in ranked[:top_k]),
+                      evaluated=evaluated, rejections=rejections)
 
 
 def linearity(t_step_small: float, t_step_large: float) -> float:

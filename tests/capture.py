@@ -1,8 +1,10 @@
 """Byte-identity capture of the command line.
 
 Each case of CASES runs `traincost.cli.main` in this process, from the
-repository root, on the shipped configs/ and bench/configs/ files, and keeps
-its exit code, stdout and stderr. tests/golden/capture.json maps each case
+repository root, on the shipped configs/ and bench/configs/ files and on
+tests/golden/space_every_rule.json, a `--space` file on which every pruning
+rule rejects (the parallel-product rule at two levels), and keeps its exit
+code, stdout and stderr. tests/golden/capture.json maps each case
 name to the sha256 of those three; tests/test_capture.py compares against it.
 The manifest is the one home of the repository's byte pins, the tunes'
 top-k and full candidate lists included, and `--update` is their one update
@@ -33,6 +35,7 @@ MANIFEST = os.path.join(ROOT, "tests", "golden", "capture.json")
 FORMATS = ("json", "csv", "markdown")
 EVAL = "configs/run_eval_llama2.json"
 TUNE = "configs/run_tune_llama2.json"
+SPACE = "tests/golden/space_every_rule.json"
 BENCH = {name: f"bench/configs/{name}.json"
          for name in ("tiny_dense", "tiny_moe_e2e", "tune_dense", "tune_moe_e2e")}
 
@@ -61,6 +64,9 @@ def _cases() -> dict[str, list[str]]:
             cases[f"tune-{mode}/{name}/top-{k}"] = [
                 "tune", mode, "--config", paths[name],
                 "--top-k", "1000000000" if k == "all" else k, "--output", "json"]
+    for mode in ("step", "e2e"):
+        cases[f"tune-{mode}/space_every_rule/json"] = [
+            "tune", mode, "--config", TUNE, "--space", SPACE, "--output", "json"]
     for name, path in BENCH.items():
         add(f"tune-step/{name}", "tune", "step", "--config", path)
         if "e2e" in name:

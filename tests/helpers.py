@@ -20,7 +20,7 @@ from traincost.profile import (
     HardwareSpec,
     ProfileDB,
 )
-from traincost.tuner import Candidate
+from traincost.tuner import CANDIDATE_FIELDS, Candidate
 
 
 def make_hardware(**overrides) -> HardwareSpec:
@@ -118,6 +118,33 @@ def printed_rules(space, assigned: dict) -> str | None:
         if space.arch.num_layers % (assigned["pp"] * assigned["chunks"]) != 0:
             return "layers not divisible by pp*chunks"
     return None
+
+
+def reference_walk(space) -> tuple[list[ParallelPlan], dict[str, int]]:
+    """The pruned enumeration of a resolved space written out: a depth-first
+    walk in DIMS order that checks every printed rule once per tried value.
+    Returns the plans in walk order and the rejection counts in the order
+    each reason first occurred."""
+    names = list(DIMS.values())
+    values = [getattr(space, name) for name in CANDIDATE_FIELDS.values()]
+    plans: list[ParallelPlan] = []
+    rejections: dict[str, int] = {}
+
+    def descend(prefix: dict) -> None:
+        if len(prefix) == len(names):
+            plans.append(ParallelPlan(**prefix, global_batch=space.global_batch,
+                                      num_layers=space.arch.num_layers))
+            return
+        for value in values[len(prefix)]:
+            tried = {**prefix, names[len(prefix)]: value}
+            reason = printed_rules(space, tried)
+            if reason is None:
+                descend(tried)
+            else:
+                rejections[reason] = rejections.get(reason, 0) + 1
+
+    descend({})
+    return plans, rejections
 
 
 def exhaustive_tune_reference(space, top_k):

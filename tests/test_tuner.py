@@ -1,5 +1,6 @@
 import math
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from helpers import (
     make_db,
     make_hardware,
     printed_rules,
+    reference_walk,
     tiny_dense,
     tiny_moe,
 )
@@ -125,6 +127,87 @@ class TestPrune:
         assert prune(small_space().resolved(), assigned) == reason
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+# the three shipped tune spaces, and the capture's space on which every rule rejects
+SHIPPED_SPACES = {
+    "run_tune_llama2": ("configs/run_tune_llama2.json", None),
+    "tune_dense": ("bench/configs/tune_dense.json", None),
+    "tune_moe_e2e": ("bench/configs/tune_moe_e2e.json", None),
+    "space_every_rule": ("configs/run_tune_llama2.json", "tests/golden/space_every_rule.json"),
+}
+WORLD = "resource: parallel product exceeds total gpus"
+
+
+def shipped_space(name):
+    config, space = SHIPPED_SPACES[name]
+    return load_config(os.path.join(ROOT, config),
+                       space and os.path.join(ROOT, space)).space.resolved()
+
+
+def random_space(seed):
+    """A resolved space of one to three values per dimension drawn from
+    {1, ..., 8, 12}, non-powers of two included, so that each rule can reject
+    and the parallel-product rule can reject at every degree's level."""
+    rng = random.Random(seed)
+    pool = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+    values = {name: tuple(rng.sample(pool, rng.randint(1, 3)))
+              for name in CANDIDATE_FIELDS.values()}
+    hw = make_hardware(gpus_per_node=rng.choice([2, 3, 4, 8]))
+    return SearchSpace(arch=tiny_dense(l=rng.choice([4, 6, 7, 12])), db=make_db(hw),
+                       total_gpus=rng.choice([6, 8, 12, 24, 36]),
+                       global_batch=rng.choice([6, 8, 12, 16, 18]), **values).resolved()
+
+
+RANDOM_SEEDS = range(200)
+
+
+class TestPruneHints:
+    """The walk names each level's dimension to prune, which then checks
+    only the rules that read it; the walk must reject exactly as the full
+    check does."""
+
+    def walk(self, space, monkeypatch):
+        """_enumerate_plans on space, asserting that every hinted prune call
+        returns the full check's reason; returns the plans, the rejections
+        and the levels at which each reason fired."""
+        import traincost.tuner as tuner
+        levels: dict[str, set] = {}
+
+        def checked(space, assigned, new=None):
+            reason = prune(space, assigned, new)
+            assert reason == prune(space, assigned), (dict(assigned), new)
+            if reason is not None:
+                levels.setdefault(reason, set()).add(new)
+            return reason
+
+        monkeypatch.setattr(tuner, "prune", checked)
+        rejections: dict[str, int] = {}
+        plans = _enumerate_plans(space, rejections)
+        return plans, rejections, levels
+
+    def assert_matches_reference(self, space, monkeypatch):
+        plans, rejections, levels = self.walk(space, monkeypatch)
+        reference_plans, reference_rejections = reference_walk(space)
+        assert plans == reference_plans
+        assert list(rejections.items()) == list(reference_rejections.items())
+        return levels
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_SPACES))
+    def test_shipped_spaces(self, name, monkeypatch):
+        levels = self.assert_matches_reference(shipped_space(name), monkeypatch)
+        if name == "space_every_rule":
+            assert len(levels) == 6 and levels[WORLD] == {"pp", "dp"}
+
+    def test_random_spaces(self, monkeypatch):
+        fired: dict[str, set] = {}
+        for seed in RANDOM_SEEDS:
+            levels = self.assert_matches_reference(random_space(seed), monkeypatch)
+            for reason, names in levels.items():
+                fired.setdefault(reason, set()).update(names)
+        # every rule rejects, the parallel product at each degree's level
+        assert len(fired) == 6 and fired[WORLD] == {"tp", "cp", "pp", "ep", "dp"}
+
+
 class TestTuneStep:
     @pytest.mark.parametrize("sample", [False, True])
     def test_top_k_is_a_prefix_of_the_full_ranking(self, configs_dir, sample):
@@ -213,8 +296,9 @@ class TestTuneStep:
         calls = []
         original = tuner.prune
 
-        def recording(space, assigned):
-            reason = original(space, assigned)
+        def recording(space, assigned, new=None):
+            reason = original(space, assigned, new)
+            assert reason == original(space, assigned)   # the hint keeps the full check's
             calls.append((tuple(assigned.items()), reason))
             return reason
 
@@ -583,6 +667,20 @@ class TestTuneE2e:
         full = tune_e2e(cfg.space, fault, save_s, steps, top_k=10**9)
         assert len(full.candidates) == len(calls) - priced == 102
         assert result.candidates == full.candidates[:4]
+
+    def test_top_0_prices_nothing(self, monkeypatch):
+        """At top_k=0 no candidate is priced, and the counts are those of
+        the full step ranking."""
+        import traincost.tuner as tuner
+        calls = []
+        monkeypatch.setattr(tuner, "run_cost",
+                            lambda *args: calls.append(args) or run_cost(*args))
+        space = small_space(total_gpus=4)
+        result = tune_e2e(space, self.fault(), save_s=2.0, total_steps=1000, top_k=0)
+        full = tune_step(space, top_k=None)
+        assert result.candidates == () and calls == [] and full.candidates
+        assert result.evaluated == full.evaluated and full.rejections
+        assert list(result.rejections.items()) == list(full.rejections.items())
 
     def test_two_phase_agrees_with_joint_grid(self):
         # joint (step time, interval) grid: the per-step winner also wins
