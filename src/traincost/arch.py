@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (InputError, ShapeError, check_count, check_keys, check_number,
-                     check_object, record)
+from .errors import (MAX_COUNT, InputError, ShapeError, check_count, check_keys,
+                     check_number, check_object, record)
 from .plan import ParallelPlan
 
 ATTENTION_KINDS = ("MHA", "GQA", "MLA-plugin")
@@ -73,7 +73,7 @@ class ModelArchitecture:
                   query_groups, expert_ffn_size, top_k, num_experts)
         for name, value in zip(cls._fields, values):
             if name not in optional or value is not None:
-                check_count(name, value)
+                check_count(name, value, high=MAX_COUNT)
         if attention_kind not in ATTENTION_KINDS:
             raise InputError(f"unknown attention_kind {attention_kind!r}")
         if structure_kind not in STRUCTURE_KINDS:

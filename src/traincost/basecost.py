@@ -27,7 +27,7 @@ from .arch import (
 )
 from .errors import (NOT_FINITE, InfeasibleError, InputError, ShapeError, check_keys,
                      check_number, record)
-from .optim import OptimizationSet
+from .optim import NO_FEATURES, OptimizationSet
 from .plan import ParallelPlan
 from .profile import ProfileDB, comm_time, op_time, roofline_bound
 
@@ -194,7 +194,7 @@ def layer_cost(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
                decomp: Decomposition | None = None) -> LayerCost:
     """Per-layer forward/backward latency with exposure channels, plus the
     forward times the recomputation strategies replay."""
-    opts = opts or OptimizationSet()
+    opts = opts or NO_FEATURES
     if decomp is None:
         decomp = decompose(arch, plan, act_dtype_bytes=dtypes.act_bytes)
 
@@ -374,10 +374,10 @@ class EvalMemo:
       strategy-adjusted layer TimeParts and their totals.
     * `terms`, per terms id, for the current plan (the last one seen, by
       identity) from its first full evaluation on: the phases, the five
-      exposure channels and t_dp. The plan's validation, its phase counts
-      (_phase_counts) and the static bytes of the distributed optimizer
-      strategy, which divide by dp, are kept beside it. A full evaluation
-      adds only t_update, the step time and TFLOPS.
+      exposure channels and t_dp. The plan's phase counts (_phase_counts)
+      and the static bytes of the distributed optimizer strategy, which
+      divide by dp, are kept beside it. A full evaluation adds only
+      t_update, the step time and TFLOPS.
     * `collectives`, per (kind, group size, message bytes,
       comm_lambda(kind)): the times of the pipeline hop, the dp all-reduce
       and the dp overlap's per-chunk reduce-scatter/all-gather.
@@ -385,7 +385,8 @@ class EvalMemo:
       model_flops_total.
 
     evaluate_plan without a memo uses a fresh one, so shared and unshared
-    evaluations compute every term through the same functions."""
+    evaluations compute every term through the same functions; without a
+    set it uses NO_FEATURES, so such calls share one `combos` entry."""
 
     def __init__(self, arch: ModelArchitecture, db: ProfileDB, dtypes: Dtypes) -> None:
         self.arch, self.db, self.dtypes, self.hw = arch, db, dtypes, db.hardware
@@ -413,9 +414,8 @@ class EvalMemo:
         return entry
 
     def start_plan(self, plan: ParallelPlan) -> None:
-        """Validate `plan` and set its decomposition and byte terms; raises
-        ShapeError for an invalid plan or shape."""
-        plan.validate()
+        """Set the decomposition and byte terms of `plan`, valid as built or
+        pruned; raises ShapeError for a shape decompose rejects."""
         shape = (plan.tp, plan.cp, plan.ep, plan.micro_batch)
         decomp = self.decomps.get(shape)
         if decomp is None:
@@ -565,7 +565,7 @@ def evaluate_plan(arch: ModelArchitecture, plan: ParallelPlan, db: ProfileDB,
     terms are then skipped if the profile is complete; otherwise they still
     run, so a missing profile entry raises as it would without the limit.
     memo, when given, must be the EvalMemo of this arch, db and dtypes."""
-    opts = opts or OptimizationSet()
+    opts = opts or NO_FEATURES
     if memo is None:
         memo = EvalMemo(arch, db, dtypes)
     elif memo.arch is not arch or memo.db is not db or memo.dtypes is not dtypes:

@@ -11,10 +11,10 @@ from typing import NamedTuple
 
 from .arch import ModelArchitecture
 from .basecost import TFLOPS_MODES, Dtypes
-from .errors import (ConfigError, InputError, ShapeError, check_count, check_keys,
-                     check_number, record)
+from .errors import (MAX_COUNT, ConfigError, InputError, ShapeError, check_count,
+                     check_keys, check_number, record)
 from .fault import DAY_SECONDS, CheckpointPolicy, FaultModel, steps_from_tokens
-from .optim import OptimizationSet
+from .optim import NO_FEATURES, OptimizationSet
 from .plan import DIMS, ParallelPlan
 from .profile import HardwareSpec, ProfileDB
 from .tuner import CANDIDATE_FIELDS, SearchSpace
@@ -54,7 +54,7 @@ class RunConfig(NamedTuple):
     db: ProfileDB
     plan: ParallelPlan | None = None
     space: SearchSpace | None = None
-    opt_combos: tuple[OptimizationSet, ...] = (OptimizationSet(),)
+    opt_combos: tuple[OptimizationSet, ...] = (NO_FEATURES,)
     fault: FaultSection | None = None
     dtypes: Dtypes = Dtypes()
     output_format: str = "json"
@@ -135,8 +135,9 @@ def _parse_fault(section: dict) -> FaultSection:
     return FaultSection(
         model=FaultModel.from_json_dict(section),
         save_s=section.get("T_save", 0.0),
-        interval_steps=check_count("I_ckpt", interval) if interval is not None else None,
-        total_steps=check_count("S", section["S"]) if "S" in section else None,
+        interval_steps=(check_count("I_ckpt", interval, high=MAX_COUNT)
+                        if interval is not None else None),
+        total_steps=check_count("S", section["S"], high=MAX_COUNT) if "S" in section else None,
         tokens=section.get("tokens"),
     )
 
@@ -188,7 +189,7 @@ def load_config(path: str, space_path: str | None = None) -> RunConfig:
     with _section("optimization"):
         opt_raw = raw.get("optimization")
         if opt_raw is None or opt_raw == []:
-            combos = (OptimizationSet(),)
+            combos = (NO_FEATURES,)
             declared_combos = ()   # a space without a declared allowlist gets
             # the default one (all features) when it resolves
         elif isinstance(opt_raw, list):

@@ -50,10 +50,17 @@ def check_keys(data: dict, known: tuple[str, ...], where: str) -> None:
         raise InputError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
-def check_count(name: str, value, low: int = 1) -> int:
-    """Reject a count that is not an int >= `low` (a bool is not a count)."""
+# The largest count a config or sweep may set: every int up to it is exact as a float.
+MAX_COUNT = 2**53
+
+
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """Reject a count that is not an int >= `low` (a bool is not a count),
+    or above `high` when one is given."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise InputError(f"{name} value {value!r} is not an integer >= {low}")
+    if high is not None and value > high:
+        raise InputError(f"{name} value {value!r} is not an integer <= {high}")
     return value
 
 

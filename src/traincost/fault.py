@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InfeasibleError, InputError, check_count, check_number, record
+from .errors import (MAX_COUNT, InfeasibleError, InputError, check_count, check_number,
+                     record)
 
 DAY_SECONDS = 86400.0
 
@@ -39,7 +40,7 @@ class FaultModel:
         (the recovery mix then sets the repair time); store them as floats.
         init_s is the first-initialization time u_0; mean_repair_s, when
         given, overrides the mixture."""
-        check_count("N_nodes", nodes)
+        check_count("N_nodes", nodes, high=MAX_COUNT)
         rate, process, pod, job, init, repair = (
             None if key == "u_b" and value is None else check_number(key, value)
             for key, value in zip(("r_f_per_node_day", *_TIME_KEYS.values()),
@@ -68,16 +69,11 @@ class FaultModel:
 class CheckpointPolicy:
     def __new__(cls, interval_steps: int, save_s: float, total_steps: int, step_s: float):
         """interval_steps is the number of steps between checkpoint saves,
-        save_s the duration of one save."""
-        if interval_steps < 1:
-            raise InputError("interval_steps must be >= 1")
-        if total_steps < 1:
-            raise InputError("total_steps must be >= 1")
-        if step_s <= 0:
-            raise InputError("step_s must be > 0")
-        if save_s < 0:
-            raise InputError("save_s must be >= 0")
-        return tuple.__new__(cls, (interval_steps, save_s, total_steps, step_s))
+        save_s the duration of one save; the times are stored as floats."""
+        return tuple.__new__(cls, (check_count("interval_steps", interval_steps),
+                                   check_number("save_s", save_s),
+                                   check_count("total_steps", total_steps),
+                                   check_number("step_s", step_s, strict=True)))
 
     @property
     def training_s(self) -> float:

@@ -9,8 +9,8 @@ inflated by contention coefficients alpha (communication side) and beta
 
 from __future__ import annotations
 
-from .errors import (ConfigError, InputError, check_count, check_keys, check_number,
-                     check_object, record)
+from .errors import (MAX_COUNT, ConfigError, InputError, check_count, check_keys,
+                     check_number, check_object, record)
 from .plan import ParallelPlan
 from .profile import HardwareSpec
 
@@ -26,7 +26,7 @@ class OverlapCoeffs:
         overlap only)."""
         check_number("alpha", alpha, low=1.0)
         check_number("beta", beta, low=1.0)
-        check_count("splits", splits)
+        check_count("splits", splits, high=MAX_COUNT)
         return tuple.__new__(cls, (alpha, beta, splits))
 
 
@@ -124,6 +124,10 @@ class OptimizationSet:
         kwargs["optimizer_strategy"] = data.get("optimizer_strategy", "none")
         kwargs["activation_strategy"] = data.get("activation_strategy", "none")
         return cls(**kwargs)
+
+
+# Every feature off: the one set of the evaluations given none, one memo entry.
+NO_FEATURES = OptimizationSet()
 
 
 def default_feature_combos() -> tuple[OptimizationSet, ...]:

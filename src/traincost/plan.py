@@ -12,9 +12,8 @@ phase formulas and optim's retention factor count it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple
 
-from .errors import InputError, ShapeError, check_count, check_keys
+from .errors import MAX_COUNT, InputError, ShapeError, check_count, check_keys, record
 
 # Config key -> ParallelPlan field. The order is the one plans are searched,
 # ranked (after step time) and printed in, and golden outputs depend on it.
@@ -30,16 +29,26 @@ DIMS = {key: name for key, name in PLAN_KEYS.items() if key not in ("g_bs", "L")
 dim_values = attrgetter(*DIMS.values())
 
 
-class ParallelPlan(NamedTuple):
-    tp: int = 1
-    cp: int = 1
-    pp: int = 1
-    ep: int = 1
-    dp: int = 1
-    micro_batch: int = 1
-    global_batch: int = 1
-    chunks: int = 1          # pipeline model chunks per device (virtual stages)
-    num_layers: int = 1
+@record
+class ParallelPlan:
+    def __new__(cls, tp: int = 1, cp: int = 1, pp: int = 1, ep: int = 1, dp: int = 1,
+                micro_batch: int = 1, global_batch: int = 1, chunks: int = 1,
+                num_layers: int = 1):
+        """chunks is the pipeline model chunks per device (virtual stages).
+        Raises ShapeError for a field below 1, then for layers not divisible
+        by pp*chunks, then for a global batch not divisible by micro_batch*dp."""
+        values = (tp, cp, pp, ep, dp, micro_batch, global_batch, chunks, num_layers)
+        for name, value in zip(cls._fields, values):
+            if value < 1:
+                raise ShapeError(f"{name} must be >= 1, got {value}")
+        if num_layers % (pp * chunks) != 0:
+            raise ShapeError(
+                f"num_layers={num_layers} not divisible by pp*chunks={pp * chunks}")
+        if global_batch % (micro_batch * dp) != 0:
+            raise ShapeError(
+                f"global_batch={global_batch} not divisible by "
+                f"micro_batch*dp={micro_batch * dp}")
+        return tuple.__new__(cls, values)
 
     @property
     def world_size(self) -> int:
@@ -89,34 +98,16 @@ class ParallelPlan(NamedTuple):
         fwd = [s % (p * v) // p for s in every]
         return [s // (p * v) * p + s % p for s in every], fwd, [v - 1 - c for c in fwd]
 
-    def validate(self) -> None:
-        """Check integer/divisibility invariants; raises ShapeError on the
-        first violated dimension."""
-        if min(self) < 1:
-            name = next(name for name in PLAN_KEYS.values() if getattr(self, name) < 1)
-            raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_layers % (self.pp * self.chunks) != 0:
-            raise ShapeError(
-                f"num_layers={self.num_layers} not divisible by "
-                f"pp*chunks={self.pp * self.chunks}"
-            )
-        if self.global_batch % (self.micro_batch * self.dp) != 0:
-            raise ShapeError(
-                f"global_batch={self.global_batch} not divisible by "
-                f"micro_batch*dp={self.micro_batch * self.dp}"
-            )
-
     @classmethod
     def from_json_dict(cls, data: dict, num_layers: int | None = None) -> "ParallelPlan":
         """Build from the config keys of PLAN_KEYS; every value must be an
-        integer >= 1."""
+        integer in [1, MAX_COUNT]."""
         check_keys(data, tuple(PLAN_KEYS), "plan")
-        kwargs = {PLAN_KEYS[key]: check_count(key, value) for key, value in data.items()}
+        kwargs = {PLAN_KEYS[key]: check_count(key, value, high=MAX_COUNT)
+                  for key, value in data.items()}
         if num_layers is not None:
             kwargs.setdefault("num_layers", num_layers)
-        plan = cls(**kwargs)
-        plan.validate()
-        return plan
+        return cls(**kwargs)
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in PLAN_KEYS.items()}

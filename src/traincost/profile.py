@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (ConfigError, InputError, ProfileLookupError, check_count,
+from .errors import (MAX_COUNT, ConfigError, InputError, ProfileLookupError, check_count,
                      check_keys, check_number, record)
 
 COLLECTIVE_KINDS = ("all-gather", "reduce-scatter", "all-reduce", "all-to-all", "p2p")
@@ -56,7 +56,7 @@ class HardwareSpec:
         for name, value in zip(cls._fields, values):
             if name in _HARDWARE_KEYS:
                 check_number(_HARDWARE_KEYS[name][0], value, strict=True)
-        check_count("N", gpus_per_node)
+        check_count("N", gpus_per_node, high=MAX_COUNT)
         return tuple.__new__(cls, values)
 
     @classmethod
@@ -124,7 +124,7 @@ class CommEntry:
     def __new__(cls, kind: str, group_size: int, buckets: tuple[CommBucket, ...]):
         if kind not in COLLECTIVE_KINDS:
             raise InputError(f"unknown collective kind {kind!r}")
-        check_count("group_size", group_size)
+        check_count("group_size", group_size, high=MAX_COUNT)
         if not buckets:
             raise InputError(f"collective {kind} needs at least one bucket")
         buckets = tuple(sorted(buckets, key=lambda b: b.message_bytes))

@@ -29,8 +29,8 @@ from .basecost import (
     MemoryReport,
     evaluate_plan,
 )
-from .errors import (InfeasibleError, InputError, ShapeError, check_count, check_number,
-                     record)
+from .errors import (MAX_COUNT, InfeasibleError, InputError, ShapeError, check_count,
+                     check_number, record)
 from .fault import FaultModel, run_cost
 from .optim import OptimizationSet, default_feature_combos
 from .plan import DIMS, ParallelPlan, dim_values
@@ -62,7 +62,7 @@ class SearchSpace:
         counts = [("total_gpus", total_gpus), ("global_batch", global_batch)]
         counts += [(name, value) for name, values in candidates.items() for value in values]
         for name, value in counts:
-            check_count(name, value)
+            check_count(name, value, high=MAX_COUNT)
         for name, values in candidates.items():
             if len(set(values)) < len(values):
                 raise InputError(f"{name} repeats a value: {list(values)}")
@@ -418,7 +418,7 @@ def _sweep_fault(parameter: str, values: list, fault: FaultModel | None,
         elif parameter == "T_save":
             s = check_number(parameter, value)
         elif parameter == "I_ckpt":
-            fixed = check_count(parameter, value)
+            fixed = check_count(parameter, value, high=MAX_COUNT)
         try:
             interval, ettr, t_e2e = run_cost(f, s, total_steps, step_s, fixed)
         except InfeasibleError:

@@ -280,7 +280,7 @@ class TestMemory:
     def test_activation_stage_bounds(self):
         for r_pp in (-1, 2):
             with pytest.raises(InputError, match="r_pp"):
-                retained(simple_plan(pp=2, global_batch=2), 1.0, r_pp=r_pp)
+                retained(simple_plan(pp=2, global_batch=2, num_layers=2), 1.0, r_pp=r_pp)
 
     def test_peak_sum(self):
         arch = tiny_dense(l=4)
@@ -461,6 +461,18 @@ class TestEvalMemo:
         assert evaluate_plan(arch, plan, db, other, memo=memo) \
             == evaluate_plan(arch, plan, db, other)
 
+    def test_calls_without_a_set_share_one_combo_entry(self):
+        """A shared memo keeps each set it sees; a call that omits opts must
+        not add a new one each time."""
+        arch, db = tiny_dense(l=4, h=8, a=2), make_db()
+        plan = simple_plan(tp=2, pp=2, global_batch=8, num_layers=4)
+        memo = EvalMemo(arch, db, Dtypes())
+        first = evaluate_plan(arch, plan, db, memo=memo)
+        assert all(evaluate_plan(arch, plan, db, memo=memo) == first for _ in range(999))
+        assert len(memo.combos) == 1
+        assert first == evaluate_plan(arch, plan, db, OptimizationSet())
+
+
 def _invariant_cases():
     """Every pipeline regime the tuner ranks: interleaving, hops with and
     without steady-phase overlap, full recomputation, context and expert
@@ -567,10 +579,9 @@ def _small_plans(arch):
     experts = (1, 2) if arch.is_moe else (1,)
     for t, c, p, e, d, m_bs, v in itertools.product(
             (1, 2), (1, 2), (1, 2), experts, (1, 2), (1, 2), (1, 2)):
-        plan = ParallelPlan(tp=t, cp=c, pp=p, ep=e, dp=d, micro_batch=m_bs,
-                            global_batch=4, chunks=v, num_layers=arch.num_layers)
         try:
-            plan.validate()
+            plan = ParallelPlan(tp=t, cp=c, pp=p, ep=e, dp=d, micro_batch=m_bs,
+                                global_batch=4, chunks=v, num_layers=arch.num_layers)
             decompose(arch, plan)
         except ShapeError:
             continue

@@ -509,6 +509,52 @@ class TestInputBoundary:
         assert run_quiet(*argv, "--config", path) == (
             1, "", "error: unknown tflops mode 'bogus'\n")
 
+    @pytest.mark.parametrize("config,section,key,argv,named", [
+        *[(EVAL, "model", key, ("eval",), name) for key, name in (
+            ("s", "seq_len"), ("h", "hidden_size"), ("V", "vocab_size"),
+            ("g_d", "dense_ffn_size"), ("L", "num_layers"))],
+        (EVAL, "plan", "g_bs", ("eval",), "g_bs"),
+        (TUNE, "space", "g_bs", ("tune", "step"), "global_batch"),
+        *[(EVAL, "fault", key, ETTR, key) for key in ("S", "N_nodes", "I_ckpt")],
+    ], ids=["model-s", "model-h", "model-V", "model-g_d", "model-L", "plan-g_bs",
+            "space-g_bs", "fault-S", "fault-N_nodes", "fault-I_ckpt"])
+    def test_count_beyond_float_range_is_one_error(self, tmp_path, config, section, key,
+                                                   argv, named):
+        """Every int up to 2**53 converts to a float exactly. A larger count
+        is refused, under its name, where its section is parsed rather than
+        by an OverflowError in a formula; 2**53 itself is a count."""
+        huge = 10**400
+        path = write_shipped(tmp_path, config, [((section, key), huge)])
+        assert run_quiet(*argv, "--config", path) == (
+            1, "", f"error: {section} section invalid: {named} value {huge} "
+                   f"is not an integer <= {2**53}\n")
+        path = write_shipped(tmp_path, config, [((section, key), 2**53)])
+        code, _, err = run_quiet(*argv, "--config", path)
+        assert code in (0, 1, 2) and err.count("\n") == int(code > 0)
+        assert "is not an integer" not in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (("t", 0), "t value 0 is not an integer >= 1"),
+        (("p", 3), "num_layers=80 not divisible by pp*chunks=15"),
+        (("g_bs", 255), "global_batch=255 not divisible by micro_batch*dp=4"),
+    ], ids=["field-0", "layers-not-divisible", "batch-not-divisible"])
+    def test_invalid_plan_is_one_error(self, tmp_path, edit, message):
+        """The plan section is checked where it is parsed: its counts, then
+        the plan constructor's two divisibility rules."""
+        key, value = edit
+        path = write_shipped(tmp_path, EVAL, [(("plan", key), value)])
+        assert run_quiet("eval", "--config", path) == (
+            1, "", f"error: plan section invalid: {message}\n")
+
+    def test_interval_with_no_feasible_neighbour_is_infeasible(self, tmp_path):
+        """The continuous optimum exists, but at 1000 s a step neither
+        interval next to it converges."""
+        config = write_shipped(tmp_path, EVAL, [
+            (("fault", "r_f_per_node_day"), 5), (("fault", "u_b"), 1000),
+            (("fault", "T_save"), 1), (("fault", "N_nodes"), 16)])
+        assert run_quiet("interval", "--config", config, "--t-step", "1000") == (
+            2, "", "infeasible: no feasible interval near the continuous optimum\n")
+
     @pytest.mark.parametrize("command", ["ettr", "interval"])
     def test_overflowing_result_is_infeasible(self, tmp_path, command):
         config = write_shipped(tmp_path, EVAL, [(("fault", "T_save"), 1e308)])

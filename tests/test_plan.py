@@ -22,28 +22,28 @@ class TestDerivedQuantities:
         assert plan.layers_per_stage == 2
 
     def test_validate_accepts_consistent_plan(self):
-        ParallelPlan(pp=2, micro_batch=2, global_batch=8, dp=2,
-                     num_layers=4).validate()
+        plan = ParallelPlan(pp=2, micro_batch=2, global_batch=8, dp=2, num_layers=4)
+        assert plan == (1, 1, 2, 1, 2, 2, 8, 1, 4)
 
     def test_validate_layer_divisibility(self):
         with pytest.raises(ShapeError, match="num_layers"):
-            ParallelPlan(pp=3, global_batch=3, num_layers=4).validate()
+            ParallelPlan(pp=3, global_batch=3, num_layers=4)
 
     def test_validate_batch_divisibility(self):
         with pytest.raises(ShapeError, match="global_batch"):
-            ParallelPlan(micro_batch=3, global_batch=8, num_layers=1).validate()
+            ParallelPlan(micro_batch=3, global_batch=8, num_layers=1)
 
     def test_validate_positive_dimensions(self):
         with pytest.raises(ShapeError, match="dp"):
-            ParallelPlan(dp=0, num_layers=1).validate()
+            ParallelPlan(dp=0, num_layers=1)
 
     def test_validate_names_the_first_field_below_one(self):
         # fields are checked in PLAN_KEYS order, so tp is named before dp
         with pytest.raises(ShapeError) as info:
-            ParallelPlan(tp=0, dp=0, num_layers=1).validate()
+            ParallelPlan(tp=0, dp=0, num_layers=1)
         assert str(info.value) == "tp must be >= 1, got 0"
         with pytest.raises(ShapeError) as info:
-            ParallelPlan(dp=-2, chunks=0, num_layers=1).validate()
+            ParallelPlan(dp=-2, chunks=0, num_layers=1)
         assert str(info.value) == "dp must be >= 1, got -2"
 
     def test_json_round_trip(self):

@@ -14,7 +14,7 @@ from traincost.arch import ModelArchitecture, ModuleOverride, ModuleShape, decom
 from traincost.basecost import (CostReport, Dtypes, LayerCost, MemoryReport, PipelinePhases,
                                 PlanEvaluation, TimeParts)
 from traincost.config import FaultSection, RunConfig
-from traincost.errors import InputError
+from traincost.errors import InputError, ShapeError
 from traincost.fault import CheckpointPolicy, EttrReport, FaultModel
 from traincost.optim import DpOverlapCoeffs, OffloadCoeffs, OptimizationSet, OverlapCoeffs
 from traincost.oracle import PipelineTrace, TraceEvent
@@ -230,14 +230,24 @@ def test_fields_cannot_be_set(name):
     ("OptimizationSet", "optimizer_strategy", "bogus"),
     ("FaultModel", "nodes", 0),
     ("CheckpointPolicy", "interval_steps", 0),
+    ("CheckpointPolicy", "interval_steps", 2.5),
+    ("CheckpointPolicy", "save_s", math.nan),
+    ("CheckpointPolicy", "total_steps", True),
+    ("CheckpointPolicy", "step_s", math.nan),
+    ("CheckpointPolicy", "step_s", 0.0),
     ("HardwareSpec", "gpu_memory", math.nan),
     ("DpOverlapCoeffs", "alpha_ag", 0.0),
+    ("ParallelPlan", "dp", 0),
+    ("ParallelPlan", "pp", 3),
+    ("ParallelPlan", "micro_batch", 3),
 ])
 def test_replace_runs_the_constructor_checks(name, field, bad):
+    """A ParallelPlan raises ShapeError, every other record InputError."""
     record = SAMPLES[name]
-    with pytest.raises(InputError) as built:
+    error = ShapeError if name == "ParallelPlan" else InputError
+    with pytest.raises(error) as built:
         type(record)(**{**record._asdict(), field: bad})
-    with pytest.raises(InputError) as replaced:
+    with pytest.raises(error) as replaced:
         record._replace(**{field: bad})
     assert str(replaced.value) == str(built.value)
 

@@ -35,7 +35,7 @@ from traincost.optim import (
     OptimizationSet,
     OverlapCoeffs,
 )
-from traincost.plan import DIMS
+from traincost.plan import DIMS, ParallelPlan, dim_values
 from traincost.tuner import (
     CANDIDATE_FIELDS,
     Candidate,
@@ -207,6 +207,20 @@ class TestPruneHints:
         # every rule rejects, the parallel product at each degree's level
         assert len(fired) == 6 and fired[WORLD] == {"tp", "cp", "pp", "ep", "dp"}
 
+    @pytest.mark.parametrize("name", [*sorted(SHIPPED_SPACES), "random"])
+    def test_enumerated_plans_pass_the_constructor_checks(self, name):
+        """The walk builds its plans past ParallelPlan's checks, which
+        evaluate_plan then trusts: prune states the two divisibility rules and
+        SearchSpace checks every count, so the constructor accepts each one."""
+        spaces = ([random_space(seed) for seed in RANDOM_SEEDS] if name == "random"
+                  else [shipped_space(name)])
+        built = 0
+        for space in spaces:
+            plans = _enumerate_plans(space, {})
+            assert plans == [ParallelPlan(*plan) for plan in plans]
+            built += len(plans)
+        assert built
+
 
 class TestTuneStep:
     @pytest.mark.parametrize("sample", [False, True])
@@ -373,7 +387,7 @@ class TestTuneStep:
 
 def unshared_tune_reference(space) -> TuneResult:
     """tune_step(top_k=None) without shared terms: every candidate is
-    validated, decomposed and evaluated on its own, with no memo."""
+    decomposed and evaluated on its own, with no memo."""
     space = space.resolved()
     rejections: dict[str, int] = {}
     feasible, evaluated = [], 0
@@ -765,6 +779,29 @@ class TestSweep:
                 assert row == (value, ettr, t_e2e, i_ckpt)
         # the last value of each sweep is infeasible
         assert result.rows[-1][1:3] == ("", "")
+
+    @pytest.mark.parametrize("parameter,values,given", [
+        ("g_bs", [4, 32], {"micro_batch_candidates": (8,)}),
+        ("N", [1, 4], {"tp_candidates": (2,)}),
+    ])
+    def test_batch_and_node_sweeps_resolve_their_candidates_again(self, parameter, values,
+                                                                  given):
+        """A swept g_bs resolves the micro-batch candidates again against the
+        new batch, and a swept N the tp candidates against the new node
+        size: each row is the top-1 of the space built with that value and
+        those candidates left to their defaults. The given candidate (a
+        micro batch above 4, a tp above 1) would leave the first row empty."""
+        result = sweep(small_space(**given), parameter, values)
+        for value, row in zip(values, result.rows, strict=True):
+            if parameter == "g_bs":
+                space = small_space(global_batch=value, micro_batch_candidates=())
+            else:
+                space = small_space(db=make_db(make_hardware(gpu_memory=1e12,
+                                                             gpus_per_node=value)),
+                                    tp_candidates=())
+            best = tune_step(space, top_k=1).candidates[0]
+            assert row == (value, *dim_values(best.plan), best.cost.t_step,
+                           best.cost.tflops, best.memory.m_peak / 1e9)
 
     def test_optimizer_strategy_sweep_pins_every_combo(self):
         # even when the space starts from the default allowlist, the swept
