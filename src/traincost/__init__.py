@@ -24,7 +24,6 @@ from .fault import (
     CheckpointPolicy,
     EttrReport,
     FaultModel,
-    e2e_objective,
     ettr_closed_form,
     ettr_exact,
     optimal_ckpt_interval,
@@ -44,8 +43,8 @@ __all__ = [
     "MemoryReport", "ModelArchitecture", "ModuleShape", "OptimizationSet",
     "ParallelPlan", "PlanEvaluation", "ProfileDB", "ProfileLookupError",
     "SearchSpace", "ShapeError", "TraincostError", "comm_time", "decompose",
-    "e2e_objective", "ettr_closed_form", "ettr_exact", "evaluate_plan",
-    "linearity", "op_time", "optimal_ckpt_interval", "pipeline_time",
-    "roofline_bound", "run_cost", "simulate_activation_ledger", "simulate_faults",
-    "simulate_pipeline", "sweep", "tune_e2e", "tune_step",
+    "ettr_closed_form", "ettr_exact", "evaluate_plan", "linearity", "op_time",
+    "optimal_ckpt_interval", "pipeline_time", "roofline_bound", "run_cost",
+    "simulate_activation_ledger", "simulate_faults", "simulate_pipeline", "sweep",
+    "tune_e2e", "tune_step",
 ]

@@ -172,12 +172,6 @@ def _e2e_s(total_steps: int, step_s: float, ettr: float) -> float:
     return total_steps * step_s / ettr
 
 
-def e2e_objective(fault: FaultModel, policy: CheckpointPolicy) -> float:
-    """Total expected wall time for the run: training time over the
-    closed-form ETTR."""
-    return _e2e_s(policy.total_steps, policy.step_s, ettr_closed_form(fault, policy))
-
-
 def optimal_ckpt_interval(
     fault: FaultModel,
     save_s: float,
@@ -226,9 +220,9 @@ def run_cost(fault: FaultModel, save_s: float, total_steps: int, step_s: float,
              interval: int | None = None) -> tuple[int, float, float]:
     """(I_ckpt, closed-form ETTR, T_e2e) of a run of total_steps steps of
     step_s seconds, checkpointed every `interval` steps, or at
-    optimal_ckpt_interval when interval is None. T_e2e equals e2e_objective
-    at that interval, bit for bit. Raises InfeasibleError when the fault
-    regime cannot sustain the run."""
+    optimal_ckpt_interval when interval is None. T_e2e is the training time
+    over the ETTR. Raises InfeasibleError when the fault regime cannot
+    sustain the run."""
     if interval is None:
         interval, ettr = optimal_ckpt_interval(fault, save_s, total_steps, step_s)
     else:

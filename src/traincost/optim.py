@@ -228,7 +228,8 @@ def apply_optimizer_strategy(
     'distributed' shards states and update work across the data-parallel
     group.  'cpu' keeps states in host memory (only the overflow beyond host
     capacity stays on device) and pays host-side update plus both transfer
-    directions; params_total is the per-device parameter count,
+    directions: gradients device to host at d2h_bw, parameters back at
+    h2d_bw. params_total is the per-device parameter count,
     grad/param_bytes_total the corresponding transfer volumes."""
     if strategy == "none":
         return optimizer_bytes, t_update
@@ -239,8 +240,8 @@ def apply_optimizer_strategy(
             raise ConfigError("cpu optimizer strategy requires a hardware spec")
         mem = max(0.0, optimizer_bytes - hw.cpu_memory)
         t = (params_total / hw.cpu_flops
-             + grad_bytes_total / hw.h2d_bw
-             + param_bytes_total / hw.d2h_bw)
+             + grad_bytes_total / hw.d2h_bw
+             + param_bytes_total / hw.h2d_bw)
         return mem, t
     raise InputError(f"unknown optimizer strategy {strategy!r}")
 

@@ -38,9 +38,12 @@ class TraceEvent(NamedTuple):
 
 
 class PipelineTrace(NamedTuple):
-    """A replay's op times as flat columns, laid out by device, then kind
-    (bwd, fwd), then virtual slot; `micros` and the two chunk lists give
-    each slot's (micro_batch, chunk) for its kind, on every device."""
+    """A replay's own start and end tables: a row per micro-batch and
+    direction (all forwards, then all backwards), each a sentinel slot and
+    then one slot per stage 0..p*v-1, and one trailing sentinel. Sentinel
+    slots are not ops (0.0 in `starts`, -hop or -inf in `ends`). `micros` and
+    the two chunk lists give each virtual slot's (micro_batch, chunk) for
+    its kind, on every device."""
     makespan: float
     starts: array
     ends: array
@@ -54,17 +57,21 @@ class PipelineTrace(NamedTuple):
 
         Built afresh on every read and not kept, so a held trace stays
         small; keep the tuple rather than re-reading in a loop."""
-        slots, i = len(self.micros), 0
+        v = max(self.fwd_chunks) + 1
+        m_b = len(self.micros) // v
+        row = (len(self.starts) - 1) // (2 * m_b)  # p*v stages and a sentinel
+        p = (row - 1) // v
         events: list[TraceEvent] = []
-        for dev in range(len(self.starts) // (2 * slots)):
-            for kind, chunks in (("bwd", self.bwd_chunks), ("fwd", self.fwd_chunks)):
+        for dev in range(p):
+            for kind, at, chunks in (("bwd", m_b * row, self.bwd_chunks),
+                                     ("fwd", 0, self.fwd_chunks)):
+                js = [at + m * row + c * p + 1 + dev for m, c in zip(self.micros, chunks)]
                 events += map(tuple.__new__, repeat(TraceEvent), zip(
                     repeat(kind), self.micros, chunks, repeat(dev),
-                    self.starts[i:i + slots], self.ends[i:i + slots]))
-                i += slots
-        # columns run by device, then kind, then slot (each kind runs its
-        # slots in order), so a stable sort on start alone leaves them in
-        # (start, device, kind) order with ties in run order
+                    map(self.starts.__getitem__, js), map(self.ends.__getitem__, js)))
+        # built by device, then kind, then slot (each kind runs its slots in
+        # order), so a stable sort on start alone leaves them in (start,
+        # device, kind) order with ties in run order
         events.sort(key=itemgetter(4))
         return tuple(events)
 
@@ -84,9 +91,9 @@ def simulate_pipeline(
 
     t_fwd/t_bwd are per-layer times; each slot runs layers_per_stage of them.
     Transfers between adjacent stages cost t_pp of latency without occupying
-    either device. The trace keeps each op's start and end in flat columns;
-    the makespan is the last device clock. Every time must be finite and
-    >= 0."""
+    either device. The trace is the replay's own start and end tables (see
+    PipelineTrace); the makespan is the last device clock. Every time must
+    be finite and >= 0."""
     for name, value in (("t_fwd", t_fwd), ("t_bwd", t_bwd), ("t_pp", t_pp),
                         ("t_embed", t_embed), ("t_embed_bwd", t_embed_bwd),
                         ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
@@ -99,14 +106,15 @@ def simulate_pipeline(
     fwd_d[0], bwd_d[0] = fwd_d[0] + t_embed, bwd_d[0] + t_embed_bwd
     fwd_d[-1], bwd_d[-1] = fwd_d[-1] + t_head, bwd_d[-1] + t_head_bwd
     # End times, a row per micro-batch and direction: a sentinel, then stages
-    # 0..last (None until run); start and duration lists share the layout. A
-    # forward row's -hop readies stage 0 at -hop + hop = 0; a backward row's
-    # -inf ends the row before, so the last stage never waits downstream.
+    # 0..last (None until run); the start (0.0 until run) and duration lists
+    # share the layout, and the trace keeps it. A forward row's -hop readies
+    # stage 0 at -hop + hop = 0; a backward row's -inf ends the row before,
+    # so the last stage never waits downstream.
     row = n_stages + 1
     bwd_at = m_b * row
     end = ([-hop] + [None] * n_stages) * m_b + ([-math.inf] + [None] * n_stages) * m_b \
         + [-math.inf]
-    start = [None] * len(end)
+    start = [0.0] * len(end)
     duration = ([0.0] + fwd_d) * m_b + ([0.0] + bwd_d) * m_b
 
     def replay(js: list[int]):
@@ -150,14 +158,8 @@ def simulate_pipeline(
         pending = [dev for dev in reversed(pending) if waiting[dev] is not None]
     makespan = max(end[js[-1]] for js in op_ids)
     del op_ids, runs
-
-    starts, ends = array("d"), array("d")
-    for dev in range(p):
-        for ids in (bwd_ids, fwd_ids):
-            js = [j + dev for j in ids]
-            starts.extend(map(start.__getitem__, js))
-            ends.extend(map(end.__getitem__, js))
-    return makespan, PipelineTrace(makespan, starts, ends, micros, fwd_chunks, bwd_chunks)
+    return makespan, PipelineTrace(makespan, array("d", start), array("d", end),
+                                   micros, fwd_chunks, bwd_chunks)
 
 
 def simulate_activation_ledger(

@@ -10,6 +10,7 @@ import math
 from traincost.arch import ModelArchitecture
 from traincost.basecost import evaluate_plan
 from traincost.errors import InputError, ShapeError
+from traincost.fault import CheckpointPolicy, FaultModel, ettr_closed_form
 from traincost.plan import DIMS, ParallelPlan
 from traincost.profile import (
     CommBucket,
@@ -32,6 +33,12 @@ def make_hardware(**overrides) -> HardwareSpec:
     )
     values.update(overrides)
     return HardwareSpec(**values)
+
+
+def e2e_objective(fault: FaultModel, policy: CheckpointPolicy) -> float:
+    """Total expected wall time for the run, the objective the checkpoint
+    interval minimises: training time over the closed-form ETTR."""
+    return policy.total_steps * policy.step_s / ettr_closed_form(fault, policy)
 
 
 def make_db(hw: HardwareSpec | None = None, tflops: float = 1.0,

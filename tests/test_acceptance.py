@@ -8,12 +8,17 @@ import time
 
 import numpy as np
 
-from helpers import exhaustive_tune_reference, make_db, make_hardware, tiny_dense
+from helpers import (
+    e2e_objective,
+    exhaustive_tune_reference,
+    make_db,
+    make_hardware,
+    tiny_dense,
+)
 from traincost.basecost import pipeline_time
 from traincost.fault import (
     CheckpointPolicy,
     FaultModel,
-    e2e_objective,
     ettr_closed_form,
     optimal_ckpt_interval,
 )

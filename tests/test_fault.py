@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import e2e_objective
 from traincost.errors import InfeasibleError, InputError
 from traincost.fault import (
     CheckpointPolicy,
     FaultModel,
-    e2e_objective,
     ettr_closed_form,
     ettr_exact,
     failure_fixed_point,

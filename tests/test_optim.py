@@ -170,6 +170,19 @@ class TestOptimizerStrategy:
                                         param_bytes_total=2e9)
         assert t == pytest.approx(1.0 + 0.0625 + 0.0625)
 
+    @pytest.mark.parametrize("inputs,seconds", [
+        ({"params_total": 3e9}, 3.0),
+        ({"grad_bytes_total": 3e9}, 0.75),
+        ({"param_bytes_total": 3e9}, 0.1875),
+    ], ids=["host-update", "grads-d2h", "params-h2d"])
+    def test_cpu_terms_use_their_own_direction(self, inputs, seconds):
+        """On hardware whose two directions differ, gradients leave at d2h_bw
+        and parameters return at h2d_bw, each term on its own."""
+        hw = make_hardware(cpu_flops=1e9, d2h_bw=4e9, h2d_bw=16e9)
+        _, t = apply_optimizer_strategy("cpu", ParallelPlan(num_layers=1), 0.0, 0.0,
+                                        hw=hw, **inputs)
+        assert t == seconds
+
     def test_cpu_requires_hardware(self):
         with pytest.raises(ConfigError):
             apply_optimizer_strategy("cpu", ParallelPlan(num_layers=1), 1.0, 1.0)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,22 @@ class TestPipelineSim:
         assert makespan == max(e.end for e in trace.events) - min(
             e.start for e in trace.events)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pipeline_cases())
+    def test_trace_keeps_the_replay_tables(self, case):
+        """The trace holds a row per micro-batch and direction, each a
+        sentinel and one slot per stage, plus one trailing sentinel; its
+        events are the 2*m_b*v*p ops and never a sentinel slot, whose end
+        (-hop or -inf) never passes its start (0.0) as every op's does."""
+        plan, t_f, t_b, extras = case
+        p, v, m_b = plan.pp, plan.chunks, plan.micro_batches
+        _, trace = simulate_pipeline(t_f, t_b, plan, **extras)
+        assert len(trace.starts) == len(trace.ends) == 2 * m_b * (p * v + 1) + 1
+        events = trace.events
+        assert len(events) == 2 * m_b * v * p
+        assert all(math.isfinite(e.start) and math.isfinite(e.end) and e.end > e.start
+                   for e in events)
+
     @pytest.mark.parametrize("p,v,m_b,t_b,extras,makespan", [
         (2, 2, 4, 1.0, {}, 18.0),
         (4, 3, 8, 2.0, {"t_pp": 0.25, "t_embed": 0.5, "t_embed_bwd": 0.75,
@@ -105,20 +122,28 @@ class TestPipelineSim:
         assert simulate_pipeline(1.0, t_b, plan_of(p=p, v=v, m_b=m_b), **extras)[0] \
             == makespan
 
-    @pytest.mark.parametrize("p,v,m_b,l,t_f,t_b,digest", [
-        (2, 2, 4, 1, 1.0, 2.0,
+    @pytest.mark.parametrize("p,v,m_b,l,t_f,t_b,costs,digest", [
+        (2, 2, 4, 1, 1.0, 2.0, True,
          "1c4bc472587047eb1108219af15e89d92e2fe8d70332e5f0e8032ea004e7e3ae"),
-        (4, 3, 8, 2, 1.25, 2.5,
+        (4, 3, 8, 2, 1.25, 2.5, True,
          "0195dda5a7a23219ae34e3703052bc23ed891dd3911f2eb2b18b4f2dceb3808d"),
-        (16, 3, 256, 1, 0.75, 1.5,
+        (16, 3, 256, 1, 0.75, 1.5, True,
          "e51f9d7defc23789e13e8b1cee3a0ffa3c25cfce139d4be4639256c9c0536ea4"),
-    ], ids=["p2-v2", "p4-v3-l2", "p16-v3"])
-    def test_pinned_trace_digests(self, p, v, m_b, l, t_f, t_b, digest):
-        """Every event of a replay with hop, embedding and head costs on, in
-        its (start, device, kind) order, hashes to a recorded digest, so any
-        change to an event's values or to the order shows."""
+        (4, 2, 8, 1, 0.0, 1.0, False,
+         "f56a468841949e65d1c9e71071a2136be6abed3592b18ca0a3ef2bf69c0cdeb4"),
+        (4, 2, 8, 1, 0.0, 1.0, True,
+         "768a5ad6b1442731ea56c77a720bb3c5d897d6908f388fdcd54d3418d542fab7"),
+        (4, 3, 4, 1, 1.0, 2.0, False,
+         "d2a55fcce29ee1e34e62b7e5d172de53d3b8a9cc00db24b3d7bc67cd452133f2"),
+    ], ids=["p2-v2", "p4-v3-l2", "p16-v3", "zero-fwd", "zero-fwd-hop", "all-fwd-first"])
+    def test_pinned_trace_digests(self, p, v, m_b, l, t_f, t_b, costs, digest):
+        """Every event of a replay, in its (start, device, kind) order, hashes
+        to a recorded digest, so any change to an event's values or to the
+        order shows. Most rows turn hop, embedding and head costs on; the
+        zero-forward rows tie many starts across devices and kinds, and the
+        v>1, m_b=pp row runs every forward before any backward."""
         extras = {"t_pp": 0.3, "t_embed": 0.7, "t_embed_bwd": 1.1,
-                  "t_head": 0.9, "t_head_bwd": 1.3}
+                  "t_head": 0.9, "t_head_bwd": 1.3} if costs else {}
         _, trace = simulate_pipeline(t_f, t_b, plan_of(p=p, v=v, m_b=m_b, l=l), **extras)
         assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest
 
@@ -369,7 +394,7 @@ class TestIntervalGrid:
             grid_search_interval(fault, 1.0, 100, 1.0, [])
 
     def test_vectorized_argmin_matches_scalar_loop(self):
-        from traincost.fault import e2e_objective
+        from helpers import e2e_objective
         fault = FaultModel(nodes=32, failures_per_node_day=0.01,
                            mean_repair_s=60.0)
         values = {i: e2e_objective(fault, CheckpointPolicy(i, 2.0, 10000, 28.0))

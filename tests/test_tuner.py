@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    e2e_objective,
     exhaustive_tune_reference,
     make_db,
     make_hardware,
@@ -22,7 +23,6 @@ from traincost.errors import InfeasibleError, InputError, ShapeError
 from traincost.fault import (
     CheckpointPolicy,
     FaultModel,
-    e2e_objective,
     ettr_closed_form,
     optimal_ckpt_interval,
     run_cost,
