@@ -33,7 +33,7 @@ from .optim import OptimizationSet
 from .oracle import simulate_activation_ledger, simulate_faults, simulate_pipeline
 from .plan import ParallelPlan
 from .profile import HardwareSpec, ProfileDB, comm_time, op_time, roofline_bound
-from .tuner import SearchSpace, linearity, sweep, tune_e2e, tune_step
+from .tuner import SearchSpace, sweep, tune_e2e, tune_step
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "MemoryReport", "ModelArchitecture", "ModuleShape", "OptimizationSet",
     "ParallelPlan", "PlanEvaluation", "ProfileDB", "ProfileLookupError",
     "SearchSpace", "ShapeError", "TraincostError", "comm_time", "decompose",
-    "ettr_closed_form", "ettr_exact", "evaluate_plan", "linearity", "op_time",
+    "ettr_closed_form", "ettr_exact", "evaluate_plan", "op_time",
     "optimal_ckpt_interval", "pipeline_time", "roofline_bound", "run_cost",
     "simulate_activation_ledger", "simulate_faults", "simulate_pipeline", "sweep",
     "tune_e2e", "tune_step",

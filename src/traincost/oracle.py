@@ -91,9 +91,10 @@ def simulate_pipeline(
 
     t_fwd/t_bwd are per-layer times; each slot runs layers_per_stage of them.
     Transfers between adjacent stages cost t_pp of latency without occupying
-    either device. The trace is the replay's own start and end tables (see
-    PipelineTrace); the makespan is the last device clock. Every time must
-    be finite and >= 0."""
+    either device. Devices of one warmup depth share one op order, built on
+    device 0's slots and shifted by the device index. The trace is the
+    replay's own start and end tables (see PipelineTrace); the makespan is
+    the last device clock. Every time must be finite and >= 0."""
     for name, value in (("t_fwd", t_fwd), ("t_bwd", t_bwd), ("t_pp", t_pp),
                         ("t_embed", t_embed), ("t_embed_bwd", t_embed_bwd),
                         ("t_head", t_head), ("t_head_bwd", t_head_bwd)):
@@ -117,11 +118,12 @@ def simulate_pipeline(
     start = [0.0] * len(end)
     duration = ([0.0] + fwd_d) * m_b + ([0.0] + bwd_d) * m_b
 
-    def replay(js: list[int]):
-        """Run one device's ops in order; while the next op waits on an op
-        not yet run, yield its index."""
+    def replay(js: list[int], dev: int):
+        """Run one device's ops in order (js on device 0, shifted by dev);
+        while the next op waits on an op not yet run, yield its index."""
         now = 0.0
         for j in js:
+            j += dev
             if j < bwd_at:
                 while (ready := end[j - 1]) is None:
                     yield j
@@ -138,13 +140,13 @@ def simulate_pipeline(
             end[j] = now
 
     # per virtual slot, shared by all devices: (micro, chunk) and the end-list
-    # index of its forward and backward on device 0
+    # index of its forward and backward on device 0; device d's op sits d
+    # slots further on, so devices of one warmup depth share one op order
     micros, fwd_chunks, bwd_chunks = plan.slots()
     fwd_ids = [m * row + c * p + 1 for m, c in zip(micros, fwd_chunks)]
     bwd_ids = [bwd_at + m * row + c * p + 1 for m, c in zip(micros, bwd_chunks)]
-    op_ids = [in_device_order([j + dev for j in fwd_ids], [j + dev for j in bwd_ids], w)
-              for dev, w in enumerate(warmups)]
-    runs = [replay(js) for js in op_ids]
+    orders = {w: in_device_order(fwd_ids, bwd_ids, w) for w in set(warmups)}
+    runs = [replay(orders[w], dev) for dev, w in enumerate(warmups)]
 
     # Sweep the devices alternately up and down, running each as far as its
     # dependencies allow: forwards flow downstream, backwards upstream. A
@@ -156,10 +158,12 @@ def simulate_pipeline(
             raise InputError("schedule deadlocked; plan outside supported regime")
         waits_on = waiting
         pending = [dev for dev in reversed(pending) if waiting[dev] is not None]
-    makespan = max(end[js[-1]] for js in op_ids)
-    del op_ids, runs
-    return makespan, PipelineTrace(makespan, array("d", start), array("d", end),
-                                   micros, fwd_chunks, bwd_chunks)
+    makespan = max(end[orders[w][-1] + dev] for dev, w in enumerate(warmups))
+    del orders, runs
+    starts, ends = array("d"), array("d")
+    starts.fromlist(start)
+    ends.fromlist(end)
+    return makespan, PipelineTrace(makespan, starts, ends, micros, fwd_chunks, bwd_chunks)
 
 
 def simulate_activation_ledger(
@@ -170,8 +174,10 @@ def simulate_activation_ledger(
     backward frees it, so stage r's peak is the running sum's maximum."""
     slots = plan.micro_batches * plan.chunks
     allocs, frees = [1] * slots, [-1] * slots
-    return [max(accumulate(in_device_order(allocs, frees, w))) * act_bytes_per_layer
-            for w in plan.warmups()]
+    warmups = plan.warmups()
+    peaks = {w: max(accumulate(in_device_order(allocs, frees, w))) * act_bytes_per_layer
+             for w in set(warmups)}
+    return [peaks[w] for w in warmups]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +197,15 @@ def simulate_faults(
     time (the clock never pauses, so failures can also strike during saves
     and recovery); each failure costs a recovery draw from the three-level
     mixture plus a uniformly distributed rollback loss within the current
-    checkpoint interval."""
+    checkpoint interval.
+
+    Draw contract: the first arrivals are standard_exponential * (1/lam)
+    for every trial; then each round draws, for the trials still failing in
+    trial order, the mixture's repair (a fixed mean_repair_s draws nothing),
+    the rollback as random * I and the next arrival as
+    standard_exponential * (1/lam), where I is the checkpoint interval in
+    seconds. Those equal numpy's uniform(0, I) and exponential(1/lam) bit
+    for bit, so a seed fixes (mean, se)."""
     check_count("trials", trials)
     lam = fault.failures_per_second
     t_tr = policy.training_s
@@ -202,26 +216,34 @@ def simulate_faults(
     import numpy as np
     rng = np.random.default_rng(seed)
     wall = np.full(trials, base, dtype=float)
-    arrival = rng.exponential(1.0 / lam, size=trials)
+    scale = 1.0 / lam
+    arrival = rng.standard_exponential(trials)
+    arrival *= scale
     recoveries = (fault.recovery_process_s, fault.recovery_pod_s, fault.recovery_job_s)
+    repair = fault.mean_repair_s
     interval_s = policy.interval_steps * policy.step_s
-    # Each round draws repair, rollback and next arrival, in that order, for
-    # the trials still failing (in trial order); a trial leaves the compacted
-    # arrays, with its wall time written back, once it finishes first.
+    # a trial leaves the compacted arrays, with its wall time written back,
+    # in the round it finishes
     failing = np.flatnonzero(arrival < wall)
     wall_f, arrival_f = wall[failing], arrival[failing]
+    buf = np.empty(failing.size)
 
     while failing.size:
         n = failing.size
-        if fault.mean_repair_s is not None:
-            cost = np.full(n, fault.mean_repair_s)
-        else:
-            cost = rng.choice(recoveries, size=n, p=fault.mix)
-        wall_f += cost + rng.uniform(0.0, interval_s, size=n)
-        arrival_f += rng.exponential(1.0 / lam, size=n)
+        cost = repair if repair is not None else rng.choice(recoveries, size=n, p=fault.mix)
+        draw = rng.random(out=buf[:n])
+        draw *= interval_s
+        draw += cost
+        wall_f += draw
+        draw = rng.standard_exponential(out=buf[:n])
+        draw *= scale
+        arrival_f += draw
         still = arrival_f < wall_f
-        wall[failing] = wall_f
-        failing, wall_f, arrival_f = failing[still], wall_f[still], arrival_f[still]
+        keep = np.flatnonzero(still)
+        if keep.size < n:
+            done = np.flatnonzero(~still)
+            wall[failing[done]] = wall_f[done]
+            failing, wall_f, arrival_f = failing[keep], wall_f[keep], arrival_f[keep]
 
     ettr = t_tr / wall
     mean = float(ettr.mean())

@@ -285,14 +285,6 @@ def tune_e2e(space: SearchSpace, fault: FaultModel, save_s: float,
                       evaluated=evaluated, rejections=rejections)
 
 
-def linearity(t_step_small: float, t_step_large: float) -> float:
-    """Scaling efficiency between two cluster sizes at fixed work: the ratio
-    of the smaller cluster's step time to the larger one's."""
-    if t_step_small <= 0 or t_step_large <= 0:
-        raise InputError("step times must be positive")
-    return t_step_small / t_step_large
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -346,11 +338,12 @@ def sweep(
         row = (value, *dim_values(best.plan), best.cost.t_step, best.cost.tflops,
                best.memory.m_peak / 1e9)
         if parameter == "g_n":
-            # scaling efficiency: ideally-scaled reference time over actual
+            # linearity, the scaling efficiency: ideally-scaled reference
+            # time over actual
             if reference is None:
                 reference = (value, best.cost.t_step)
             ideal = reference[1] * reference[0] / value
-            row += (linearity(ideal, best.cost.t_step),)
+            row += (ideal / best.cost.t_step,)
         rows.append(row)
     return SweepResult(parameter, columns, tuple(rows))
 

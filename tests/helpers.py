@@ -1,17 +1,20 @@
 """Shared builders for test fixtures: tiny architectures, flat profiles whose
-expected costs are easy to compute by hand, and the brute-force tuner
-reference."""
+expected costs are easy to compute by hand, the brute-force tuner reference,
+and straightforward copies of the oracles that the optimised ones must
+match bit for bit."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
+from itertools import accumulate
 
 from traincost.arch import ModelArchitecture
 from traincost.basecost import evaluate_plan
 from traincost.errors import InputError, ShapeError
 from traincost.fault import CheckpointPolicy, FaultModel, ettr_closed_form
-from traincost.plan import DIMS, ParallelPlan
+from traincost.plan import DIMS, ParallelPlan, in_device_order
 from traincost.profile import (
     CommBucket,
     CommEntry,
@@ -185,3 +188,100 @@ def exhaustive_tune_reference(space, top_k):
                                        result.memory))
     survivors.sort(key=lambda cand: cand.step_key)
     return survivors[:top_k]
+
+
+def reference_simulate_pipeline(t_fwd, t_bwd, plan, *, t_pp=0.0, t_embed=0.0,
+                                t_embed_bwd=0.0, t_head=0.0, t_head_bwd=0.0):
+    """The interleaved-1F1B replay with one op list built per device:
+    (makespan, starts, ends), the trace's two columns."""
+    p, v, m_b, l = plan.pp, plan.chunks, plan.micro_batches, plan.layers_per_stage
+    warmups = plan.warmups()
+    n_stages = p * v
+    hop = t_pp if p > 1 else 0.0
+    fwd_d, bwd_d = [l * t_fwd] * n_stages, [l * t_bwd] * n_stages
+    fwd_d[0], bwd_d[0] = fwd_d[0] + t_embed, bwd_d[0] + t_embed_bwd
+    fwd_d[-1], bwd_d[-1] = fwd_d[-1] + t_head, bwd_d[-1] + t_head_bwd
+    row = n_stages + 1
+    bwd_at = m_b * row
+    end = ([-hop] + [None] * n_stages) * m_b + ([-math.inf] + [None] * n_stages) * m_b \
+        + [-math.inf]
+    start = [0.0] * len(end)
+    duration = ([0.0] + fwd_d) * m_b + ([0.0] + bwd_d) * m_b
+
+    def replay(js):
+        now = 0.0
+        for j in js:
+            if j < bwd_at:
+                while (ready := end[j - 1]) is None:
+                    yield j
+                ready += hop
+            else:
+                while (ready := end[j - bwd_at]) is None or (dep := end[j + 1]) is None:
+                    yield j
+                if (dep := dep + hop) > ready:
+                    ready = dep
+            if ready > now:
+                now = ready
+            start[j] = now
+            now += duration[j]
+            end[j] = now
+
+    micros, fwd_chunks, bwd_chunks = plan.slots()
+    fwd_ids = [m * row + c * p + 1 for m, c in zip(micros, fwd_chunks)]
+    bwd_ids = [bwd_at + m * row + c * p + 1 for m, c in zip(micros, bwd_chunks)]
+    op_ids = [in_device_order([j + dev for j in fwd_ids], [j + dev for j in bwd_ids], w)
+              for dev, w in enumerate(warmups)]
+    runs = [replay(js) for js in op_ids]
+    pending, waits_on = list(range(p)), {}
+    while pending:
+        waiting = {dev: next(runs[dev], None) for dev in pending}
+        if waiting == waits_on:
+            raise InputError("schedule deadlocked; plan outside supported regime")
+        waits_on = waiting
+        pending = [dev for dev in reversed(pending) if waiting[dev] is not None]
+    makespan = max(end[js[-1]] for js in op_ids)
+    return makespan, array("d", start), array("d", end)
+
+
+def reference_activation_ledger(plan, act_bytes_per_layer):
+    """Per-stage activation peak, one running sum per stage."""
+    slots = plan.micro_batches * plan.chunks
+    allocs, frees = [1] * slots, [-1] * slots
+    return [max(accumulate(in_device_order(allocs, frees, w))) * act_bytes_per_layer
+            for w in plan.warmups()]
+
+
+def reference_simulate_faults(fault, policy, trials, seed):
+    """Monte Carlo ETTR with numpy's uniform and exponential draws, a filled
+    repair array and a write-back of every active trial each round."""
+    import numpy as np
+    lam = fault.failures_per_second
+    t_tr = policy.training_s
+    base = t_tr + fault.init_s + policy.num_saves * policy.save_s
+    if lam == 0:
+        return t_tr / base, 0.0
+
+    rng = np.random.default_rng(seed)
+    wall = np.full(trials, base, dtype=float)
+    arrival = rng.exponential(1.0 / lam, size=trials)
+    recoveries = (fault.recovery_process_s, fault.recovery_pod_s, fault.recovery_job_s)
+    interval_s = policy.interval_steps * policy.step_s
+    failing = np.flatnonzero(arrival < wall)
+    wall_f, arrival_f = wall[failing], arrival[failing]
+
+    while failing.size:
+        n = failing.size
+        if fault.mean_repair_s is not None:
+            cost = np.full(n, fault.mean_repair_s)
+        else:
+            cost = rng.choice(recoveries, size=n, p=fault.mix)
+        wall_f += cost + rng.uniform(0.0, interval_s, size=n)
+        arrival_f += rng.exponential(1.0 / lam, size=n)
+        still = arrival_f < wall_f
+        wall[failing] = wall_f
+        failing, wall_f, arrival_f = failing[still], wall_f[still], arrival_f[still]
+
+    ettr = t_tr / wall
+    mean = float(ettr.mean())
+    se = float(ettr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, se

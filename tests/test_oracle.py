@@ -19,6 +19,12 @@ from traincost.oracle import (
 )
 from traincost.plan import ParallelPlan
 
+from helpers import (
+    reference_activation_ledger,
+    reference_simulate_faults,
+    reference_simulate_pipeline,
+)
+
 
 def plan_of(p=1, v=1, m_b=1, l=1):
     return ParallelPlan(pp=p, chunks=v, micro_batch=1, global_batch=m_b,
@@ -111,6 +117,22 @@ class TestPipelineSim:
         assert len(events) == 2 * m_b * v * p
         assert all(math.isfinite(e.start) and math.isfinite(e.end) and e.end > e.start
                    for e in events)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pipeline_cases(), st.booleans(), st.floats(0.5, 2.0))
+    def test_matches_per_device_reference(self, case, costs_on, unit):
+        """The replay, whose devices of one warmup depth share an op order,
+        gives the makespan, the start and end columns and the ledger peaks
+        of a replay that builds one op list per device, bit for bit; half
+        the examples turn every hop, embedding and head cost on."""
+        plan, t_f, t_b, extras = case
+        if costs_on:
+            extras = {key: value or 0.3 for key, value in extras.items()}
+        makespan, trace = simulate_pipeline(t_f, t_b, plan, **extras)
+        assert (makespan, trace.starts, trace.ends) == \
+            reference_simulate_pipeline(t_f, t_b, plan, **extras)
+        assert simulate_activation_ledger(plan, unit) == \
+            reference_activation_ledger(plan, unit)
 
     @pytest.mark.parametrize("p,v,m_b,t_b,extras,makespan", [
         (2, 2, 4, 1.0, {}, 18.0),
@@ -370,6 +392,29 @@ class TestFaultSim:
         policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
         mean, se = simulate_faults(fault, policy, trials=500, seed=3)
         assert 0.9 < mean < 1.0 and se > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 2000])
+    @pytest.mark.parametrize("fault", [
+        FaultModel(nodes=64, failures_per_node_day=0.05),
+        FaultModel(nodes=64, failures_per_node_day=0.05, mean_repair_s=134.41),
+        FaultModel(nodes=64, failures_per_node_day=0.05, recovery_process_s=140,
+                   recovery_pod_s=260, recovery_job_s=300),
+        FaultModel(nodes=64, failures_per_node_day=0.05, mean_repair_s=134),
+        FaultModel(nodes=1, failures_per_node_day=1e-9),
+        FaultModel(nodes=64, failures_per_node_day=0.0),
+    ], ids=["mixture", "fixed-repair", "integer-mixture", "integer-repair",
+            "none-fail", "zero-rate"])
+    def test_matches_reference_draws(self, fault, trials, seed):
+        """(mean, se) equal, bit for bit, those of a loop that draws numpy's
+        uniform and exponential, fills the repair array and writes back
+        every active trial each round."""
+        policy = CheckpointPolicy(10, 4.19, 95367, 27.83)
+        result = simulate_faults(fault, policy, trials=trials, seed=seed)
+        assert result == reference_simulate_faults(fault, policy, trials, seed)
+        if 0 < fault.failures_per_node_day < 1e-6:  # every trial ends unfailed
+            base = policy.training_s + policy.num_saves * policy.save_s
+            assert result[0] == float(np.full(trials, policy.training_s / base).mean())
 
     def test_trials_validated(self):
         fault = FaultModel(nodes=1, failures_per_node_day=0.0)

@@ -42,7 +42,7 @@ from traincost.tuner import (
     SearchSpace,
     TuneResult,
     _enumerate_plans,
-    linearity,
+    _rank,
     prune,
     sweep,
     tune_e2e,
@@ -729,8 +729,7 @@ class TestSweep:
         first, second = result.rows
         assert first[lin_col] == 1.0
         ideal = first[t_col] * 4 / 8
-        assert second[lin_col] == pytest.approx(
-            linearity(ideal, second[t_col]))
+        assert second[lin_col] == ideal / second[t_col]
 
     def test_fault_rate_sweep_monotone(self):
         space = small_space()
@@ -848,12 +847,67 @@ class TestSweep:
 
 
 class TestLinearity:
+    """The g_n sweep's linearity column: the first feasible cluster's step
+    time scaled ideally to each swept size, over that size's step time."""
+
     def test_ratio(self):
-        assert linearity(60.0, 75.0) == pytest.approx(0.8)
+        result = sweep(small_space(), "g_n", [8, 4])
+        t_col, lin_col = result.columns.index("T_step"), result.columns.index("linearity")
+        first, second = result.rows
+        assert second[lin_col] == first[t_col] * 8 / 4 / second[t_col]
 
     def test_equal_is_unity(self):
-        assert linearity(10.0, 10.0) == 1.0
+        result = sweep(small_space(), "g_n", [4, 4])
+        lin_col = result.columns.index("linearity")
+        assert [row[lin_col] for row in result.rows] == [1.0, 1.0]
 
-    def test_positive_inputs_required(self):
-        with pytest.raises(InputError):
-            linearity(0.0, 1.0)
+
+def halve_rates(db):
+    """The profile with every rate halved: each operator's throughputs, each
+    collective bucket's bandwidth, and the host links, CPU, GPU peak, HBM
+    and optimizer rates. Halving is exact in binary floating point."""
+    hw = db.hardware
+    hw = hw._replace(**{name: getattr(hw, name) / 2 for name in (
+        "h2d_bw", "d2h_bw", "cpu_flops", "gpu_peak_flops", "hbm_bw",
+        "optimizer_throughput")})
+    compute = db.compute._replace(entries=tuple(
+        entry._replace(fwd_flops_per_s=entry.fwd_flops_per_s / 2,
+                       bwd_flops_per_s=entry.bwd_flops_per_s and entry.bwd_flops_per_s / 2)
+        for entry in db.compute.entries))
+    comm = db.comm._replace(entries=tuple(
+        entry._replace(buckets=tuple(bucket._replace(bandwidth=bucket.bandwidth / 2)
+                                     for bucket in entry.buckets))
+        for entry in db.comm.entries))
+    return db._replace(hardware=hw, compute=compute, comm=comm)
+
+
+def llama2_default_space():
+    """llama2-70b's default space at 128 GPUs and global batch 256, on the
+    shipped hardware and profile."""
+    cfg = load_config(os.path.join(ROOT, "configs/run_tune_llama2.json"))
+    return SearchSpace(arch=cfg.arch, db=cfg.db, total_gpus=128, global_batch=256)
+
+
+class TestHomogeneity:
+    """Step time is positively homogeneous of degree one in the rates: with
+    every rate halved, each time field of each feasible candidate doubles
+    bit for bit, memory reads no rate, and the ranking and the rejection
+    counts stay the same."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: load_config(os.path.join(ROOT, "configs/run_tune_llama2.json")).space,
+        llama2_default_space,
+    ], ids=["run_tune_llama2", "llama2_default"])
+    def test_halving_every_rate_doubles_every_time(self, build):
+        space = build()
+        ranked, evaluated, rejections = _rank(space)
+        slow, slow_evaluated, slow_rejections = _rank(space._replace(db=halve_rates(space.db)))
+        assert ranked and (slow_evaluated, slow_rejections) == (evaluated, rejections)
+        assert [row[0][1:] for row in slow] == [row[0][1:] for row in ranked]
+        times = [name for name in ranked[0][3]._fields if name.startswith("t_")]
+        for (key, plan, opts, cost, memory), (s_key, s_plan, s_opts, s_cost, s_memory) \
+                in zip(ranked, slow):
+            assert (s_plan, s_opts, s_memory) == (plan, opts, memory)
+            assert s_key[0] == 2 * key[0]
+            assert [getattr(s_cost, name) for name in times] == \
+                [2 * getattr(cost, name) for name in times]
